@@ -11,7 +11,6 @@ from .analysis import (
     SweepResult,
     SweepRow,
     concurrence,
-    fidelity,
     gate_error_sweep,
     thermal_state,
 )
@@ -28,14 +27,12 @@ from .gates import (
     SQRT_SWAP,
     SWAP,
     GateReport,
-    PulseSchedule,
     cnot,
     corrected_swap,
-    evolve,
     phase_shifted_swap,
     sqrt_swap,
 )
-from .linalg import expm_unitary, herm_eig, kron, phase_distance, require_unitary
+from .linalg import expm_unitary, fidelity, herm_eig, kron, phase_distance, require_unitary
 from .model import (
     ExchangeParams,
     FieldSpec,
@@ -65,9 +62,7 @@ __all__ = [
     "SWAP",
     "SQRT_SWAP",
     "CNOT",
-    "PulseSchedule",
     "GateReport",
-    "evolve",
     "corrected_swap",
     "sqrt_swap",
     "cnot",

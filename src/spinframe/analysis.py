@@ -7,7 +7,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import expm_unitary, herm_eig, kron, require_unitary
+from .linalg import expm_unitary, fidelity, herm_eig, kron
 from .model import ExchangeParams, SIGMA_Y, build_hamiltonian
 from .frame import rotation_matrix
 from .gates import CNOT, SQRT_SWAP, SWAP, _cnot_from_w
@@ -23,13 +23,6 @@ __all__ = [
 ]
 
 _GATE_TARGETS = {"swap": SWAP, "sqrt_swap": SQRT_SWAP, "cnot": CNOT}
-
-
-def fidelity(u, u0) -> float:
-    """Phase-insensitive gate fidelity |tr(u^dag u0)| / 4."""
-    u = require_unitary(u, "u")
-    u0 = require_unitary(u0, "u0")
-    return float(abs(np.trace(u.conj().T @ u0))) / 4.0
 
 
 @dataclass(frozen=True)
@@ -61,6 +54,12 @@ class SweepConfig:
             if not ratios or not all(math.isfinite(r) for r in ratios):
                 raise ValueError(f"{name} must be a nonempty list of finite ratios")
             object.__setattr__(self, name, ratios)
+        omega0 = math.atan(self.tan_omega0)
+        for r in self.delta_omega_ratios:
+            if not 0.0 <= omega0 * (1.0 + r) < math.pi / 2:
+                raise ValueError(
+                    f"delta_omega_ratios value {r!r} puts omega0 (1 + r) outside [0, pi/2)"
+                )
 
 
 @dataclass(frozen=True)

@@ -12,9 +12,10 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import os
 import re
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, field, fields
 from datetime import datetime, timezone
 
 import numpy as np
@@ -28,27 +29,7 @@ class UsageError(Exception):
     pass
 
 
-_CONFIG_KEYS = {
-    "J",
-    "orientation",
-    "theta",
-    "tan_omega",
-    "b_over_J",
-    "gate",
-    "B",
-    "beta",
-    "delta_omega_ratios",
-    "delta_theta_ratios",
-    "mode",
-    "out",
-    "format",
-    "tol",
-    "stamp",
-}
-
-_DEFAULT_DOMEGA = tuple(float(x) for x in np.linspace(0.0, 0.1, 50))
-
-_ANGLE_RE = re.compile(r"^([+-]?\d*)pi(?:/(\d+))?$")
+_ANGLE_RE = re.compile(r"^([+-]?)(\d*)pi(?:/(\d+))?$")
 
 
 def parse_angle(value) -> float:
@@ -58,15 +39,8 @@ def parse_angle(value) -> float:
     text = str(value).strip().replace(" ", "")
     m = _ANGLE_RE.match(text)
     if m:
-        numerator = m.group(1)
-        if numerator in ("", "+"):
-            n = 1.0
-        elif numerator == "-":
-            n = -1.0
-        else:
-            n = float(numerator)
-        d = float(m.group(2)) if m.group(2) else 1.0
-        return n * math.pi / d
+        sign, n, d = m.groups()
+        return (-1.0 if sign == "-" else 1.0) * float(n or 1) * math.pi / float(d or 1)
     try:
         return float(text)
     except ValueError:
@@ -101,135 +75,119 @@ def load_config(path: str) -> dict:
     return data
 
 
-@dataclass(frozen=True)
-class RunConfig:
-    command: str
-    J: float = 1.0
-    orientation: str | None = None
-    theta: float | None = None
-    tan_omega: float | None = None
-    b_over_J: float | None = None
-    gate: str | None = None
-    B: float = 1.0
-    beta: tuple[float, ...] = (0.1, 1.0, 10.0)
-    delta_omega_ratios: tuple[float, ...] = _DEFAULT_DOMEGA
-    delta_theta_ratios: tuple[float, ...] = (0.01, 0.1)
-    mode: str = "both"
-    out: str | None = None
-    format: str | None = None
-    tol: float | None = None
-    stamp: bool = False
+def _tolerance(value) -> float:
+    # A NaN tolerance would pass every "value > tol" check.
+    tol = float(value)
+    if not (math.isfinite(tol) and tol >= 0):
+        raise ValueError(f"must be finite and >= 0, got {value!r}")
+    return tol
 
 
-def _as_float(value, name: str) -> float:
-    try:
-        return float(value)
-    except (TypeError, ValueError):
-        raise UsageError(f"invalid number for {name}: {value!r}") from None
+def _strict_bool(value) -> bool:
+    """A JSON true/false; a string such as "false" or "off" is an error."""
+    if not isinstance(value, bool):
+        raise ValueError(f"must be true or false, got {value!r}")
+    return value
 
 
-def _parse_series(value, name: str) -> tuple[float, ...]:
+class _Choice(tuple):
+    """The allowed values of an option; called as a parser, it admits only them."""
+
+    def __call__(self, value) -> str:
+        if str(value) not in self:
+            raise ValueError(f"must be one of {', '.join(self)}, got {value!r}")
+        return str(value)
+
+
+def _parse_series(value) -> tuple[float, ...]:
     """Comma list, start:stop:count, or a JSON list from a config file."""
-    try:
-        if isinstance(value, (list, tuple)):
-            vals = [float(v) for v in value]
-        elif isinstance(value, (int, float)):
-            vals = [float(value)]
+    if isinstance(value, (list, tuple)):
+        vals = [float(v) for v in value]
+    elif isinstance(value, (int, float)):
+        vals = [float(value)]
+    else:
+        text = str(value).strip()
+        if ":" in text:
+            parts = text.split(":")
+            if len(parts) != 3:
+                raise ValueError("range must be start:stop:count")
+            count = int(parts[2])
+            if count < 1:
+                raise ValueError("count must be >= 1")
+            vals = [float(x) for x in np.linspace(float(parts[0]), float(parts[1]), count)]
         else:
-            text = str(value).strip()
-            if ":" in text:
-                parts = text.split(":")
-                if len(parts) != 3:
-                    raise UsageError(f"{name} range must be start:stop:count")
-                count = int(parts[2])
-                if count < 1:
-                    raise UsageError(f"{name} count must be >= 1")
-                vals = [float(x) for x in np.linspace(float(parts[0]), float(parts[1]), count)]
-            else:
-                vals = [float(tok) for tok in text.split(",") if tok.strip()]
-    except ValueError:
-        raise UsageError(f"invalid number list for {name}: {value!r}") from None
+            vals = [float(tok) for tok in text.split(",") if tok.strip()]
     if not vals:
-        raise UsageError(f"{name} must not be empty")
+        raise ValueError("must not be empty")
     return tuple(vals)
 
 
-def _make_config(command: str, raw: dict) -> RunConfig:
-    kw = {"command": command}
-    if "J" in raw:
-        kw["J"] = _as_float(raw["J"], "J")
-    if "orientation" in raw:
-        orientation = str(raw["orientation"])
-        if orientation not in ("xy", "z"):
-            raise UsageError("orientation must be xy or z")
-        kw["orientation"] = orientation
-    if "theta" in raw:
-        kw["theta"] = parse_angle(raw["theta"])
-    if "tan_omega" in raw:
-        kw["tan_omega"] = _as_float(raw["tan_omega"], "tan_omega")
-    if "b_over_J" in raw:
-        kw["b_over_J"] = _as_float(raw["b_over_J"], "b_over_J")
-    if "gate" in raw:
-        gate = str(raw["gate"])
-        if gate not in ("swap", "sqrt_swap", "cnot", "psw"):
-            raise UsageError("gate must be one of swap, sqrt_swap, cnot, psw")
-        kw["gate"] = gate
-    if "B" in raw:
-        kw["B"] = _as_float(raw["B"], "B")
-    if "beta" in raw:
-        kw["beta"] = _parse_series(raw["beta"], "beta")
-    if "delta_omega_ratios" in raw:
-        kw["delta_omega_ratios"] = _parse_series(raw["delta_omega_ratios"], "delta_omega_ratios")
-    if "delta_theta_ratios" in raw:
-        kw["delta_theta_ratios"] = _parse_series(raw["delta_theta_ratios"], "delta_theta_ratios")
-    if "mode" in raw:
-        mode = str(raw["mode"])
-        if mode not in ("both", "corrected", "uncorrected"):
-            raise UsageError("mode must be both, corrected, or uncorrected")
-        kw["mode"] = mode
-    if "out" in raw:
-        kw["out"] = str(raw["out"])
-    if "format" in raw:
-        fmt = str(raw["format"])
-        if fmt not in ("csv", "json"):
-            raise UsageError("format must be csv or json")
-        kw["format"] = fmt
-    if "tol" in raw:
-        kw["tol"] = _as_float(raw["tol"], "tol")
-    if "stamp" in raw:
-        kw["stamp"] = bool(raw["stamp"])
-    return RunConfig(**kw)
+def _option(default, parse, help: str, commands: tuple[str, ...] | None = None):
+    """A row of the option table: a config-file key, and the flag --name
+    (dashes for underscores) of each subcommand in `commands` (None: all).
+    parse turns a flag's string or a config-file value into the field value."""
+    flag = {"choices": parse} if isinstance(parse, _Choice) else {}
+    if parse is _strict_bool:
+        flag = {"action": "store_true", "default": None}
+    meta = {"parse": parse, "help": help, "commands": commands, "flag": flag}
+    return field(default=default, metadata=meta)
+
+
+@dataclass(frozen=True)
+class RunConfig:
+    """Settings of one run.  Each field after command is declared by its option row."""
+
+    command: str
+    J: float = _option(1.0, float, "exchange strength J > 0 (default 1.0)")
+    orientation: str | None = _option(None, _Choice(("xy", "z")), "anisotropy axis orientation")
+    theta: float | None = _option(None, parse_angle, "axis azimuth: radians or Npi/M, e.g. 5pi/6")
+    tan_omega: float | None = _option(None, float, "anisotropy strength b/J, as tan(omega)")
+    b_over_J: float | None = _option(None, float, "config-file synonym of tan_omega", ())
+    gate: str | None = _option(None, _Choice(("swap", "sqrt_swap", "cnot", "psw")),
+                               "gate to build, or to sweep (default swap)", ("gate", "sweep"))
+    B: float = _option(1.0, float, "field magnitude (default 1.0)", ("gate", "fields"))
+    beta: tuple[float, ...] = _option((0.1, 1.0, 10.0), _parse_series,
+                                      "inverse temperatures (default 0.1,1,10)", ("thermal",))
+    delta_omega_ratios: tuple[float, ...] = _option(
+        _parse_series("0:0.1:50"), _parse_series,
+        "comma list or start:stop:count (default 0:0.1:50)", ("sweep",))
+    delta_theta_ratios: tuple[float, ...] = _option(
+        (0.01, 0.1), _parse_series, "comma list or start:stop:count (default 0.01,0.1)",
+        ("sweep",))
+    mode: str = _option("both", _Choice(("both", "corrected", "uncorrected")),
+                        "which pulse variants to evaluate (default both)", ("sweep",))
+    out: str | None = _option(None, str, "write the report to this file")
+    format: str | None = _option(None, _Choice(("csv", "json")), "output document format")
+    tol: float | None = _option(None, _tolerance, "verification tolerance, finite and >= 0")
+    stamp: bool = _option(False, _strict_bool, "include a UTC timestamp in the output metadata")
+
+
+_OPTIONS = {f.name: f.metadata for f in fields(RunConfig) if f.metadata}
 
 
 def _resolve(args: argparse.Namespace) -> RunConfig:
-    file_cfg = load_config(args.config) if args.config else {}
-    unknown = set(file_cfg) - _CONFIG_KEYS
+    raw = load_config(args.config) if args.config else {}
+    unknown = set(raw) - _OPTIONS.keys()
     if unknown:
         raise UsageError(f"unknown config key(s): {', '.join(sorted(unknown))}")
-    merged = {}
-    for key in _CONFIG_KEYS:
-        flag = getattr(args, key, None)
-        if flag is not None:
-            merged[key] = flag
-        elif key in file_cfg:
-            merged[key] = file_cfg[key]
-    return _make_config(args.command, merged)
+    raw.update((k, v) for k, v in vars(args).items() if k in _OPTIONS and v is not None)
+    values = {}
+    for key, value in raw.items():
+        try:
+            values[key] = _OPTIONS[key]["parse"](value)
+        except (TypeError, ValueError, UsageError) as exc:
+            raise UsageError(f"{key}: {exc}") from None
+    return RunConfig(args.command, **values)
 
 
 def _exchange_params(cfg: RunConfig) -> model.ExchangeParams:
+    """The model parameters; ExchangeParams' own ValueError exits 1 like a usage error."""
     if cfg.orientation is None:
         raise UsageError("orientation is required (xy or z)")
     if (cfg.tan_omega is None) == (cfg.b_over_J is None):
         raise UsageError("exactly one of tan_omega / b_over_J is required")
-    if cfg.orientation == "z" and cfg.theta is not None:
-        raise UsageError("orientation z takes no theta")
     ratio = cfg.tan_omega if cfg.tan_omega is not None else cfg.b_over_J
-    try:
-        return model.ExchangeParams(
-            cfg.J, cfg.orientation, ratio, theta=cfg.theta
-        )
-    except ValueError as exc:
-        raise UsageError(str(exc)) from None
+    return model.ExchangeParams(cfg.J, cfg.orientation, ratio, theta=cfg.theta)
 
 
 def _tol(cfg: RunConfig, default: float) -> float:
@@ -240,10 +198,6 @@ def _g17(x: float) -> str:
     return format(x, ".17g")
 
 
-def _log10(x: float) -> float:
-    return math.log10(x) if x > 0 else float("-inf")
-
-
 def _mat(m: np.ndarray) -> list:
     return [[[float(z.real), float(z.imag)] for z in row] for row in np.asarray(m)]
 
@@ -252,13 +206,23 @@ def _fmt_matrix(m: np.ndarray) -> str:
     return np.array2string(np.asarray(m), precision=6, suppress_small=True)
 
 
-def _json_text(payload: dict) -> str:
-    return json.dumps(payload, indent=2, allow_nan=False) + "\n"
+def _table(columns: tuple[str, ...], rows: list[tuple]) -> tuple[str, list[dict]]:
+    """The rows as CSV text (17 significant digits, true/false) and as JSON
+    objects (a non-finite number becomes null)."""
+    lines = [",".join(columns)]
+    lines += [",".join(str(v).lower() if isinstance(v, bool) else _g17(v) for v in r) for r in rows]
+    json_rows = [
+        {c: v if isinstance(v, bool) or math.isfinite(v) else None for c, v in zip(columns, row)}
+        for row in rows
+    ]
+    return "\n".join(lines) + "\n", json_rows
 
 
-def _emit(cfg: RunConfig, payload: dict, text: str | None = None,
-          csv_text: str | None = None, default_format: str = "json") -> None:
-    fmt = cfg.format or default_format
+def _report(cfg: RunConfig, payload: dict, text: list[str] | None,
+            csv_text: str | None = None, check: tuple[str, float, float] | None = None) -> int:
+    """Write one command's report; exit code 2 if check = (what, value, tol) has value > tol.
+    Without --format: text to stdout, JSON to --out, or CSV where there is no text."""
+    fmt = cfg.format or ("json" if text is not None else "csv")
     if fmt == "csv" and csv_text is None:
         raise UsageError(f"{cfg.command} has no csv form")
     if cfg.stamp:
@@ -266,19 +230,22 @@ def _emit(cfg: RunConfig, payload: dict, text: str | None = None,
         payload = {**payload, "stamp": iso}
         if csv_text is not None:
             csv_text = f"# stamp: {iso}\n" + csv_text
+    if cfg.format is None and text is not None and not cfg.out:
+        data = "\n".join(text) + "\n"
+    else:
+        data = csv_text if fmt == "csv" else json.dumps(payload, indent=2, allow_nan=False) + "\n"
     if cfg.out:
-        data = csv_text if fmt == "csv" else _json_text(payload)
         with open(cfg.out, "wb") as fh:
             fh.write(data.encode("utf-8"))
-    elif cfg.format is None and text is not None:
-        print(text)
     else:
-        sys.stdout.write(csv_text if fmt == "csv" else _json_text(payload))
-
-
-def _fail_tol(what: str, value: float, tol: float) -> int:
-    print(f"error: {what} {value:.6e} exceeds tolerance {tol:.6e}", file=sys.stderr)
-    return 2
+        sys.stdout.write(data)
+        # A closed pipe must raise here, inside main, not at interpreter exit.
+        sys.stdout.flush()
+    if check is not None and check[1] > check[2]:
+        what, value, tol = check
+        print(f"error: {what} {value:.6e} exceeds tolerance {tol:.6e}", file=sys.stderr)
+        return 2
+    return 0
 
 
 def _params_line(p: model.ExchangeParams) -> str:
@@ -289,150 +256,92 @@ def _params_line(p: model.ExchangeParams) -> str:
     )
 
 
-def cmd_transform(cfg: RunConfig) -> int:
-    p = _exchange_params(cfg)
+def cmd_transform(cfg: RunConfig, p: model.ExchangeParams) -> int:
+    """print H, the rotation T, T H T^dag, and the residual"""
     tol = _tol(cfg, 1e-12)
     h = model.build_hamiltonian(p)
     rot = frame.rotation_matrix(p)
-    transformed = rot @ h @ rot.conj().T
+    matrices = [("hamiltonian", "H", h), ("rotation", "T", rot),
+                ("transformed", "T H T^dag", rot @ h @ rot.conj().T)]
     residual = frame.verify_isotropization(p)
-    payload = {
-        "parameters": _params_line(p),
-        "hamiltonian": _mat(h),
-        "rotation": _mat(rot),
-        "transformed": _mat(transformed),
-        "residual": residual,
-        "tolerance": tol,
-    }
-    text = "\n".join(
-        [
-            _params_line(p),
-            "",
-            "H:",
-            _fmt_matrix(h),
-            "",
-            "T:",
-            _fmt_matrix(rot),
-            "",
-            "T H T^dag:",
-            _fmt_matrix(transformed),
-            "",
-            f"isotropization residual: {residual:.6e} (tolerance {tol:g})",
-        ]
-    )
-    _emit(cfg, payload, text=text)
-    if residual > tol:
-        return _fail_tol("isotropization residual", residual, tol)
-    return 0
+    payload = {"parameters": _params_line(p)}
+    text = [_params_line(p)]
+    for key, label, m in matrices:
+        payload[key] = _mat(m)
+        text += ["", f"{label}:", _fmt_matrix(m)]
+    payload.update(residual=residual, tolerance=tol)
+    text += ["", f"isotropization residual: {residual:.6e} (tolerance {tol:g})"]
+    return _report(cfg, payload, text, check=("isotropization residual", residual, tol))
 
 
-def cmd_decompose(cfg: RunConfig) -> int:
-    p = _exchange_params(cfg)
+def cmd_decompose(cfg: RunConfig, p: model.ExchangeParams) -> int:
+    """per-qubit ZYZ angles of T and the reassembly distance"""
     tol = _tol(cfg, 1e-12)
     plan = frame.rotation_plan(p)
     distance = linalg.phase_distance(frame.assemble(plan), frame.rotation_matrix(p))
-    q1, q2 = plan.qubit1, plan.qubit2
-    payload = {
-        "parameters": _params_line(p),
-        "qubit1": {"alpha": q1[0], "gamma": q1[1], "beta": q1[2]},
-        "qubit2": {"alpha": q2[0], "gamma": q2[1], "beta": q2[2]},
-        "phase": plan.phase,
-        "assembly_distance": distance,
-        "tolerance": tol,
-    }
-    text = "\n".join(
-        [
-            _params_line(p),
-            f"qubit1: alpha={_g17(q1[0])} gamma={_g17(q1[1])} beta={_g17(q1[2])}",
-            f"qubit2: alpha={_g17(q2[0])} gamma={_g17(q2[1])} beta={_g17(q2[2])}",
-            f"global phase: {_g17(plan.phase)}",
-            f"assembly distance: {distance:.6e} (tolerance {tol:g})",
-        ]
-    )
-    _emit(cfg, payload, text=text)
-    if distance > tol:
-        return _fail_tol("assembly distance", distance, tol)
-    return 0
+    payload = {"parameters": _params_line(p)}
+    text = [_params_line(p)]
+    for name, angles in (("qubit1", plan.qubit1), ("qubit2", plan.qubit2)):
+        payload[name] = dict(zip(("alpha", "gamma", "beta"), angles))
+        text.append(f"{name}: " + " ".join(f"{k}={_g17(a)}" for k, a in payload[name].items()))
+    payload.update(phase=plan.phase, assembly_distance=distance, tolerance=tol)
+    text.append(f"global phase: {_g17(plan.phase)}")
+    text.append(f"assembly distance: {distance:.6e} (tolerance {tol:g})")
+    return _report(cfg, payload, text, check=("assembly distance", distance, tol))
 
 
-def cmd_gate(cfg: RunConfig) -> int:
-    p = _exchange_params(cfg)
+_GATES = {"swap": gates.corrected_swap, "sqrt_swap": gates.sqrt_swap, "cnot": gates.cnot}
+
+
+def cmd_gate(cfg: RunConfig, p: model.ExchangeParams) -> int:
+    """emit a synthesized gate matrix"""
     if cfg.gate is None:
         raise UsageError("gate name required: swap, sqrt_swap, cnot, or psw")
     if cfg.gate == "psw":
-        report = gates.phase_shifted_swap(p, cfg.B)
-        tol = None
-    elif cfg.gate == "cnot":
-        report = gates.cnot(p)
-        tol = _tol(cfg, 1e-10)
+        # psw is away from plain SWAP by design, so its distance is not checked.
+        report, tol = gates.phase_shifted_swap(p, cfg.B), math.inf
     else:
-        builder = gates.corrected_swap if cfg.gate == "swap" else gates.sqrt_swap
-        report = builder(p)
-        tol = _tol(cfg, 1e-12)
+        report = _GATES[cfg.gate](p)
+        tol = _tol(cfg, 1e-10 if cfg.gate == "cnot" else 1e-12)
+    distance = report.phase_distance_to_target
     payload = {
         "label": report.label,
         "matrix": _mat(report.matrix),
-        "phase_distance": report.phase_distance_to_target,
+        "phase_distance": distance,
         "target": report.target_label,
     }
-    text = "\n".join(
-        [
-            _params_line(p),
-            f"gate: {report.label}",
-            f"phase distance to {report.target_label}: "
-            f"{report.phase_distance_to_target:.6e}",
-            _fmt_matrix(report.matrix),
-        ]
-    )
-    _emit(cfg, payload, text=text)
-    if tol is not None and report.phase_distance_to_target > tol:
-        return _fail_tol("gate distance", report.phase_distance_to_target, tol)
-    return 0
+    text = [
+        _params_line(p),
+        f"gate: {report.label}",
+        f"phase distance to {report.target_label}: {distance:.6e}",
+        _fmt_matrix(report.matrix),
+    ]
+    return _report(cfg, payload, text, check=("gate distance", distance, tol))
 
 
-def cmd_fields(cfg: RunConfig) -> int:
-    p = _exchange_params(cfg)
+def cmd_fields(cfg: RunConfig, p: model.ExchangeParams) -> int:
+    """compensating per-qubit fields and their transform residual"""
     tol = _tol(cfg, 1e-12)
     pair = model.compensating_fields(p, cfg.B)
-    rot = frame.rotation_matrix(p)
-    s1x, s1y, s1z, s2x, s2y, s2z = model.spin_operators()
-    target = cfg.B * (s1z + s2z)
-    residual = float(
-        np.abs(rot @ model.build_zeeman(pair) @ rot.conj().T - target).max()
-    )
-    payload = {
-        "parameters": _params_line(p),
-        "B": cfg.B,
-        "b1": list(pair.b1),
-        "b2": list(pair.b2),
-        "residual": residual,
-        "tolerance": tol,
-    }
-    text = "\n".join(
-        [
-            _params_line(p),
-            f"B: {_g17(cfg.B)}",
-            f"b1: ({', '.join(_g17(x) for x in pair.b1)})",
-            f"b2: ({', '.join(_g17(x) for x in pair.b2)})",
-            f"transform residual: {residual:.6e} (tolerance {tol:g})",
-        ]
-    )
-    _emit(cfg, payload, text=text)
-    if residual > tol:
-        return _fail_tol("field transform residual", residual, tol)
-    return 0
+    residual = frame.verify_fields(p, cfg.B)
+    payload = {"parameters": _params_line(p), "B": cfg.B}
+    text = [_params_line(p), f"B: {_g17(cfg.B)}"]
+    for name, vec in (("b1", pair.b1), ("b2", pair.b2)):
+        payload[name] = list(vec)
+        text.append(f"{name}: ({', '.join(_g17(x) for x in vec)})")
+    payload.update(residual=residual, tolerance=tol)
+    text.append(f"transform residual: {residual:.6e} (tolerance {tol:g})")
+    return _report(cfg, payload, text, check=("field transform residual", residual, tol))
 
 
-def cmd_sweep(cfg: RunConfig) -> int:
-    if cfg.orientation is not None and cfg.orientation != "xy":
+def cmd_sweep(cfg: RunConfig, p: model.ExchangeParams) -> int:
+    """gate error over parameter misestimation ratios"""
+    if p.orientation != "xy":
         raise UsageError("sweep requires orientation xy")
-    p = _exchange_params(cfg)
     gate = cfg.gate or "swap"
-    if gate == "psw":
-        raise UsageError("sweep gate must be swap, sqrt_swap, or cnot")
     flags = {"both": (False, True), "uncorrected": (False,), "corrected": (True,)}[cfg.mode]
 
-    tagged_rows = []
+    rows = []
     for corrected in flags:
         result = analysis.gate_error_sweep(
             analysis.SweepConfig(
@@ -444,35 +353,13 @@ def cmd_sweep(cfg: RunConfig) -> int:
                 gate=gate,
             )
         )
-        tagged_rows.extend((corrected, row) for row in result.rows)
-
-    lines = ["delta_omega_ratio,delta_theta_ratio,corrected,fidelity,error,log10_error"]
-    json_rows = []
-    for corrected, row in tagged_rows:
-        log10e = _log10(row.error)
-        lines.append(
-            ",".join(
-                [
-                    _g17(row.delta_omega_ratio),
-                    _g17(row.delta_theta_ratio),
-                    "true" if corrected else "false",
-                    _g17(row.fidelity),
-                    _g17(row.error),
-                    _g17(log10e),
-                ]
-            )
-        )
-        json_rows.append(
-            {
-                "delta_omega_ratio": row.delta_omega_ratio,
-                "delta_theta_ratio": row.delta_theta_ratio,
-                "corrected": corrected,
-                "fidelity": row.fidelity,
-                "error": row.error,
-                "log10_error": log10e if math.isfinite(log10e) else None,
-            }
-        )
-    csv_text = "\n".join(lines) + "\n"
+        for r in result.rows:
+            log10e = math.log10(r.error) if r.error > 0 else float("-inf")
+            rows.append((r.delta_omega_ratio, r.delta_theta_ratio, corrected, r.fidelity,
+                         r.error, log10e))
+    columns = ("delta_omega_ratio", "delta_theta_ratio", "corrected", "fidelity", "error",
+               "log10_error")
+    csv_text, json_rows = _table(columns, rows)
     payload = {
         "config": {
             "gate": gate,
@@ -484,12 +371,11 @@ def cmd_sweep(cfg: RunConfig) -> int:
         },
         "rows": json_rows,
     }
-    _emit(cfg, payload, text=None, csv_text=csv_text, default_format="csv")
-    return 0
+    return _report(cfg, payload, None, csv_text)
 
 
-def cmd_thermal(cfg: RunConfig) -> int:
-    p = _exchange_params(cfg)
+def cmd_thermal(cfg: RunConfig, p: model.ExchangeParams) -> int:
+    """thermal-state concurrence against the isotropic reference"""
     tol = _tol(cfg, 1e-12)
     h = model.build_hamiltonian(p)
     h0 = model.build_isotropic(p.J)
@@ -498,31 +384,19 @@ def cmd_thermal(cfg: RunConfig) -> int:
         c = analysis.concurrence(analysis.thermal_state(h, beta))
         c0 = analysis.concurrence(analysis.thermal_state(h0, beta))
         rows.append((beta, c, c0, abs(c - c0)))
-    lines = ["beta,concurrence,concurrence_isotropic,difference"]
-    lines += [",".join(_g17(x) for x in row) for row in rows]
-    csv_text = "\n".join(lines) + "\n"
-    payload = {
-        "parameters": _params_line(p),
-        "rows": [
-            {
-                "beta": b,
-                "concurrence": c,
-                "concurrence_isotropic": c0,
-                "difference": d,
-            }
-            for b, c, c0, d in rows
-        ],
-        "tolerance": tol,
-    }
-    text = "\n".join(
-        [_params_line(p), "beta  concurrence  concurrence_isotropic  difference"]
-        + [f"{b:g}  {c:.12f}  {c0:.12f}  {d:.3e}" for b, c, c0, d in rows]
-    )
-    _emit(cfg, payload, text=text, csv_text=csv_text)
+    columns = ("beta", "concurrence", "concurrence_isotropic", "difference")
+    csv_text, json_rows = _table(columns, rows)
+    payload = {"parameters": _params_line(p), "rows": json_rows, "tolerance": tol}
+    text = [_params_line(p), "beta  concurrence  concurrence_isotropic  difference"]
+    text += [f"{b:g}  {c:.12f}  {c0:.12f}  {d:.3e}" for b, c, c0, d in rows]
     worst = max(d for _, _, _, d in rows)
-    if worst > tol:
-        return _fail_tol("concurrence difference", worst, tol)
-    return 0
+    return _report(cfg, payload, text, csv_text, check=("concurrence difference", worst, tol))
+
+
+_COMMANDS = {
+    f.__name__.removeprefix("cmd_"): f
+    for f in (cmd_transform, cmd_decompose, cmd_gate, cmd_fields, cmd_sweep, cmd_thermal)
+}
 
 
 class _Parser(argparse.ArgumentParser):
@@ -530,74 +404,43 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
+def _add_flag(parser: argparse.ArgumentParser, key: str) -> None:
+    row = _OPTIONS[key]
+    parser.add_argument("--" + key.replace("_", "-"), dest=key, help=row["help"], **row["flag"])
+
+
 def _build_parser() -> _Parser:
+    """Flags for every command go on a parent parser that each subparser copies,
+    which is cheaper than adding them six times; the rest go on their subparsers."""
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--config", help="key = value or JSON config file; flags override it")
-    common.add_argument("--J", type=float, help="exchange strength J > 0 (default 1.0)")
-    common.add_argument("--orientation", choices=("xy", "z"), help="anisotropy axis orientation")
-    common.add_argument("--theta", help="axis azimuth: radians or Npi/M, e.g. 5pi/6")
-    common.add_argument("--tan-omega", dest="tan_omega", type=float,
-                        help="anisotropy strength b/J, given as tan(omega)")
-    common.add_argument("--out", help="write the report to this file")
-    common.add_argument("--format", choices=("csv", "json"), help="output document format")
-    common.add_argument("--tol", type=float, help="tolerance for verification exit status")
-    common.add_argument("--stamp", action="store_true", default=None,
-                        help="include a UTC timestamp in the output metadata")
-
+    for key, row in _OPTIONS.items():
+        if row["commands"] is None:
+            _add_flag(common, key)
     parser = _Parser(prog="spinframe", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True, metavar="command")
-
-    sp = sub.add_parser("transform", parents=[common],
-                        help="print H, the rotation T, T H T^dag, and the residual")
-    sp.set_defaults(func=cmd_transform)
-
-    sp = sub.add_parser("decompose", parents=[common],
-                        help="per-qubit ZYZ angles of T and the reassembly distance")
-    sp.set_defaults(func=cmd_decompose)
-
-    sp = sub.add_parser("gate", parents=[common], help="emit a synthesized gate matrix")
-    sp.add_argument("--gate", choices=("swap", "sqrt_swap", "cnot", "psw"),
-                    help="which gate to synthesize")
-    sp.add_argument("--B", type=float, help="field magnitude for psw (default 1.0)")
-    sp.set_defaults(func=cmd_gate)
-
-    sp = sub.add_parser("fields", parents=[common],
-                        help="compensating per-qubit fields and their transform residual")
-    sp.add_argument("--B", type=float, help="field magnitude (default 1.0)")
-    sp.set_defaults(func=cmd_fields)
-
-    sp = sub.add_parser("sweep", parents=[common],
-                        help="gate error over parameter misestimation ratios")
-    sp.add_argument("--gate", choices=("swap", "sqrt_swap", "cnot"),
-                    help="gate to sweep (default swap)")
-    sp.add_argument("--mode", choices=("both", "corrected", "uncorrected"),
-                    help="which pulse variants to evaluate (default both)")
-    sp.add_argument("--delta-omega-ratios", dest="delta_omega_ratios",
-                    help="comma list or start:stop:count (default 0:0.1:50)")
-    sp.add_argument("--delta-theta-ratios", dest="delta_theta_ratios",
-                    help="comma list or start:stop:count (default 0.01,0.1)")
-    sp.set_defaults(func=cmd_sweep)
-
-    sp = sub.add_parser("thermal", parents=[common],
-                        help="thermal-state concurrence against the isotropic reference")
-    sp.add_argument("--beta", help="comma list of inverse temperatures (default 0.1,1,10)")
-    sp.set_defaults(func=cmd_thermal)
-
+    for command, func in _COMMANDS.items():
+        sp = sub.add_parser(command, parents=[common], help=func.__doc__)
+        sp.set_defaults(func=func)
+        for key, row in _OPTIONS.items():
+            if command in (row["commands"] or ()):
+                _add_flag(sp, key)
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _build_parser().parse_args(argv)
         cfg = _resolve(args)
-        return args.func(cfg)
-    except UsageError as exc:
+        return args.func(cfg, _exchange_params(cfg))
+    except (UsageError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+    except BrokenPipeError:
+        # The reader went away, as in `spinframe sweep | head`: not an error.
+        # Point stdout at devnull so the flush at interpreter exit cannot raise.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 0
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3

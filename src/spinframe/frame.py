@@ -17,7 +17,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from .linalg import kron
-from .model import ExchangeParams, build_hamiltonian, build_isotropic
+from .model import (
+    ExchangeParams,
+    build_hamiltonian,
+    build_isotropic,
+    build_zeeman,
+    compensating_fields,
+    spin_operators,
+)
 
 __all__ = [
     "RotationPlan",
@@ -26,6 +33,7 @@ __all__ = [
     "assemble",
     "eigenstates",
     "verify_isotropization",
+    "verify_fields",
     "rz",
     "ry",
     "PSI_PLUS",
@@ -185,3 +193,15 @@ def verify_isotropization(p: ExchangeParams) -> float:
     t = rotation_matrix(p)
     h = build_hamiltonian(p)
     return float(np.abs(t @ h @ t.conj().T - build_isotropic(p.J)).max())
+
+
+def verify_fields(p: ExchangeParams, B: float) -> float:
+    """Largest entry of |T (B1.S1 + B2.S2) T^dag - B (S1z + S2z)|.
+
+    B1, B2 are the compensating fields of magnitude B from
+    compensating_fields(p, B).
+    """
+    t = rotation_matrix(p)
+    s1z, s2z = spin_operators()[2::3]
+    zeeman = build_zeeman(compensating_fields(p, B))
+    return float(np.abs(t @ zeeman @ t.conj().T - B * (s1z + s2z)).max())

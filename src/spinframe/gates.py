@@ -21,9 +21,7 @@ __all__ = [
     "SWAP",
     "SQRT_SWAP",
     "CNOT",
-    "PulseSchedule",
     "GateReport",
-    "evolve",
     "corrected_swap",
     "sqrt_swap",
     "cnot",
@@ -52,38 +50,11 @@ _Z_FLIP = np.diag([1.0, -1.0]).astype(complex)
 
 
 @dataclass(frozen=True)
-class PulseSchedule:
-    """Piecewise-constant evolution: ((h, t), ...) applied left to right in time.
-
-    Durations must be nonnegative; each h must be Hermitian 4x4.
-    """
-
-    segments: tuple[tuple[np.ndarray, float], ...]
-
-    def __post_init__(self) -> None:
-        cleaned = []
-        for h, t in self.segments:
-            t = float(t)
-            if not (math.isfinite(t) and t >= 0):
-                raise ValueError("segment duration must be nonnegative and finite")
-            cleaned.append((np.asarray(h, dtype=complex), t))
-        object.__setattr__(self, "segments", tuple(cleaned))
-
-
-@dataclass(frozen=True)
 class GateReport:
     matrix: np.ndarray
     label: str
     phase_distance_to_target: float
     target_label: str
-
-
-def evolve(schedule: PulseSchedule) -> np.ndarray:
-    """Total unitary of a schedule; later segments multiply on the left."""
-    u = np.eye(4, dtype=complex)
-    for h, t in schedule.segments:
-        u = expm_unitary(h, t) @ u
-    return u
 
 
 def _sandwiched(p: ExchangeParams, t: float) -> np.ndarray:

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 
-__all__ = ["kron", "herm_eig", "expm_unitary", "phase_distance", "require_unitary"]
+__all__ = ["kron", "herm_eig", "expm_unitary", "fidelity", "phase_distance", "require_unitary"]
 
 
 def _as_matrix(a, shape: tuple[int, int], name: str) -> np.ndarray:
@@ -46,8 +46,13 @@ def require_unitary(u, name: str = "matrix", atol: float = 1e-10) -> np.ndarray:
     return u
 
 
-def phase_distance(u, v) -> float:
-    """1 - |tr(u^dag v)|/4; zero iff the unitaries agree up to a global phase."""
+def fidelity(u, u0) -> float:
+    """Phase-insensitive gate fidelity |tr(u^dag u0)| / 4."""
     u = require_unitary(u, "u")
-    v = require_unitary(v, "v")
-    return 1.0 - float(abs(np.trace(u.conj().T @ v))) / 4.0
+    u0 = require_unitary(u0, "u0")
+    return float(abs(np.trace(u.conj().T @ u0))) / 4.0
+
+
+def phase_distance(u, v) -> float:
+    """1 - fidelity(u, v); zero iff the unitaries agree up to a global phase."""
+    return 1.0 - fidelity(u, v)

@@ -215,3 +215,27 @@ def test_sweep_result_echoes_config():
     result = gate_error_sweep(cfg)
     assert result.config is cfg
     assert len(result.rows) == 1
+
+
+@pytest.mark.parametrize("tan0, ratio", [(5e-3, -2.0), (5e-3, -1.5), (1000.0, 0.1)])
+def test_sweep_config_rejects_omega_outside_quarter_turn(tan0, ratio):
+    with pytest.raises(ValueError, match="delta_omega_ratios"):
+        SweepConfig(
+            tan_omega0=tan0,
+            theta0=THETA0,
+            delta_omega_ratios=(0.0, ratio),
+            delta_theta_ratios=(0.0,),
+            corrected=True,
+        )
+
+
+def test_sweep_config_accepts_omega_zero():
+    cfg = SweepConfig(
+        tan_omega0=5e-3,
+        theta0=THETA0,
+        delta_omega_ratios=(-1.0,),
+        delta_theta_ratios=(0.0,),
+        corrected=False,
+    )
+    (row,) = gate_error_sweep(cfg).rows
+    assert row.error < 1e-12

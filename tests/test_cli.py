@@ -1,7 +1,11 @@
+import argparse
 import json
 import math
+import os
+import re
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -280,3 +284,141 @@ def test_main_returns_int_in_process(capsys):
     assert code == 0
     doc = json.loads(capsys.readouterr().out)
     assert doc["phase"] == 0.0
+
+
+def _run_in_process(capsys, *args):
+    code = main(list(args))
+    out, err = capsys.readouterr()
+    return code, out, err
+
+
+@pytest.mark.parametrize("tol", ["nan", "inf", "-1"])
+def test_bad_tol_flag_exits_1(capsys, tol):
+    for command in (("gate", "--gate", "swap"), ("transform",)):
+        code, out, err = _run_in_process(capsys, *command, *XY_ARGS, "--tol", tol)
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error: tol")
+
+
+@pytest.mark.parametrize("line", ["tol = nan", "tol = inf", "tol = -1", '"tol": "nan"'])
+def test_bad_tol_config_exits_1(capsys, tmp_path, line):
+    cfg = tmp_path / "run.cfg"
+    if line.startswith('"'):
+        cfg.write_text('{"orientation": "z", "tan_omega": 0.1, ' + line + "}")
+    else:
+        cfg.write_text(f"orientation = z\ntan_omega = 0.1\n{line}\n")
+    code, out, err = _run_in_process(capsys, "thermal", "--config", str(cfg))
+    assert code == 1
+    assert err.startswith("error: tol")
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        "orientation = z\ntan_omega = 0.1\nstamp = off\n",
+        '{"orientation": "z", "tan_omega": 0.1, "stamp": "false"}',
+    ],
+)
+def test_stamp_config_must_be_a_json_bool(capsys, tmp_path, text):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(text)
+    code, out, err = _run_in_process(capsys, "thermal", "--config", str(cfg), "--format", "csv")
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: stamp")
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        "orientation = z\ntan_omega = 0.1\nstamp = false\n",
+        '{"orientation": "z", "tan_omega": 0.1, "stamp": false}',
+    ],
+)
+def test_stamp_false_in_config_adds_no_stamp(capsys, tmp_path, text):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(text)
+    code, out, _ = _run_in_process(capsys, "thermal", "--config", str(cfg), "--format", "csv")
+    assert code == 0
+    assert out.startswith("beta,")
+
+
+def test_closed_stdout_pipe_exits_quietly():
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        r = subprocess.run(
+            [sys.executable, "-m", "spinframe.cli", *SWEEP_ARGS],
+            stdout=write_end,
+            stderr=subprocess.PIPE,
+            text=True,
+        )
+    finally:
+        os.close(write_end)
+    assert r.returncode == 0
+    assert r.stderr == ""
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        (*XY_ARGS, "--delta-omega-ratios=-2"),
+        ("--orientation", "xy", "--theta", "1", "--tan-omega", "1000",
+         "--delta-omega-ratios", "0.1"),
+    ],
+)
+def test_sweep_ratio_out_of_range_exits_1(capsys, args):
+    code, out, err = _run_in_process(capsys, "sweep", *args)
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error:") and "delta_omega_ratios" in err
+
+
+COMMON_FLAGS = {"--config", "--J", "--orientation", "--theta", "--tan-omega", "--out",
+                "--format", "--tol", "--stamp"}
+COMMAND_FLAGS = {
+    "transform": COMMON_FLAGS,
+    "decompose": COMMON_FLAGS,
+    "gate": COMMON_FLAGS | {"--gate", "--B"},
+    "fields": COMMON_FLAGS | {"--B"},
+    "sweep": COMMON_FLAGS | {"--gate", "--mode", "--delta-omega-ratios", "--delta-theta-ratios"},
+    "thermal": COMMON_FLAGS | {"--beta"},
+}
+
+
+def test_each_subcommand_takes_its_flags():
+    from spinframe.cli import _build_parser
+
+    parser = _build_parser()
+    sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    assert set(sub.choices) == set(COMMAND_FLAGS)
+    for command, expected in COMMAND_FLAGS.items():
+        flags = {s for a in sub.choices[command]._actions for s in a.option_strings}
+        assert flags - {"-h", "--help"} == expected, command
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ("transform", *XY_ARGS, "--gate", "swap"),
+        ("decompose", *XY_ARGS, "--B", "1"),
+        ("fields", *XY_ARGS, "--mode", "both"),
+        ("thermal", "--orientation", "z", "--tan-omega", "0.1", "--gate", "swap"),
+        ("sweep", *XY_ARGS, "--beta", "1"),
+        ("gate", *XY_ARGS, "--gate", "swap", "--b-over-J", "0.1"),
+    ],
+)
+def test_flag_a_subcommand_does_not_take_exits_1(capsys, args):
+    code, out, err = _run_in_process(capsys, *args)
+    assert code == 1
+    assert err.startswith("error:")
+
+
+def test_readme_config_keys_match_option_table():
+    from spinframe.cli import _OPTIONS
+
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    section = readme.split("### Config files", 1)[1].split("\n### ", 1)[0]
+    listed = re.search(r"Keys match the flag\s+names \((.*?)\)\.", section, re.S).group(1)
+    assert set(re.findall(r"`(\w+)`", listed)) == set(_OPTIONS)

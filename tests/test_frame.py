@@ -15,6 +15,7 @@ from spinframe.frame import (
     rotation_plan,
     ry,
     rz,
+    verify_fields,
     verify_isotropization,
 )
 from spinframe.model import ExchangeParams, build_hamiltonian
@@ -131,3 +132,9 @@ def test_rotation_maps_eigenstates_onto_bell_basis(p):
     t = rotation_matrix(p)
     for v, bell in zip(eigenstates(p), BELL_ORDER[p.orientation]):
         assert abs(np.vdot(bell, t @ v)) == pytest.approx(1.0, abs=1e-12)
+
+
+@pytest.mark.parametrize("p", list(grid()), ids=str)
+def test_verify_fields_residual(p):
+    for B in (0.1, 1.0, -2.5):
+        assert verify_fields(p, B) < 1e-12

@@ -8,16 +8,14 @@ from spinframe.gates import (
     CNOT,
     SQRT_SWAP,
     SWAP,
-    PulseSchedule,
     cnot,
     corrected_swap,
-    evolve,
     phase_shifted_swap,
     sqrt_swap,
 )
 from spinframe.gates import _cnot_from_w
 from spinframe.linalg import expm_unitary, phase_distance
-from spinframe.model import ExchangeParams, build_hamiltonian, build_isotropic
+from spinframe.model import ExchangeParams, build_hamiltonian
 
 REFERENCE = ExchangeParams(1.0, "xy", 5e-3, theta=5 * math.pi / 6)
 
@@ -27,24 +25,6 @@ POINTS = [
     ExchangeParams(2.0, "xy", 0.5, theta=0.3),
     ExchangeParams(0.5, "z", 0.2),
 ]
-
-
-def test_evolve_empty_schedule():
-    np.testing.assert_array_equal(evolve(PulseSchedule(())), np.eye(4))
-
-
-def test_evolve_orders_segments():
-    """Later segments act later, i.e. multiply on the left."""
-    h1 = build_isotropic(1.0)
-    h2 = np.diag([1.0, 0.0, 0.0, -1.0]).astype(complex)
-    sched = PulseSchedule(((h1, 0.9), (h2, 0.4)))
-    expected = expm_unitary(h2, 0.4) @ expm_unitary(h1, 0.9)
-    np.testing.assert_allclose(evolve(sched), expected, atol=1e-13)
-
-
-def test_schedule_rejects_negative_duration():
-    with pytest.raises(ValueError):
-        PulseSchedule(((build_isotropic(1.0), -0.1),))
 
 
 @pytest.mark.parametrize("p", POINTS, ids=str)
