@@ -7,10 +7,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import expm_unitary, fidelity, herm_eig, kron
-from .model import ExchangeParams, SIGMA_Y, build_hamiltonian
+from .linalg import fidelity, herm_eig, kron
+from .model import ExchangeParams, SIGMA_Y
 from .frame import rotation_matrix
-from .gates import CNOT, SQRT_SWAP, SWAP, _cnot_from_w
+from .gates import GATES, realize
 
 __all__ = [
     "fidelity",
@@ -21,9 +21,6 @@ __all__ = [
     "thermal_state",
     "concurrence",
 ]
-
-_GATE_TARGETS = {"swap": SWAP, "sqrt_swap": SQRT_SWAP, "cnot": CNOT}
-
 
 @dataclass(frozen=True)
 class SweepConfig:
@@ -47,8 +44,8 @@ class SweepConfig:
             raise ValueError("tan_omega0 must be nonnegative and finite")
         if not math.isfinite(self.theta0):
             raise ValueError("theta0 must be finite")
-        if self.gate not in _GATE_TARGETS:
-            raise ValueError(f"gate must be one of {sorted(_GATE_TARGETS)}")
+        if self.gate not in GATES:
+            raise ValueError(f"gate must be one of {sorted(GATES)}")
         for name in ("delta_omega_ratios", "delta_theta_ratios"):
             ratios = tuple(float(r) for r in getattr(self, name))
             if not ratios or not all(math.isfinite(r) for r in ratios):
@@ -76,22 +73,6 @@ class SweepResult:
     rows: tuple[SweepRow, ...]
 
 
-def _realized_gate(gate: str, p: ExchangeParams, sandwich: np.ndarray | None) -> np.ndarray:
-    """Gate as actually produced by pulses on H(p), optionally T0-sandwiched."""
-
-    def pulse(t: float) -> np.ndarray:
-        u = expm_unitary(build_hamiltonian(p), t)
-        if sandwich is not None:
-            u = sandwich @ u @ sandwich.conj().T
-        return u
-
-    if gate == "swap":
-        return pulse(math.pi / p.J)
-    if gate == "sqrt_swap":
-        return pulse(math.pi / (2 * p.J))
-    return _cnot_from_w(pulse(math.pi / (2 * p.J)))
-
-
 def gate_error_sweep(cfg: SweepConfig) -> SweepResult:
     """Fidelity of the realized gate against the canonical target on a grid.
 
@@ -101,7 +82,7 @@ def gate_error_sweep(cfg: SweepConfig) -> SweepResult:
     omega0 = math.atan(cfg.tan_omega0)
     reference = ExchangeParams(1.0, "xy", cfg.tan_omega0, theta=cfg.theta0)
     sandwich = rotation_matrix(reference) if cfg.corrected else None
-    target = _GATE_TARGETS[cfg.gate]
+    target = GATES[cfg.gate].target
 
     rows = []
     for r_th in sorted(cfg.delta_theta_ratios):
@@ -110,7 +91,7 @@ def gate_error_sweep(cfg: SweepConfig) -> SweepResult:
             p = ExchangeParams(
                 1.0, "xy", math.tan(omega), theta=cfg.theta0 * (1.0 + r_th)
             )
-            f = fidelity(_realized_gate(cfg.gate, p, sandwich), target)
+            f = fidelity(realize(cfg.gate, p, sandwich), target)
             rows.append(SweepRow(r_w, r_th, f, max(0.0, 1.0 - f)))
     return SweepResult(config=cfg, rows=tuple(rows))
 

@@ -32,14 +32,23 @@ class UsageError(Exception):
 _ANGLE_RE = re.compile(r"^([+-]?)(\d*)pi(?:/(\d+))?$")
 
 
+def _number(value) -> float:
+    """float(value), except that a JSON true/false is not a number."""
+    if isinstance(value, bool):
+        raise ValueError(f"must be a number, got {value!r}")
+    return float(value)
+
+
 def parse_angle(value) -> float:
     """Angle in radians; strings may use the form Npi/M, e.g. 5pi/6 or -pi/2."""
     if isinstance(value, (int, float)):
-        return float(value)
+        return _number(value)
     text = str(value).strip().replace(" ", "")
     m = _ANGLE_RE.match(text)
     if m:
         sign, n, d = m.groups()
+        if d is not None and int(d) == 0:
+            raise ValueError(f"zero denominator in angle {value!r}")
         return (-1.0 if sign == "-" else 1.0) * float(n or 1) * math.pi / float(d or 1)
     try:
         return float(text)
@@ -77,7 +86,7 @@ def load_config(path: str) -> dict:
 
 def _tolerance(value) -> float:
     # A NaN tolerance would pass every "value > tol" check.
-    tol = float(value)
+    tol = _number(value)
     if not (math.isfinite(tol) and tol >= 0):
         raise ValueError(f"must be finite and >= 0, got {value!r}")
     return tol
@@ -102,9 +111,9 @@ class _Choice(tuple):
 def _parse_series(value) -> tuple[float, ...]:
     """Comma list, start:stop:count, or a JSON list from a config file."""
     if isinstance(value, (list, tuple)):
-        vals = [float(v) for v in value]
+        vals = [_number(v) for v in value]
     elif isinstance(value, (int, float)):
-        vals = [float(value)]
+        vals = [_number(value)]
     else:
         text = str(value).strip()
         if ":" in text:
@@ -138,14 +147,14 @@ class RunConfig:
     """Settings of one run.  Each field after command is declared by its option row."""
 
     command: str
-    J: float = _option(1.0, float, "exchange strength J > 0 (default 1.0)")
+    J: float = _option(1.0, _number, "exchange strength J > 0 (default 1.0)")
     orientation: str | None = _option(None, _Choice(("xy", "z")), "anisotropy axis orientation")
     theta: float | None = _option(None, parse_angle, "axis azimuth: radians or Npi/M, e.g. 5pi/6")
-    tan_omega: float | None = _option(None, float, "anisotropy strength b/J, as tan(omega)")
-    b_over_J: float | None = _option(None, float, "config-file synonym of tan_omega", ())
-    gate: str | None = _option(None, _Choice(("swap", "sqrt_swap", "cnot", "psw")),
+    tan_omega: float | None = _option(None, _number, "anisotropy strength b/J, as tan(omega)")
+    b_over_J: float | None = _option(None, _number, "config-file synonym of tan_omega", ())
+    gate: str | None = _option(None, _Choice((*gates.GATES, "psw")),
                                "gate to build, or to sweep (default swap)", ("gate", "sweep"))
-    B: float = _option(1.0, float, "field magnitude (default 1.0)", ("gate", "fields"))
+    B: float = _option(1.0, _number, "field magnitude (default 1.0)", ("gate", "fields"))
     beta: tuple[float, ...] = _option((0.1, 1.0, 10.0), _parse_series,
                                       "inverse temperatures (default 0.1,1,10)", ("thermal",))
     delta_omega_ratios: tuple[float, ...] = _option(
@@ -290,18 +299,15 @@ def cmd_decompose(cfg: RunConfig, p: model.ExchangeParams) -> int:
     return _report(cfg, payload, text, check=("assembly distance", distance, tol))
 
 
-_GATES = {"swap": gates.corrected_swap, "sqrt_swap": gates.sqrt_swap, "cnot": gates.cnot}
-
-
 def cmd_gate(cfg: RunConfig, p: model.ExchangeParams) -> int:
     """emit a synthesized gate matrix"""
     if cfg.gate is None:
-        raise UsageError("gate name required: swap, sqrt_swap, cnot, or psw")
+        raise UsageError(f"gate name required: {', '.join(gates.GATES)}, or psw")
     if cfg.gate == "psw":
         # psw is away from plain SWAP by design, so its distance is not checked.
         report, tol = gates.phase_shifted_swap(p, cfg.B), math.inf
     else:
-        report = _GATES[cfg.gate](p)
+        report = gates.gate_report(cfg.gate, p)
         tol = _tol(cfg, 1e-10 if cfg.gate == "cnot" else 1e-12)
     distance = report.phase_distance_to_target
     payload = {

@@ -2,13 +2,15 @@
 
 T exp(-i H t) T^dag equals exp(-i J S1.S2 t) exactly when T is the
 isotropizing rotation, so the swap family comes out at the isotropic pulse
-areas: J t = pi for swap, pi/2 for its square root.  Global phases are
-tracked nowhere; distances are phase insensitive.
+areas: J t = pi for swap, pi/2 for its square root.  Every gate is made by
+pulse(); realize() makes each GATES row, for the gate reports and the sweep.
+Global phases are tracked nowhere; distances are phase insensitive.
 """
 
 from __future__ import annotations
 
 import math
+from collections import namedtuple
 from dataclasses import dataclass
 
 import numpy as np
@@ -21,7 +23,11 @@ __all__ = [
     "SWAP",
     "SQRT_SWAP",
     "CNOT",
+    "GATES",
     "GateReport",
+    "pulse",
+    "realize",
+    "gate_report",
     "corrected_swap",
     "sqrt_swap",
     "cnot",
@@ -57,59 +63,65 @@ class GateReport:
     target_label: str
 
 
-def _sandwiched(p: ExchangeParams, t: float) -> np.ndarray:
-    """T exp(-i H t) T^dag."""
-    rot = rotation_matrix(p)
-    return rot @ expm_unitary(build_hamiltonian(p), t) @ rot.conj().T
+def pulse(h, t: float, frame: np.ndarray | None = None) -> np.ndarray:
+    """frame exp(-i h t) frame^dag; the bare pulse exp(-i h t) when frame is None."""
+    u = expm_unitary(h, t)
+    return u if frame is None else frame @ u @ frame.conj().T
+
+
+def _cnot_from_w(w: np.ndarray) -> np.ndarray:
+    """CNOT with qubit 1 the control, from a square-root-of-swap pulse w.
+
+    Core sequence Rz1(pi/2) Rz2(-pi/2) W Rz1(pi) W: diag(-1,1,1,1) up to a
+    global phase, a conditional phase flip rather than CNOT.  The fixed dressing
+    (I x H) on the left and (Z x ZH) on the right, derived once from the w = 0
+    algebra, carries it to the canonical CNOT.
+    """
+    raw = (
+        kron(rz(math.pi / 2), _IDENTITY_2)
+        @ kron(_IDENTITY_2, rz(-math.pi / 2))
+        @ w
+        @ kron(rz(math.pi), _IDENTITY_2)
+        @ w
+    )
+    return kron(_IDENTITY_2, _HADAMARD) @ raw @ kron(_Z_FLIP, _Z_FLIP @ _HADAMARD)
+
+
+# A gate: its exchange pulse area J t, its target and the target's label, its report label.
+GateSpec = namedtuple("GateSpec", "area target target_label label")
+GATES = {
+    "swap": GateSpec(math.pi, SWAP, "SWAP", "swap"),
+    "sqrt_swap": GateSpec(math.pi / 2, SQRT_SWAP, "SQRT_SWAP", "sqrt_swap"),
+    "cnot": GateSpec(math.pi / 2, CNOT, "CNOT", "cnot [(I x H) . seq . (Z x ZH)]"),
+}
+
+
+def realize(gate: str, p: ExchangeParams, frame: np.ndarray | None = None) -> np.ndarray:
+    """GATES[gate] as its exchange pulse on H(p) produces it, in frame (None: bare)."""
+    u = pulse(build_hamiltonian(p), GATES[gate].area / p.J, frame)
+    return _cnot_from_w(u) if gate == "cnot" else u
+
+
+def gate_report(gate: str, p: ExchangeParams) -> GateReport:
+    """GATES[gate] realized in the isotropizing frame T(p), with its distance to target."""
+    spec = GATES[gate]
+    u = realize(gate, p, rotation_matrix(p))
+    return GateReport(u, spec.label, phase_distance(u, spec.target), spec.target_label)
 
 
 def corrected_swap(p: ExchangeParams) -> GateReport:
     """Swap gate from one exchange pulse of duration pi/J inside the sandwich."""
-    u = _sandwiched(p, math.pi / p.J)
-    return GateReport(u, "swap", phase_distance(u, SWAP), "SWAP")
+    return gate_report("swap", p)
 
 
 def sqrt_swap(p: ExchangeParams) -> GateReport:
     """Square root of swap: half the pulse area of corrected_swap."""
-    u = _sandwiched(p, math.pi / (2 * p.J))
-    return GateReport(u, "sqrt_swap", phase_distance(u, SQRT_SWAP), "SQRT_SWAP")
-
-
-def _z1(angle: float) -> np.ndarray:
-    return kron(rz(angle), _IDENTITY_2)
-
-
-def _z2(angle: float) -> np.ndarray:
-    return kron(_IDENTITY_2, rz(angle))
-
-
-def _cnot_from_w(w: np.ndarray) -> np.ndarray:
-    raw = (
-        _z1(math.pi / 2)
-        @ _z2(-math.pi / 2)
-        @ w
-        @ _z1(math.pi)
-        @ w
-    )
-    # raw alone is the conditional phase flip diag(-1,1,1,1) up to a global
-    # phase; the fixed dressing below carries it to the canonical CNOT.
-    return kron(_IDENTITY_2, _HADAMARD) @ raw @ kron(_Z_FLIP, _Z_FLIP @ _HADAMARD)
+    return gate_report("sqrt_swap", p)
 
 
 def cnot(p: ExchangeParams) -> GateReport:
-    """Controlled-NOT with qubit 1 the control.
-
-    Core sequence: Rz1(pi/2) Rz2(-pi/2) W Rz1(pi) W, with W = sqrt_swap(p).
-    That product is diag(-1,1,1,1) up to a global phase, a conditional phase
-    flip rather than CNOT, so it is dressed with fixed single-qubit gates,
-    (I x H) on the left and (Z x ZH) on the right.  The dressing is parameter
-    independent; it was derived once from the w = 0 algebra and is reused
-    verbatim everywhere.
-    """
-    u = _cnot_from_w(sqrt_swap(p).matrix)
-    return GateReport(
-        u, "cnot [(I x H) . seq . (Z x ZH)]", phase_distance(u, CNOT), "CNOT"
-    )
+    """Controlled-NOT with qubit 1 the control, from two square-root-of-swap pulses."""
+    return gate_report("cnot", p)
 
 
 def phase_shifted_swap(p: ExchangeParams, B: float) -> GateReport:
@@ -123,7 +135,7 @@ def phase_shifted_swap(p: ExchangeParams, B: float) -> GateReport:
     distance to plain SWAP is reported for reference; it is nonzero whenever
     B tau_s is not a multiple of 2 pi.
     """
+    swap = GATES["swap"]
     h = build_hamiltonian(p) + build_zeeman(compensating_fields(p, B))
-    rot = rotation_matrix(p)
-    u = rot @ expm_unitary(h, math.pi / p.J) @ rot.conj().T
-    return GateReport(u, f"psw(B={B!r})", phase_distance(u, SWAP), "SWAP")
+    u = pulse(h, swap.area / p.J, rotation_matrix(p))
+    return GateReport(u, f"psw(B={B!r})", phase_distance(u, swap.target), swap.target_label)

@@ -239,3 +239,32 @@ def test_sweep_config_accepts_omega_zero():
     )
     (row,) = gate_error_sweep(cfg).rows
     assert row.error < 1e-12
+
+
+_PUBLIC_GATES = {"swap": "corrected_swap", "sqrt_swap": "sqrt_swap", "cnot": "cnot"}
+
+
+def test_every_table_gate_has_its_public_function():
+    from spinframe import gates
+
+    assert set(_PUBLIC_GATES) == set(gates.GATES)
+
+
+@pytest.mark.parametrize("gate", sorted(_PUBLIC_GATES))
+@pytest.mark.parametrize("t0", [0.0, 0.005, 0.37, 5.0])
+def test_sweep_at_zero_misestimation_is_the_public_gate(gate, t0):
+    from spinframe import gates
+
+    # The point exactly as gate_error_sweep builds it.
+    p = ExchangeParams(1.0, "xy", math.tan(math.atan(t0)), theta=THETA0)
+    target = gates.GATES[gate].target
+    rows = {}
+    for corrected in (True, False):
+        cfg = SweepConfig(t0, THETA0, (0.0,), (0.0,), corrected=corrected, gate=gate)
+        (rows[corrected],) = gate_error_sweep(cfg).rows
+    public = getattr(gates, _PUBLIC_GATES[gate])(p)
+    assert rows[True].fidelity == fidelity(public.matrix, target)
+    bare = gates.pulse(build_hamiltonian(p), gates.GATES[gate].area / p.J)
+    if gate == "cnot":
+        bare = gates._cnot_from_w(bare)
+    assert rows[False].fidelity == fidelity(bare, target)

@@ -422,3 +422,69 @@ def test_readme_config_keys_match_option_table():
     section = readme.split("### Config files", 1)[1].split("\n### ", 1)[0]
     listed = re.search(r"Keys match the flag\s+names \((.*?)\)\.", section, re.S).group(1)
     assert set(re.findall(r"`(\w+)`", listed)) == set(_OPTIONS)
+
+
+def test_parse_angle_rejects_a_zero_denominator():
+    for text in ("pi/0", "-3pi/00"):
+        with pytest.raises(ValueError, match="zero denominator"):
+            parse_angle(text)
+
+
+def test_zero_denominator_theta_flag_exits_1(capsys):
+    code, out, err = _run_in_process(
+        capsys, "transform", "--orientation", "xy", "--theta", "pi/0", "--tan-omega", "0.1"
+    )
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: theta: ")
+
+
+def test_zero_denominator_theta_config_exits_1(capsys, tmp_path):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("orientation = xy\ntheta = pi/0\ntan_omega = 0.1\n")
+    code, out, err = _run_in_process(capsys, "transform", "--config", str(cfg))
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: theta: ")
+
+
+@pytest.mark.parametrize(
+    "key, raw",
+    [
+        ("theta", {"theta": True}),
+        ("tan_omega", {"tan_omega": False}),
+        ("J", {"J": True}),
+        ("B", {"B": True}),
+        ("tol", {"tol": False}),
+        ("beta", {"beta": True}),
+        ("beta", {"beta": [0.5, True]}),
+    ],
+)
+def test_json_bool_is_not_a_number(capsys, tmp_path, key, raw):
+    cfg = tmp_path / "run.json"
+    cfg.write_text(json.dumps({"orientation": "xy", "theta": 1.0, "tan_omega": 0.1, **raw}))
+    command = "thermal" if key == "beta" else "fields"
+    code, out, err = _run_in_process(capsys, command, "--config", str(cfg))
+    assert code == 1
+    assert out == ""
+    assert err.startswith(f"error: {key}: ")
+
+
+def test_flat_file_bool_is_not_a_number(capsys, tmp_path):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("orientation = xy\ntheta = 1\ntan_omega = 0.1\nJ = true\n")
+    code, out, err = _run_in_process(capsys, "transform", "--config", str(cfg))
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: J: ")
+
+
+def test_gate_choices_are_the_gate_table_and_psw():
+    from spinframe import gates
+    from spinframe.cli import _build_parser
+
+    parser = _build_parser()
+    sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    for command in ("gate", "sweep"):
+        action = next(a for a in sub.choices[command]._actions if a.dest == "gate")
+        assert set(action.choices) == set(gates.GATES) | {"psw"}
