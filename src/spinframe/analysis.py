@@ -7,8 +7,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import fidelity, herm_eig, kron
-from .model import ExchangeParams, SIGMA_Y
+from .linalg import fidelity, herm_eig
+from .model import PAIR, ExchangeParams
 from .frame import rotation_matrix
 from .gates import GATES, realize
 
@@ -129,6 +129,6 @@ def concurrence(rho) -> float:
         raise ValueError("density matrix must be positive semidefinite")
 
     root = (v * np.sqrt(np.clip(w, 0.0, None))) @ v.conj().T
-    yy = kron(SIGMA_Y, SIGMA_Y)
+    yy = 4 * PAIR[1, 1]  # sigma_y x sigma_y = 4 S1^y S2^y
     lam = np.linalg.svd(root @ yy @ root.conj(), compute_uv=False)
     return max(0.0, float(lam[0] - lam[1] - lam[2] - lam[3]))

@@ -10,6 +10,7 @@ Outputs are byte-deterministic unless --stamp is given.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import os
@@ -305,6 +306,8 @@ def cmd_gate(cfg: RunConfig, p: model.ExchangeParams) -> int:
         raise UsageError(f"gate name required: {', '.join(gates.GATES)}, or psw")
     if cfg.gate == "psw":
         # psw is away from plain SWAP by design, so its distance is not checked.
+        if cfg.tol is not None:
+            raise UsageError("tol: gate psw has no tolerance check; omit tol")
         report, tol = gates.phase_shifted_swap(p, cfg.B), math.inf
     else:
         report = gates.gate_report(cfg.gate, p)
@@ -415,9 +418,11 @@ def _add_flag(parser: argparse.ArgumentParser, key: str) -> None:
     parser.add_argument("--" + key.replace("_", "-"), dest=key, help=row["help"], **row["flag"])
 
 
+@functools.cache
 def _build_parser() -> _Parser:
     """Flags for every command go on a parent parser that each subparser copies,
-    which is cheaper than adding them six times; the rest go on their subparsers."""
+    which is cheaper than adding them six times; the rest go on their subparsers.
+    Built once per process: parsing leaves the parser unchanged."""
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--config", help="key = value or JSON config file; flags override it")
     for key, row in _OPTIONS.items():

@@ -18,12 +18,13 @@ import numpy as np
 
 from .linalg import kron
 from .model import (
+    S1,
+    S2,
     ExchangeParams,
     build_hamiltonian,
     build_isotropic,
     build_zeeman,
     compensating_fields,
-    spin_operators,
 )
 
 __all__ = [
@@ -202,6 +203,5 @@ def verify_fields(p: ExchangeParams, B: float) -> float:
     compensating_fields(p, B).
     """
     t = rotation_matrix(p)
-    s1z, s2z = spin_operators()[2::3]
     zeeman = build_zeeman(compensating_fields(p, B))
-    return float(np.abs(t @ zeeman @ t.conj().T - B * (s1z + s2z)).max())
+    return float(np.abs(t @ zeeman @ t.conj().T - B * (S1[2] + S2[2])).max())

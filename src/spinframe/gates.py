@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .linalg import expm_unitary, kron, phase_distance
-from .model import ExchangeParams, build_hamiltonian, build_zeeman, compensating_fields
+from .model import IDENTITY_2, ExchangeParams, build_hamiltonian, build_zeeman, compensating_fields
 from .frame import rotation_matrix, rz
 
 __all__ = [
@@ -50,9 +50,16 @@ CNOT = np.array(
     [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 0, 1], [0, 0, 1, 0]], dtype=complex
 )
 
-_IDENTITY_2 = np.eye(2, dtype=complex)
 _HADAMARD = np.array([[1, 1], [1, -1]], dtype=complex) / math.sqrt(2.0)
 _Z_FLIP = np.diag([1.0, -1.0]).astype(complex)
+# The constant factors of _cnot_from_w: left . w . middle . w . right.
+_CNOT_LEFT = (
+    kron(IDENTITY_2, _HADAMARD)
+    @ kron(rz(math.pi / 2), IDENTITY_2)
+    @ kron(IDENTITY_2, rz(-math.pi / 2))
+)
+_CNOT_MIDDLE = kron(rz(math.pi), IDENTITY_2)
+_CNOT_RIGHT = kron(_Z_FLIP, _Z_FLIP @ _HADAMARD)
 
 
 @dataclass(frozen=True)
@@ -77,14 +84,7 @@ def _cnot_from_w(w: np.ndarray) -> np.ndarray:
     (I x H) on the left and (Z x ZH) on the right, derived once from the w = 0
     algebra, carries it to the canonical CNOT.
     """
-    raw = (
-        kron(rz(math.pi / 2), _IDENTITY_2)
-        @ kron(_IDENTITY_2, rz(-math.pi / 2))
-        @ w
-        @ kron(rz(math.pi), _IDENTITY_2)
-        @ w
-    )
-    return kron(_IDENTITY_2, _HADAMARD) @ raw @ kron(_Z_FLIP, _Z_FLIP @ _HADAMARD)
+    return _CNOT_LEFT @ w @ _CNOT_MIDDLE @ w @ _CNOT_RIGHT
 
 
 # A gate: its exchange pulse area J t, its target and the target's label, its report label.

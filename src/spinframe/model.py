@@ -9,7 +9,12 @@ where w = arctan(b/J) in [0, pi/2) measures the antisymmetric
 (Dzyaloshinskii-Moriya) coupling strength b >= 0 against J, and the unit
 axis n is either (cos(theta), sin(theta), 0) for the "xy" orientation or
 (0, 0, 1) for "z".  The cross product uses the standard orientation,
-(S1 x S2)^a = eps_abc S1^b S2^c.
+(S1 x S2)^a = eps_abc S1^b S2^c.  build_hamiltonian writes H as one
+contraction with a 3x3 coupling tensor K, of isotropic, symmetric and
+antisymmetric parts:
+
+    H = sum_ab K_ab S1^a S2^b,
+    K = J [cos(w) 1 + 2 sin^2(w/2) n n^T + sin(w) [n]],  [n]_ab = eps_abc n_c.
 
 The spectrum is {-3J/4, J/4 (x3)} for every w and n: the anisotropy only
 rotates the eigenbasis, which is what the frame module exploits.
@@ -38,6 +43,14 @@ SIGMA_X = np.array([[0, 1], [1, 0]], dtype=complex)
 SIGMA_Y = np.array([[0, -1j], [1j, 0]], dtype=complex)
 SIGMA_Z = np.array([[1, 0], [0, -1]], dtype=complex)
 IDENTITY_2 = np.eye(2, dtype=complex)
+
+# The two-spin operator basis, built once: S1[a] = S^a x I, S2[a] = I x S^a and
+# PAIR[a, b] = S1^a S2^b.  Read-only, so no caller can change them for the next.
+S1 = np.stack([kron(s / 2, IDENTITY_2) for s in (SIGMA_X, SIGMA_Y, SIGMA_Z)])
+S2 = np.stack([kron(IDENTITY_2, s / 2) for s in (SIGMA_X, SIGMA_Y, SIGMA_Z)])
+PAIR = S1[:, None] @ S2[None, :]
+for _constant in (SIGMA_X, SIGMA_Y, SIGMA_Z, IDENTITY_2, S1, S2, PAIR):
+    _constant.flags.writeable = False
 
 
 @dataclass(frozen=True)
@@ -96,53 +109,29 @@ class FieldSpec:
 
 
 def spin_operators() -> tuple[np.ndarray, ...]:
-    """The six two-qubit spin operators (S1x, S1y, S1z, S2x, S2y, S2z)."""
-    halves = (SIGMA_X / 2, SIGMA_Y / 2, SIGMA_Z / 2)
-    s1 = tuple(kron(h, IDENTITY_2) for h in halves)
-    s2 = tuple(kron(IDENTITY_2, h) for h in halves)
-    return s1 + s2
-
-
-def _heisenberg() -> np.ndarray:
-    s1x, s1y, s1z, s2x, s2y, s2z = spin_operators()
-    return s1x @ s2x + s1y @ s2y + s1z @ s2z
+    """The six two-qubit spin operators (S1x, S1y, S1z, S2x, S2y, S2z), read-only."""
+    return (*S1, *S2)
 
 
 def build_hamiltonian(p: ExchangeParams) -> np.ndarray:
     """Full anisotropic exchange Hamiltonian, in the {00,01,10,11} basis."""
-    s1x, s1y, s1z, s2x, s2y, s2z = spin_operators()
-    n = p.axis()
-    w = p.omega
-
-    n_s1 = n[0] * s1x + n[1] * s1y + n[2] * s1z
-    n_s2 = n[0] * s2x + n[1] * s2y + n[2] * s2z
-    cross = (
-        n[0] * (s1y @ s2z - s1z @ s2y)
-        + n[1] * (s1z @ s2x - s1x @ s2z)
-        + n[2] * (s1x @ s2y - s1y @ s2x)
-    )
-    return (
-        p.J * math.cos(w) * _heisenberg()
-        + 2.0 * p.J * math.sin(w / 2) ** 2 * (n_s1 @ n_s2)
-        + p.J * math.sin(w) * cross
-    )
+    n, w = p.axis(), p.omega
+    x, y, z = n
+    cross = np.array([[0.0, z, -y], [-z, 0.0, x], [y, -x, 0.0]])  # [n]_ab = eps_abc n_c
+    k = math.cos(w) * np.eye(3) + 2.0 * math.sin(w / 2) ** 2 * np.outer(n, n) + math.sin(w) * cross
+    return np.tensordot(p.J * k, PAIR, axes=2)
 
 
 def build_isotropic(J: float) -> np.ndarray:
     """Isotropic exchange J S1.S2, the target of the frame change."""
     if not (math.isfinite(J) and J > 0):
         raise ValueError("J must be positive and finite")
-    return J * _heisenberg()
+    return np.tensordot(J * np.eye(3), PAIR, axes=2)
 
 
 def build_zeeman(f: FieldSpec) -> np.ndarray:
     """Field term B1.S1 + B2.S2 alone; add it to an exchange Hamiltonian."""
-    s1x, s1y, s1z, s2x, s2y, s2z = spin_operators()
-    b1, b2 = f.b1, f.b2
-    return (
-        b1[0] * s1x + b1[1] * s1y + b1[2] * s1z
-        + b2[0] * s2x + b2[1] * s2y + b2[2] * s2z
-    )
+    return np.tensordot(f.b1, S1, axes=1) + np.tensordot(f.b2, S2, axes=1)
 
 
 def compensating_fields(p: ExchangeParams, B: float) -> FieldSpec:

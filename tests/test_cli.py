@@ -488,3 +488,41 @@ def test_gate_choices_are_the_gate_table_and_psw():
     for command in ("gate", "sweep"):
         action = next(a for a in sub.choices[command]._actions if a.dest == "gate")
         assert set(action.choices) == set(gates.GATES) | {"psw"}
+
+
+PSW_ARGS = ("gate", "--orientation", "xy", "--theta", "0.3", "--tan-omega", "0.37", "--gate", "psw")
+
+
+def test_psw_rejects_a_tol_flag(capsys):
+    code, out, err = _run_in_process(capsys, *PSW_ARGS, "--tol", "0")
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: tol: ") and "psw" in err
+
+
+@pytest.mark.parametrize("name, text", [
+    ("run.cfg", "orientation = xy\ntheta = 0.3\ntan_omega = 0.37\ngate = psw\ntol = 1e-3\n"),
+    ("run.json", json.dumps({"orientation": "xy", "theta": 0.3, "tan_omega": 0.37,
+                             "gate": "psw", "tol": 1e-3})),
+], ids=["flat", "json"])
+def test_psw_rejects_a_tol_in_a_config_file(capsys, tmp_path, name, text):
+    cfg = tmp_path / name
+    cfg.write_text(text)
+    code, out, err = _run_in_process(capsys, "gate", "--config", str(cfg))
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: tol: ") and "psw" in err
+
+
+def test_parser_built_once_gives_each_call_its_own_result(capsys):
+    """main reuses one parser; a usage error must leave nothing for the next call."""
+    calls = [
+        ("gate", *XY_ARGS, "--gate", "nope"),
+        ("gate", *XY_ARGS, "--gate", "swap", "--format", "json"),
+        ("thermal", "--orientation", "z", "--tan-omega", "0.1", "--format", "csv"),
+    ]
+    in_process = [_run_in_process(capsys, *args) for args in calls]
+    for args, (code, out, err) in zip(calls, in_process):
+        alone = run_cli(*args)
+        assert (code, out, err) == (alone.returncode, alone.stdout, alone.stderr), args
+    assert [code for code, _, _ in in_process] == [1, 0, 0]

@@ -148,3 +148,14 @@ def test_compensating_fields_magnitude_and_transform(p, B):
 def test_compensating_fields_rejects_non_finite_B():
     with pytest.raises(ValueError):
         compensating_fields(ExchangeParams(1.0, "z", 0.1), math.inf)
+
+
+def test_shared_operator_constants_are_read_only():
+    """No caller can change the operator basis that every later call reads."""
+    from spinframe import model
+
+    for constant in (*spin_operators(), model.S1, model.S2, model.PAIR, model.SIGMA_Y):
+        with pytest.raises(ValueError):
+            constant[0, 0] = 1.0
+    with pytest.raises(ValueError):
+        spin_operators()[2] += 1.0

@@ -1,24 +1,32 @@
 """Property tests over the parameter domain the API accepts.
 
-Draws J in [1e-2, 1e2], b/J in {0} u [1e-6, 1e3], theta in [0, 2 pi) and both
-orientations.  derandomize keeps each run on the same examples.
+Draws J in [1e-2, 1e2], b/J in {0} u [1e-6, 1e3] (1e6 where named), theta in
+[0, 2 pi) and both orientations.  derandomize keeps each run on the same
+examples.
 """
 
 import math
 
+import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from spinframe.frame import rotation_matrix, verify_isotropization
+from spinframe.frame import rotation_matrix, verify_fields, verify_isotropization
 from spinframe.gates import GATES, SWAP, realize
 from spinframe.linalg import phase_distance
-from spinframe.model import ExchangeParams
+from spinframe.model import (
+    ExchangeParams,
+    FieldSpec,
+    build_hamiltonian,
+    build_zeeman,
+    spin_operators,
+)
 
 
 @st.composite
-def exchange_params(draw):
+def exchange_params(draw, max_b_over_J=1e3):
     J = draw(st.floats(1e-2, 1e2))
-    b_over_J = draw(st.one_of(st.just(0.0), st.floats(1e-6, 1e3)))
+    b_over_J = draw(st.one_of(st.just(0.0), st.floats(1e-6, max_b_over_J)))
     if draw(st.sampled_from(["xy", "z"])) == "z":
         return ExchangeParams(J, "z", b_over_J)
     theta = draw(st.floats(0.0, 2 * math.pi, exclude_max=True))
@@ -48,3 +56,59 @@ def test_bare_swap_distance_is_sin_squared_half_omega(p):
 @given(exchange_params())
 def test_isotropization_residual_scales_with_J(p):
     assert verify_isotropization(p) <= 1e-12 * p.J
+
+
+def hamiltonian_oracle(p):
+    """H term by term: J cos(w) S1.S2 + 2 J sin^2(w/2) (n.S1)(n.S2) + J sin(w) n.(S1 x S2)."""
+    s1x, s1y, s1z, s2x, s2y, s2z = spin_operators()
+    n = p.axis()
+    w = p.omega
+    n_s1 = n[0] * s1x + n[1] * s1y + n[2] * s1z
+    n_s2 = n[0] * s2x + n[1] * s2y + n[2] * s2z
+    cross = (
+        n[0] * (s1y @ s2z - s1z @ s2y)
+        + n[1] * (s1z @ s2x - s1x @ s2z)
+        + n[2] * (s1x @ s2y - s1y @ s2x)
+    )
+    heisenberg = s1x @ s2x + s1y @ s2y + s1z @ s2z
+    return (
+        p.J * math.cos(w) * heisenberg
+        + 2.0 * p.J * math.sin(w / 2) ** 2 * (n_s1 @ n_s2)
+        + p.J * math.sin(w) * cross
+    )
+
+
+def zeeman_oracle(f):
+    """B1.S1 + B2.S2 term by term."""
+    s1x, s1y, s1z, s2x, s2y, s2z = spin_operators()
+    b1, b2 = f.b1, f.b2
+    return (
+        b1[0] * s1x + b1[1] * s1y + b1[2] * s1z
+        + b2[0] * s2x + b2[1] * s2y + b2[2] * s2z
+    )
+
+
+@PROPERTY
+@given(exchange_params(max_b_over_J=1e6))
+def test_hamiltonian_is_the_term_by_term_sum(p):
+    assert np.abs(build_hamiltonian(p) - hamiltonian_oracle(p)).max() <= 1e-15 * p.J
+
+
+@PROPERTY
+@given(st.lists(st.floats(-1e3, 1e3), min_size=6, max_size=6))
+def test_zeeman_is_the_term_by_term_sum(b):
+    f = FieldSpec(b1=b[:3], b2=b[3:])
+    assert np.abs(build_zeeman(f) - zeeman_oracle(f)).max() <= 1e-15 * max(abs(x) for x in b)
+
+
+@PROPERTY
+@given(exchange_params())
+def test_rotation_is_unitary(p):
+    t = rotation_matrix(p)
+    assert np.abs(t.conj().T @ t - np.eye(4)).max() <= 1e-14
+
+
+@PROPERTY
+@given(exchange_params(), st.floats(-100.0, 100.0))
+def test_compensating_fields_map_onto_a_uniform_z_field(p, B):
+    assert verify_fields(p, B) <= 1e-14 * max(1.0, abs(B))
