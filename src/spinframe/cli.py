@@ -208,42 +208,63 @@ def _g17(x: float) -> str:
     return format(x, ".17g")
 
 
-def _mat(m: np.ndarray) -> list:
-    return [[[float(z.real), float(z.imag)] for z in row] for row in np.asarray(m)]
-
-
 def _fmt_matrix(m: np.ndarray) -> str:
-    return np.array2string(np.asarray(m), precision=6, suppress_small=True)
+    """numpy's text form at 6 digits.  A real or imaginary part that prints as
+    zero is cleared first: its sign is rounding noise, and one -0. would widen
+    every column."""
+    m = np.array(m, dtype=complex)
+    for part in (m.real, m.imag):
+        part[np.round(part, 6) == 0] = 0.0
+    return np.array2string(m, precision=6, suppress_small=True)
 
 
-def _table(columns: tuple[str, ...], rows: list[tuple]) -> tuple[str, list[dict]]:
-    """The rows as CSV text (17 significant digits, true/false) and as JSON
-    objects (a non-finite number becomes null)."""
-    lines = [",".join(columns)]
-    lines += [",".join(str(v).lower() if isinstance(v, bool) else _g17(v) for v in r) for r in rows]
-    json_rows = [
-        {c: v if isinstance(v, bool) or math.isfinite(v) else None for c, v in zip(columns, row)}
-        for row in rows
-    ]
-    return "\n".join(lines) + "\n", json_rows
+@dataclass(frozen=True)
+class _Table:
+    """Rows under named columns, rendered as CSV lines or JSON objects when written."""
+
+    columns: tuple[str, ...]
+    rows: list[tuple]
 
 
-def _report(cfg: RunConfig, payload: dict, text: list[str] | None,
-            csv_text: str | None = None, check: tuple[str, float, float] | None = None) -> int:
-    """Write one command's report; exit code 2 if check = (what, value, tol) has value > tol.
-    Without --format: text to stdout, JSON to --out, or CSV where there is no text."""
-    fmt = cfg.format or ("json" if text is not None else "csv")
-    if fmt == "csv" and csv_text is None:
+def _csv_line(row: tuple) -> str:
+    return ",".join(str(v).lower() if isinstance(v, bool) else _g17(v) for v in row)
+
+
+def _json_row(columns: tuple[str, ...], row: tuple) -> dict:
+    """A non-finite number becomes null."""
+    return {c: v if isinstance(v, bool) or math.isfinite(v) else None for c, v in zip(columns, row)}
+
+
+def _json_default(o):
+    """json.dumps hook: a matrix as [re, im] pairs, a table as a list of row objects."""
+    if isinstance(o, _Table):
+        return [_json_row(o.columns, row) for row in o.rows]
+    if isinstance(o, np.ndarray):
+        return [[[float(z.real), float(z.imag)] for z in row] for row in o]
+    raise TypeError(f"{type(o).__name__} is not JSON serializable")
+
+
+def _report(cfg: RunConfig, payload: dict, check: tuple[str, float, float] | None = None,
+            text=None) -> int:
+    """Write one command's report, rendering only the form that is written;
+    exit code 2 if check = (what, value, tol) has value > tol.  payload is the
+    JSON document, matrices still arrays and a table as the _Table under
+    "rows"; text() returns the lines of the text form.  Without --format:
+    text to stdout, JSON to --out, or CSV where there is no text."""
+    table = payload.get("rows")
+    form = cfg.format or ("csv" if text is None else "json" if cfg.out else "text")
+    if form == "csv" and table is None:
         raise UsageError(f"{cfg.command} has no csv form")
-    if cfg.stamp:
-        iso = datetime.now(timezone.utc).isoformat(timespec="seconds")
-        payload = {**payload, "stamp": iso}
-        if csv_text is not None:
-            csv_text = f"# stamp: {iso}\n" + csv_text
-    if cfg.format is None and text is not None and not cfg.out:
-        data = "\n".join(text) + "\n"
+    stamp = datetime.now(timezone.utc).isoformat(timespec="seconds") if cfg.stamp else None
+    if form == "text":
+        lines = text()
+    elif form == "csv":
+        lines = [f"# stamp: {stamp}"] if stamp else []
+        lines += [",".join(table.columns), *map(_csv_line, table.rows)]
     else:
-        data = csv_text if fmt == "csv" else json.dumps(payload, indent=2, allow_nan=False) + "\n"
+        doc = {**payload, "stamp": stamp} if stamp else payload
+        lines = [json.dumps(doc, indent=2, allow_nan=False, default=_json_default)]
+    data = "\n".join(lines) + "\n"
     if cfg.out:
         with open(cfg.out, "wb") as fh:
             fh.write(data.encode("utf-8"))
@@ -271,17 +292,15 @@ def cmd_transform(cfg: RunConfig, p: model.ExchangeParams) -> int:
     tol = _tol(cfg, 1e-12)
     h = model.build_hamiltonian(p)
     rot = frame.rotation_matrix(p)
-    matrices = [("hamiltonian", "H", h), ("rotation", "T", rot),
-                ("transformed", "T H T^dag", rot @ h @ rot.conj().T)]
+    h_iso = rot @ h @ rot.conj().T
     residual = frame.verify_isotropization(p)
-    payload = {"parameters": _params_line(p)}
-    text = [_params_line(p)]
-    for key, label, m in matrices:
-        payload[key] = _mat(m)
-        text += ["", f"{label}:", _fmt_matrix(m)]
-    payload.update(residual=residual, tolerance=tol)
-    text += ["", f"isotropization residual: {residual:.6e} (tolerance {tol:g})"]
-    return _report(cfg, payload, text, check=("isotropization residual", residual, tol))
+    payload = {"parameters": _params_line(p), "hamiltonian": h, "rotation": rot,
+               "transformed": h_iso, "residual": residual, "tolerance": tol}
+    return _report(cfg, payload, ("isotropization residual", residual, tol), lambda: [
+        payload["parameters"], "", "H:", _fmt_matrix(h), "", "T:", _fmt_matrix(rot),
+        "", "T H T^dag:", _fmt_matrix(h_iso),
+        "", f"isotropization residual: {residual:.6e} (tolerance {tol:g})",
+    ])
 
 
 def cmd_decompose(cfg: RunConfig, p: model.ExchangeParams) -> int:
@@ -289,15 +308,17 @@ def cmd_decompose(cfg: RunConfig, p: model.ExchangeParams) -> int:
     tol = _tol(cfg, 1e-12)
     plan = frame.rotation_plan(p)
     distance = linalg.phase_distance(frame.assemble(plan), frame.rotation_matrix(p))
-    payload = {"parameters": _params_line(p)}
-    text = [_params_line(p)]
-    for name, angles in (("qubit1", plan.qubit1), ("qubit2", plan.qubit2)):
-        payload[name] = dict(zip(("alpha", "gamma", "beta"), angles))
-        text.append(f"{name}: " + " ".join(f"{k}={_g17(a)}" for k, a in payload[name].items()))
-    payload.update(phase=plan.phase, assembly_distance=distance, tolerance=tol)
-    text.append(f"global phase: {_g17(plan.phase)}")
-    text.append(f"assembly distance: {distance:.6e} (tolerance {tol:g})")
-    return _report(cfg, payload, text, check=("assembly distance", distance, tol))
+    qubits = {name: dict(zip(("alpha", "gamma", "beta"), angles))
+              for name, angles in (("qubit1", plan.qubit1), ("qubit2", plan.qubit2))}
+    payload = {"parameters": _params_line(p), **qubits, "phase": plan.phase,
+               "assembly_distance": distance, "tolerance": tol}
+    return _report(cfg, payload, ("assembly distance", distance, tol), lambda: [
+        payload["parameters"],
+        *(f"{name}: " + " ".join(f"{k}={_g17(a)}" for k, a in angles.items())
+          for name, angles in qubits.items()),
+        f"global phase: {_g17(plan.phase)}",
+        f"assembly distance: {distance:.6e} (tolerance {tol:g})",
+    ])
 
 
 def cmd_gate(cfg: RunConfig, p: model.ExchangeParams) -> int:
@@ -313,19 +334,12 @@ def cmd_gate(cfg: RunConfig, p: model.ExchangeParams) -> int:
         report = gates.gate_report(cfg.gate, p)
         tol = _tol(cfg, 1e-10 if cfg.gate == "cnot" else 1e-12)
     distance = report.phase_distance_to_target
-    payload = {
-        "label": report.label,
-        "matrix": _mat(report.matrix),
-        "phase_distance": distance,
-        "target": report.target_label,
-    }
-    text = [
-        _params_line(p),
-        f"gate: {report.label}",
-        f"phase distance to {report.target_label}: {distance:.6e}",
-        _fmt_matrix(report.matrix),
-    ]
-    return _report(cfg, payload, text, check=("gate distance", distance, tol))
+    payload = {"label": report.label, "matrix": report.matrix, "phase_distance": distance,
+               "target": report.target_label}
+    return _report(cfg, payload, ("gate distance", distance, tol), lambda: [
+        _params_line(p), f"gate: {report.label}",
+        f"phase distance to {report.target_label}: {distance:.6e}", _fmt_matrix(report.matrix),
+    ])
 
 
 def cmd_fields(cfg: RunConfig, p: model.ExchangeParams) -> int:
@@ -333,18 +347,19 @@ def cmd_fields(cfg: RunConfig, p: model.ExchangeParams) -> int:
     tol = _tol(cfg, 1e-12)
     pair = model.compensating_fields(p, cfg.B)
     residual = frame.verify_fields(p, cfg.B)
-    payload = {"parameters": _params_line(p), "B": cfg.B}
-    text = [_params_line(p), f"B: {_g17(cfg.B)}"]
-    for name, vec in (("b1", pair.b1), ("b2", pair.b2)):
-        payload[name] = list(vec)
-        text.append(f"{name}: ({', '.join(_g17(x) for x in vec)})")
-    payload.update(residual=residual, tolerance=tol)
-    text.append(f"transform residual: {residual:.6e} (tolerance {tol:g})")
-    return _report(cfg, payload, text, check=("field transform residual", residual, tol))
+    payload = {"parameters": _params_line(p), "B": cfg.B, "b1": list(pair.b1),
+               "b2": list(pair.b2), "residual": residual, "tolerance": tol}
+    return _report(cfg, payload, ("field transform residual", residual, tol), lambda: [
+        payload["parameters"], f"B: {_g17(cfg.B)}",
+        *(f"{name}: ({', '.join(_g17(x) for x in payload[name])})" for name in ("b1", "b2")),
+        f"transform residual: {residual:.6e} (tolerance {tol:g})",
+    ])
 
 
 def cmd_sweep(cfg: RunConfig, p: model.ExchangeParams) -> int:
     """gate error over parameter misestimation ratios"""
+    if cfg.tol is not None:
+        raise UsageError("tol: sweep has no tolerance check; omit tol")
     if p.orientation != "xy":
         raise UsageError("sweep requires orientation xy")
     gate = cfg.gate or "swap"
@@ -352,35 +367,19 @@ def cmd_sweep(cfg: RunConfig, p: model.ExchangeParams) -> int:
 
     rows = []
     for corrected in flags:
-        result = analysis.gate_error_sweep(
-            analysis.SweepConfig(
-                tan_omega0=p.b_over_J,
-                theta0=p.theta,
-                delta_omega_ratios=cfg.delta_omega_ratios,
-                delta_theta_ratios=cfg.delta_theta_ratios,
-                corrected=corrected,
-                gate=gate,
-            )
-        )
+        result = analysis.gate_error_sweep(analysis.SweepConfig(
+            tan_omega0=p.b_over_J, theta0=p.theta, delta_omega_ratios=cfg.delta_omega_ratios,
+            delta_theta_ratios=cfg.delta_theta_ratios, corrected=corrected, gate=gate))
         for r in result.rows:
             log10e = math.log10(r.error) if r.error > 0 else float("-inf")
             rows.append((r.delta_omega_ratio, r.delta_theta_ratio, corrected, r.fidelity,
                          r.error, log10e))
     columns = ("delta_omega_ratio", "delta_theta_ratio", "corrected", "fidelity", "error",
                "log10_error")
-    csv_text, json_rows = _table(columns, rows)
-    payload = {
-        "config": {
-            "gate": gate,
-            "tan_omega0": p.b_over_J,
-            "theta0": p.theta,
-            "delta_omega_ratios": list(cfg.delta_omega_ratios),
-            "delta_theta_ratios": list(cfg.delta_theta_ratios),
-            "mode": cfg.mode,
-        },
-        "rows": json_rows,
-    }
-    return _report(cfg, payload, None, csv_text)
+    config = {"gate": gate, "tan_omega0": p.b_over_J, "theta0": p.theta,
+              "delta_omega_ratios": list(cfg.delta_omega_ratios),
+              "delta_theta_ratios": list(cfg.delta_theta_ratios), "mode": cfg.mode}
+    return _report(cfg, {"config": config, "rows": _Table(columns, rows)})
 
 
 def cmd_thermal(cfg: RunConfig, p: model.ExchangeParams) -> int:
@@ -394,12 +393,12 @@ def cmd_thermal(cfg: RunConfig, p: model.ExchangeParams) -> int:
         c0 = analysis.concurrence(analysis.thermal_state(h0, beta))
         rows.append((beta, c, c0, abs(c - c0)))
     columns = ("beta", "concurrence", "concurrence_isotropic", "difference")
-    csv_text, json_rows = _table(columns, rows)
-    payload = {"parameters": _params_line(p), "rows": json_rows, "tolerance": tol}
-    text = [_params_line(p), "beta  concurrence  concurrence_isotropic  difference"]
-    text += [f"{b:g}  {c:.12f}  {c0:.12f}  {d:.3e}" for b, c, c0, d in rows]
+    payload = {"parameters": _params_line(p), "rows": _Table(columns, rows), "tolerance": tol}
     worst = max(d for _, _, _, d in rows)
-    return _report(cfg, payload, text, csv_text, check=("concurrence difference", worst, tol))
+    return _report(cfg, payload, ("concurrence difference", worst, tol), lambda: [
+        payload["parameters"], "  ".join(columns),
+        *(f"{b:g}  {c:.12f}  {c0:.12f}  {d:.3e}" for b, c, c0, d in rows),
+    ])
 
 
 _COMMANDS = {

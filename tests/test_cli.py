@@ -526,3 +526,181 @@ def test_parser_built_once_gives_each_call_its_own_result(capsys):
         alone = run_cli(*args)
         assert (code, out, err) == (alone.returncode, alone.stdout, alone.stderr), args
     assert [code for code, _, _ in in_process] == [1, 0, 0]
+
+
+SWEEP_TOL_ARGS = ("sweep", "--orientation", "xy", "--theta", "0.3", "--tan-omega", "0.37",
+                  "--delta-omega-ratios", "0.1", "--delta-theta-ratios", "0.1")
+
+
+def test_sweep_rejects_a_tol_flag(capsys):
+    code, out, err = _run_in_process(capsys, *SWEEP_TOL_ARGS, "--tol", "0")
+    assert (code, out, err) == (1, "", "error: tol: sweep has no tolerance check; omit tol\n")
+
+
+@pytest.mark.parametrize("name, text", [
+    ("run.cfg", "orientation = xy\ntheta = 0.3\ntan_omega = 0.37\ntol = 0\n"),
+    ("run.json", json.dumps({"orientation": "xy", "theta": 0.3, "tan_omega": 0.37, "tol": 1e-3})),
+], ids=["flat", "json"])
+def test_sweep_rejects_a_tol_in_a_config_file(capsys, tmp_path, name, text):
+    cfg = tmp_path / name
+    cfg.write_text(text)
+    code, out, err = _run_in_process(capsys, "sweep", "--config", str(cfg))
+    assert (code, out, err) == (1, "", "error: tol: sweep has no tolerance check; omit tol\n")
+
+
+def test_text_matrix_prints_no_signed_zero():
+    import numpy as np
+
+    from spinframe.cli import _fmt_matrix
+
+    exact = np.array([[0.5, 0, 0], [0, 0.25j, 0], [0, 0, -1 + 0.5j]])
+    noise = np.array([[1e-17j, -1e-17, -1e-17j], [-1e-17 + 1e-17j, -1e-17, 1e-17 - 1e-17j],
+                      [-1e-17j, 1e-17, -1e-17 - 1e-17j]])
+    assert _fmt_matrix(exact + noise) == _fmt_matrix(exact)
+    assert _fmt_matrix(exact - noise) == _fmt_matrix(exact)
+    assert not re.search(r"-0\.(?!\d)", _fmt_matrix(exact + noise))
+
+
+def test_gate_text_prints_no_signed_zero(capsys):
+    code, out, _ = _run_in_process(capsys, "gate", "--gate", "sqrt_swap", "--orientation", "xy",
+                                   "--theta", "0", "--tan-omega", "5")
+    assert code == 0
+    assert "0.92388 -0.382683j" in out
+    assert not re.search(r"-0\.(?!\d)", out)
+
+
+def test_json_and_csv_never_format_text(capsys, monkeypatch, tmp_path):
+    """The text form is rendered only when text is written."""
+    from spinframe import cli
+
+    out = tmp_path / "report.json"
+    sweep = ("sweep", *XY_ARGS, "--delta-omega-ratios", "0,0.1", "--delta-theta-ratios", "0.01")
+    calls = [(c, *XY_ARGS, "--format", "json") for c in ("transform", "decompose", "fields", "thermal")]
+    calls += [("gate", *XY_ARGS, "--gate", g, "--format", "json")
+              for g in ("swap", "sqrt_swap", "cnot", "psw")]
+    calls += [(*sweep, "--format", "json"), (*sweep, "--format", "csv"),
+              ("thermal", *XY_ARGS, "--format", "csv"), ("transform", *XY_ARGS, "--out", str(out))]
+    expected = []
+    for args in calls:
+        expected.append((_run_in_process(capsys, *args), out.read_bytes() if out.exists() else None))
+        out.unlink(missing_ok=True)
+
+    def refuse(m):
+        raise AssertionError("text matrix formatted for a machine-readable form")
+
+    monkeypatch.setattr(cli, "_fmt_matrix", refuse)
+    for args, want in zip(calls, expected):
+        got = (_run_in_process(capsys, *args), out.read_bytes() if out.exists() else None)
+        out.unlink(missing_ok=True)
+        assert got == want, args
+        assert got[0][0] == 0, args
+
+
+def test_a_table_builds_only_the_written_form(capsys, monkeypatch):
+    from spinframe import cli
+
+    built = {"csv": 0, "json": 0}
+    csv_line, json_row = cli._csv_line, cli._json_row
+
+    def count_csv(row):
+        built["csv"] += 1
+        return csv_line(row)
+
+    def count_json(columns, row):
+        built["json"] += 1
+        return json_row(columns, row)
+
+    monkeypatch.setattr(cli, "_csv_line", count_csv)
+    monkeypatch.setattr(cli, "_json_row", count_json)
+    args = ("sweep", *XY_ARGS, "--delta-omega-ratios", "0:0.1:5", "--delta-theta-ratios", "0.01")
+    code, out, _ = _run_in_process(capsys, *args, "--format", "csv")
+    assert code == 0 and len(out.splitlines()) == 11
+    assert built == {"csv": 10, "json": 0}
+    code, out, _ = _run_in_process(capsys, *args, "--format", "json")
+    assert code == 0 and len(json.loads(out)["rows"]) == 10
+    assert built == {"csv": 10, "json": 10}
+
+
+# The text form (no --format) of each subcommand at one reference point, frozen
+# so that a change to the renderer shows as a changed byte.  Numbers near 1e-16
+# (residuals, distances) sit at the rounding floor of this numpy build.
+GOLDEN_REF = ("--orientation", "xy", "--theta", "5pi/6", "--tan-omega", "0.1")
+GOLDEN_TEXT = {
+    ("transform",): (
+        "J=1 orientation=xy theta=2.6179938779914944 b/J=0.10000000000000001 omega=0.099668652491162038\n"
+        "\n"
+        "H:\n"
+        "[[ 0.248759+0.j        0.012438-0.021543j -0.012438+0.021543j\n"
+        "   0.00062 +0.001074j]\n"
+        " [ 0.012438+0.021543j -0.248759+0.j        0.498759+0.j\n"
+        "   0.012438-0.021543j]\n"
+        " [-0.012438-0.021543j  0.498759+0.j       -0.248759+0.j\n"
+        "  -0.012438+0.021543j]\n"
+        " [ 0.00062 -0.001074j  0.012438+0.021543j -0.012438-0.021543j\n"
+        "   0.248759+0.j      ]]\n"
+        "\n"
+        "T:\n"
+        "[[-0.258658+0.965326j  0.017612+0.017612j -0.017612-0.017612j\n"
+        "  -0.0006  +0.000161j]\n"
+        " [-0.012453-0.02157j   0.999379+0.j        0.000621+0.j\n"
+        "  -0.012453+0.02157j ]\n"
+        " [ 0.012453+0.02157j   0.000621+0.j        0.999379+0.j\n"
+        "   0.012453-0.02157j ]\n"
+        " [-0.0006  -0.000161j  0.017612-0.017612j -0.017612+0.017612j\n"
+        "  -0.258658-0.965326j]]\n"
+        "\n"
+        "T H T^dag:\n"
+        "[[ 0.25+0.j  0.  +0.j  0.  +0.j  0.  +0.j]\n"
+        " [ 0.  +0.j -0.25+0.j  0.5 +0.j  0.  +0.j]\n"
+        " [ 0.  +0.j  0.5 +0.j -0.25+0.j  0.  +0.j]\n"
+        " [ 0.  +0.j  0.  +0.j  0.  +0.j  0.25+0.j]]\n"
+        "\n"
+        "isotropization residual: 5.551117e-17 (tolerance 1e-12)\n"
+    ),
+    ("decompose",): (
+        "J=1 orientation=xy theta=2.6179938779914944 b/J=0.10000000000000001 omega=0.099668652491162038\n"
+        "qubit1: alpha=-2.3561944901923448 gamma=0.049834326245581019 beta=4.1887902047863914\n"
+        "qubit2: alpha=0.78539816339744828 gamma=0.049834326245581019 beta=1.0471975511965979\n"
+        "global phase: 0\n"
+        "assembly distance: 0.000000e+00 (tolerance 1e-12)\n"
+    ),
+    ("gate", "--gate", "cnot"): (
+        "J=1 orientation=xy theta=2.6179938779914944 b/J=0.10000000000000001 omega=0.099668652491162038\n"
+        "gate: cnot [(I x H) . seq . (Z x ZH)]\n"
+        "phase distance to CNOT: -4.440892e-16\n"
+        "[[0.707107+0.707107j 0.      +0.j       0.      +0.j\n"
+        "  0.      +0.j      ]\n"
+        " [0.      +0.j       0.707107+0.707107j 0.      +0.j\n"
+        "  0.      +0.j      ]\n"
+        " [0.      +0.j       0.      +0.j       0.      +0.j\n"
+        "  0.707107+0.707107j]\n"
+        " [0.      +0.j       0.      +0.j       0.707107+0.707107j\n"
+        "  0.      +0.j      ]]\n"
+    ),
+    ("fields",): (
+        "J=1 orientation=xy theta=2.6179938779914944 b/J=0.10000000000000001 omega=0.099668652491162038\n"
+        "B: 1\n"
+        "b1: (-0.02490685094007988, -0.043139931284763018, 0.99875852692479905)\n"
+        "b2: (0.02490685094007988, 0.043139931284763018, 0.99875852692479905)\n"
+        "transform residual: 1.144392e-16 (tolerance 1e-12)\n"
+    ),
+    ("sweep", "--delta-omega-ratios", "0,0.1", "--delta-theta-ratios", "0.01"): (
+        "delta_omega_ratio,delta_theta_ratio,corrected,fidelity,error,log10_error\n"
+        "0,0.01,false,0.99751859510499474,0.002481404895005257,-2.605302365385429\n"
+        "0.10000000000000001,0.01,false,0.99699802208838406,0.0030019779116159384,-2.5225925075952813\n"
+        "0,0.01,true,0.99999829936975715,1.7006302428512754e-06,-5.7693901019931868\n"
+        "0.10000000000000001,0.01,true,0.99997329509752597,2.6704902474028458e-05,-4.5734090037299922\n"
+    ),
+    ("thermal",): (
+        "J=1 orientation=xy theta=2.6179938779914944 b/J=0.10000000000000001 omega=0.099668652491162038\n"
+        "beta  concurrence  concurrence_isotropic  difference\n"
+        "0.1  0.000000000000  0.000000000000  0.000e+00\n"
+        "1  0.000000000000  0.000000000000  0.000e+00\n"
+        "10  0.999727637517  0.999727637517  5.551e-16\n"
+    ),
+}
+
+
+@pytest.mark.parametrize("command", GOLDEN_TEXT, ids=lambda c: c[0])
+def test_text_output_is_frozen(capsys, command):
+    assert _run_in_process(capsys, *command, *GOLDEN_REF) == (0, GOLDEN_TEXT[command], "")
