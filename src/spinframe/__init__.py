@@ -27,10 +27,8 @@ from .gates import (
     SQRT_SWAP,
     SWAP,
     GateReport,
-    cnot,
-    corrected_swap,
+    gate_report,
     phase_shifted_swap,
-    sqrt_swap,
 )
 from .linalg import expm_unitary, fidelity, herm_eig, kron, phase_distance, require_unitary
 from .model import (
@@ -63,9 +61,7 @@ __all__ = [
     "SQRT_SWAP",
     "CNOT",
     "GateReport",
-    "corrected_swap",
-    "sqrt_swap",
-    "cnot",
+    "gate_report",
     "phase_shifted_swap",
     "SweepConfig",
     "SweepRow",

@@ -244,26 +244,49 @@ def _json_default(o):
     raise TypeError(f"{type(o).__name__} is not JSON serializable")
 
 
-def _report(cfg: RunConfig, payload: dict, check: tuple[str, float, float] | None = None,
-            text=None) -> int:
+def _csv_lines(table: _Table) -> list[str]:
+    return [",".join(table.columns), *map(_csv_line, table.rows)]
+
+
+def _text(doc: dict) -> list[str]:
+    """The text form of a JSON document: one "key: value" line per key, in order.
+    A matrix (6 digits) or a table (CSV lines) goes on the lines under its key;
+    a dict prints as k=v pairs, a list as (a, b, c), a number as JSON writes it."""
+    lines = []
+    for key, v in doc.items():
+        if isinstance(v, np.ndarray):
+            lines += [f"{key}:", _fmt_matrix(v)]
+        elif isinstance(v, _Table):
+            lines += [f"{key}:", *_csv_lines(v)]
+        elif isinstance(v, dict):
+            lines.append(f"{key}: " + " ".join(f"{k}={json.dumps(x)}" for k, x in v.items()))
+        elif isinstance(v, list):
+            lines.append(f"{key}: ({', '.join(map(json.dumps, v))})")
+        else:
+            lines.append(f"{key}: {v if isinstance(v, str) else json.dumps(v)}")
+    return lines
+
+
+def _report(cfg: RunConfig, p: model.ExchangeParams, payload: dict,
+            check: tuple[str, float, float] | None = None) -> int:
     """Write one command's report, rendering only the form that is written;
     exit code 2 if check = (what, value, tol) has value > tol.  payload is the
     JSON document, matrices still arrays and a table as the _Table under
-    "rows"; text() returns the lines of the text form.  Without --format:
-    text to stdout, JSON to --out, or CSV where there is no text."""
+    "rows"; the text form prints the same document under a parameters line.
+    Without --format: CSV for sweep, else text to stdout and JSON to --out."""
+    if cfg.stamp:
+        payload = {**payload, "stamp": datetime.now(timezone.utc).isoformat(timespec="seconds")}
     table = payload.get("rows")
-    form = cfg.format or ("csv" if text is None else "json" if cfg.out else "text")
+    form = cfg.format or ("csv" if cfg.command == "sweep" else "json" if cfg.out else "text")
     if form == "csv" and table is None:
         raise UsageError(f"{cfg.command} has no csv form")
-    stamp = datetime.now(timezone.utc).isoformat(timespec="seconds") if cfg.stamp else None
     if form == "text":
-        lines = text()
+        lines = _text({"parameters": _params_line(p), **payload})
     elif form == "csv":
-        lines = [f"# stamp: {stamp}"] if stamp else []
-        lines += [",".join(table.columns), *map(_csv_line, table.rows)]
+        lines = [f"# stamp: {payload['stamp']}"] if cfg.stamp else []
+        lines += _csv_lines(table)
     else:
-        doc = {**payload, "stamp": stamp} if stamp else payload
-        lines = [json.dumps(doc, indent=2, allow_nan=False, default=_json_default)]
+        lines = [json.dumps(payload, indent=2, allow_nan=False, default=_json_default)]
     data = "\n".join(lines) + "\n"
     if cfg.out:
         with open(cfg.out, "wb") as fh:
@@ -296,11 +319,7 @@ def cmd_transform(cfg: RunConfig, p: model.ExchangeParams) -> int:
     residual = frame.verify_isotropization(p)
     payload = {"parameters": _params_line(p), "hamiltonian": h, "rotation": rot,
                "transformed": h_iso, "residual": residual, "tolerance": tol}
-    return _report(cfg, payload, ("isotropization residual", residual, tol), lambda: [
-        payload["parameters"], "", "H:", _fmt_matrix(h), "", "T:", _fmt_matrix(rot),
-        "", "T H T^dag:", _fmt_matrix(h_iso),
-        "", f"isotropization residual: {residual:.6e} (tolerance {tol:g})",
-    ])
+    return _report(cfg, p, payload, ("isotropization residual", residual, tol))
 
 
 def cmd_decompose(cfg: RunConfig, p: model.ExchangeParams) -> int:
@@ -312,13 +331,7 @@ def cmd_decompose(cfg: RunConfig, p: model.ExchangeParams) -> int:
               for name, angles in (("qubit1", plan.qubit1), ("qubit2", plan.qubit2))}
     payload = {"parameters": _params_line(p), **qubits, "phase": plan.phase,
                "assembly_distance": distance, "tolerance": tol}
-    return _report(cfg, payload, ("assembly distance", distance, tol), lambda: [
-        payload["parameters"],
-        *(f"{name}: " + " ".join(f"{k}={_g17(a)}" for k, a in angles.items())
-          for name, angles in qubits.items()),
-        f"global phase: {_g17(plan.phase)}",
-        f"assembly distance: {distance:.6e} (tolerance {tol:g})",
-    ])
+    return _report(cfg, p, payload, ("assembly distance", distance, tol))
 
 
 def cmd_gate(cfg: RunConfig, p: model.ExchangeParams) -> int:
@@ -336,10 +349,7 @@ def cmd_gate(cfg: RunConfig, p: model.ExchangeParams) -> int:
     distance = report.phase_distance_to_target
     payload = {"label": report.label, "matrix": report.matrix, "phase_distance": distance,
                "target": report.target_label}
-    return _report(cfg, payload, ("gate distance", distance, tol), lambda: [
-        _params_line(p), f"gate: {report.label}",
-        f"phase distance to {report.target_label}: {distance:.6e}", _fmt_matrix(report.matrix),
-    ])
+    return _report(cfg, p, payload, ("gate distance", distance, tol))
 
 
 def cmd_fields(cfg: RunConfig, p: model.ExchangeParams) -> int:
@@ -349,11 +359,7 @@ def cmd_fields(cfg: RunConfig, p: model.ExchangeParams) -> int:
     residual = frame.verify_fields(p, cfg.B)
     payload = {"parameters": _params_line(p), "B": cfg.B, "b1": list(pair.b1),
                "b2": list(pair.b2), "residual": residual, "tolerance": tol}
-    return _report(cfg, payload, ("field transform residual", residual, tol), lambda: [
-        payload["parameters"], f"B: {_g17(cfg.B)}",
-        *(f"{name}: ({', '.join(_g17(x) for x in payload[name])})" for name in ("b1", "b2")),
-        f"transform residual: {residual:.6e} (tolerance {tol:g})",
-    ])
+    return _report(cfg, p, payload, ("field transform residual", residual, tol))
 
 
 def cmd_sweep(cfg: RunConfig, p: model.ExchangeParams) -> int:
@@ -379,7 +385,7 @@ def cmd_sweep(cfg: RunConfig, p: model.ExchangeParams) -> int:
     config = {"gate": gate, "tan_omega0": p.b_over_J, "theta0": p.theta,
               "delta_omega_ratios": list(cfg.delta_omega_ratios),
               "delta_theta_ratios": list(cfg.delta_theta_ratios), "mode": cfg.mode}
-    return _report(cfg, {"config": config, "rows": _Table(columns, rows)})
+    return _report(cfg, p, {"config": config, "rows": _Table(columns, rows)})
 
 
 def cmd_thermal(cfg: RunConfig, p: model.ExchangeParams) -> int:
@@ -395,10 +401,7 @@ def cmd_thermal(cfg: RunConfig, p: model.ExchangeParams) -> int:
     columns = ("beta", "concurrence", "concurrence_isotropic", "difference")
     payload = {"parameters": _params_line(p), "rows": _Table(columns, rows), "tolerance": tol}
     worst = max(d for _, _, _, d in rows)
-    return _report(cfg, payload, ("concurrence difference", worst, tol), lambda: [
-        payload["parameters"], "  ".join(columns),
-        *(f"{b:g}  {c:.12f}  {c0:.12f}  {d:.3e}" for b, c, c0, d in rows),
-    ])
+    return _report(cfg, p, payload, ("concurrence difference", worst, tol))
 
 
 _COMMANDS = {

@@ -28,9 +28,6 @@ __all__ = [
     "pulse",
     "realize",
     "gate_report",
-    "corrected_swap",
-    "sqrt_swap",
-    "cnot",
     "phase_shifted_swap",
 ]
 
@@ -107,21 +104,6 @@ def gate_report(gate: str, p: ExchangeParams) -> GateReport:
     spec = GATES[gate]
     u = realize(gate, p, rotation_matrix(p))
     return GateReport(u, spec.label, phase_distance(u, spec.target), spec.target_label)
-
-
-def corrected_swap(p: ExchangeParams) -> GateReport:
-    """Swap gate from one exchange pulse of duration pi/J inside the sandwich."""
-    return gate_report("swap", p)
-
-
-def sqrt_swap(p: ExchangeParams) -> GateReport:
-    """Square root of swap: half the pulse area of corrected_swap."""
-    return gate_report("sqrt_swap", p)
-
-
-def cnot(p: ExchangeParams) -> GateReport:
-    """Controlled-NOT with qubit 1 the control, from two square-root-of-swap pulses."""
-    return gate_report("cnot", p)
 
 
 def phase_shifted_swap(p: ExchangeParams, B: float) -> GateReport:

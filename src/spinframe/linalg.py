@@ -54,5 +54,13 @@ def fidelity(u, u0) -> float:
 
 
 def phase_distance(u, v) -> float:
-    """1 - fidelity(u, v); zero iff the unitaries agree up to a global phase."""
-    return 1.0 - fidelity(u, v)
+    """1 - fidelity(u, v), zero iff the unitaries agree up to a global phase.
+
+    With A = u^dag v and m = tr A / 4, |A - m I|_F^2 / 4 = 1 - |m|^2 for unitary
+    A, so the distance is that sum of squares over 1 + |m|: never negative, and
+    free of the cancellation in 1 - |m| near zero.
+    """
+    a = require_unitary(u, "u").conj().T @ require_unitary(v, "v")
+    m = a.trace() / 4.0
+    a.flat[::5] -= m  # the diagonal
+    return float(np.vdot(a, a).real) / 4.0 / (1.0 + abs(m))

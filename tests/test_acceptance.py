@@ -98,9 +98,9 @@ def test_4_error_study_decades(capsys):
 
 def test_5_gate_constructions(capsys):
     start = time.perf_counter()
-    swap_report = sf.corrected_swap(REFERENCE)
-    root = sf.sqrt_swap(REFERENCE).matrix
-    cnot_report = sf.cnot(REFERENCE)
+    swap_report = sf.gate_report("swap", REFERENCE)
+    root = sf.gate_report("sqrt_swap", REFERENCE).matrix
+    cnot_report = sf.gate_report("cnot", REFERENCE)
     ok = (
         swap_report.phase_distance_to_target < 1e-12
         and phase_distance(root @ root, swap_report.matrix) < 1e-12

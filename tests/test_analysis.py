@@ -11,7 +11,7 @@ from spinframe.analysis import (
     thermal_state,
 )
 from spinframe.frame import PSI_MINUS
-from spinframe.gates import SWAP
+from spinframe.gates import GATES, SWAP
 from spinframe.linalg import kron
 from spinframe.model import ExchangeParams, build_hamiltonian, build_isotropic
 
@@ -241,16 +241,15 @@ def test_sweep_config_accepts_omega_zero():
     assert row.error < 1e-12
 
 
-_PUBLIC_GATES = {"swap": "corrected_swap", "sqrt_swap": "sqrt_swap", "cnot": "cnot"}
-
-
 def test_every_table_gate_has_its_public_function():
-    from spinframe import gates
+    import spinframe
 
-    assert set(_PUBLIC_GATES) == set(gates.GATES)
+    assert "gate_report" in spinframe.__all__
+    for gate, spec in GATES.items():
+        assert spinframe.gate_report(gate, ExchangeParams(1.0, "z", 0.1)).label == spec.label
 
 
-@pytest.mark.parametrize("gate", sorted(_PUBLIC_GATES))
+@pytest.mark.parametrize("gate", sorted(GATES))
 @pytest.mark.parametrize("t0", [0.0, 0.005, 0.37, 5.0])
 def test_sweep_at_zero_misestimation_is_the_public_gate(gate, t0):
     from spinframe import gates
@@ -262,7 +261,7 @@ def test_sweep_at_zero_misestimation_is_the_public_gate(gate, t0):
     for corrected in (True, False):
         cfg = SweepConfig(t0, THETA0, (0.0,), (0.0,), corrected=corrected, gate=gate)
         (rows[corrected],) = gate_error_sweep(cfg).rows
-    public = getattr(gates, _PUBLIC_GATES[gate])(p)
+    public = gates.gate_report(gate, p)
     assert rows[True].fidelity == fidelity(public.matrix, target)
     bare = gates.pulse(build_hamiltonian(p), gates.GATES[gate].area / p.J)
     if gate == "cnot":

@@ -60,7 +60,7 @@ def test_transform_json_schema():
 def test_transform_human_output_mentions_residual():
     r = run_cli("transform", *XY_ARGS)
     assert r.returncode == 0
-    assert "isotropization residual" in r.stdout
+    assert re.search(r"^residual: \S+$", r.stdout, re.MULTILINE)
 
 
 def test_decompose_reports_half_angle():
@@ -622,14 +622,13 @@ def test_a_table_builds_only_the_written_form(capsys, monkeypatch):
 
 
 # The text form (no --format) of each subcommand at one reference point, frozen
-# so that a change to the renderer shows as a changed byte.  Numbers near 1e-16
-# (residuals, distances) sit at the rounding floor of this numpy build.
+# so that a change to the renderer shows as a changed byte.  Residuals near 1e-16
+# and distances near 1e-31 sit at the rounding floor of this numpy build.
 GOLDEN_REF = ("--orientation", "xy", "--theta", "5pi/6", "--tan-omega", "0.1")
 GOLDEN_TEXT = {
     ("transform",): (
-        "J=1 orientation=xy theta=2.6179938779914944 b/J=0.10000000000000001 omega=0.099668652491162038\n"
-        "\n"
-        "H:\n"
+        "parameters: J=1 orientation=xy theta=2.6179938779914944 b/J=0.10000000000000001 omega=0.099668652491162038\n"
+        "hamiltonian:\n"
         "[[ 0.248759+0.j        0.012438-0.021543j -0.012438+0.021543j\n"
         "   0.00062 +0.001074j]\n"
         " [ 0.012438+0.021543j -0.248759+0.j        0.498759+0.j\n"
@@ -638,8 +637,7 @@ GOLDEN_TEXT = {
         "  -0.012438+0.021543j]\n"
         " [ 0.00062 -0.001074j  0.012438+0.021543j -0.012438-0.021543j\n"
         "   0.248759+0.j      ]]\n"
-        "\n"
-        "T:\n"
+        "rotation:\n"
         "[[-0.258658+0.965326j  0.017612+0.017612j -0.017612-0.017612j\n"
         "  -0.0006  +0.000161j]\n"
         " [-0.012453-0.02157j   0.999379+0.j        0.000621+0.j\n"
@@ -648,26 +646,26 @@ GOLDEN_TEXT = {
         "   0.012453-0.02157j ]\n"
         " [-0.0006  -0.000161j  0.017612-0.017612j -0.017612+0.017612j\n"
         "  -0.258658-0.965326j]]\n"
-        "\n"
-        "T H T^dag:\n"
+        "transformed:\n"
         "[[ 0.25+0.j  0.  +0.j  0.  +0.j  0.  +0.j]\n"
         " [ 0.  +0.j -0.25+0.j  0.5 +0.j  0.  +0.j]\n"
         " [ 0.  +0.j  0.5 +0.j -0.25+0.j  0.  +0.j]\n"
         " [ 0.  +0.j  0.  +0.j  0.  +0.j  0.25+0.j]]\n"
-        "\n"
-        "isotropization residual: 5.551117e-17 (tolerance 1e-12)\n"
+        "residual: 5.551117281212283e-17\n"
+        "tolerance: 1e-12\n"
     ),
     ("decompose",): (
-        "J=1 orientation=xy theta=2.6179938779914944 b/J=0.10000000000000001 omega=0.099668652491162038\n"
-        "qubit1: alpha=-2.3561944901923448 gamma=0.049834326245581019 beta=4.1887902047863914\n"
-        "qubit2: alpha=0.78539816339744828 gamma=0.049834326245581019 beta=1.0471975511965979\n"
-        "global phase: 0\n"
-        "assembly distance: 0.000000e+00 (tolerance 1e-12)\n"
+        "parameters: J=1 orientation=xy theta=2.6179938779914944 b/J=0.10000000000000001 omega=0.099668652491162038\n"
+        "qubit1: alpha=-2.356194490192345 gamma=0.04983432624558102 beta=4.188790204786391\n"
+        "qubit2: alpha=0.7853981633974483 gamma=0.04983432624558102 beta=1.0471975511965979\n"
+        "phase: 0.0\n"
+        "assembly_distance: 9.098626480950786e-32\n"
+        "tolerance: 1e-12\n"
     ),
     ("gate", "--gate", "cnot"): (
-        "J=1 orientation=xy theta=2.6179938779914944 b/J=0.10000000000000001 omega=0.099668652491162038\n"
-        "gate: cnot [(I x H) . seq . (Z x ZH)]\n"
-        "phase distance to CNOT: -4.440892e-16\n"
+        "parameters: J=1 orientation=xy theta=2.6179938779914944 b/J=0.10000000000000001 omega=0.099668652491162038\n"
+        "label: cnot [(I x H) . seq . (Z x ZH)]\n"
+        "matrix:\n"
         "[[0.707107+0.707107j 0.      +0.j       0.      +0.j\n"
         "  0.      +0.j      ]\n"
         " [0.      +0.j       0.707107+0.707107j 0.      +0.j\n"
@@ -676,13 +674,16 @@ GOLDEN_TEXT = {
         "  0.707107+0.707107j]\n"
         " [0.      +0.j       0.      +0.j       0.707107+0.707107j\n"
         "  0.      +0.j      ]]\n"
+        "phase_distance: 2.253992870173943e-31\n"
+        "target: CNOT\n"
     ),
     ("fields",): (
-        "J=1 orientation=xy theta=2.6179938779914944 b/J=0.10000000000000001 omega=0.099668652491162038\n"
-        "B: 1\n"
-        "b1: (-0.02490685094007988, -0.043139931284763018, 0.99875852692479905)\n"
-        "b2: (0.02490685094007988, 0.043139931284763018, 0.99875852692479905)\n"
-        "transform residual: 1.144392e-16 (tolerance 1e-12)\n"
+        "parameters: J=1 orientation=xy theta=2.6179938779914944 b/J=0.10000000000000001 omega=0.099668652491162038\n"
+        "B: 1.0\n"
+        "b1: (-0.02490685094007988, -0.04313993128476302, 0.998758526924799)\n"
+        "b2: (0.02490685094007988, 0.04313993128476302, 0.998758526924799)\n"
+        "residual: 1.1443916996305594e-16\n"
+        "tolerance: 1e-12\n"
     ),
     ("sweep", "--delta-omega-ratios", "0,0.1", "--delta-theta-ratios", "0.01"): (
         "delta_omega_ratio,delta_theta_ratio,corrected,fidelity,error,log10_error\n"
@@ -692,11 +693,13 @@ GOLDEN_TEXT = {
         "0.10000000000000001,0.01,true,0.99997329509752597,2.6704902474028458e-05,-4.5734090037299922\n"
     ),
     ("thermal",): (
-        "J=1 orientation=xy theta=2.6179938779914944 b/J=0.10000000000000001 omega=0.099668652491162038\n"
-        "beta  concurrence  concurrence_isotropic  difference\n"
-        "0.1  0.000000000000  0.000000000000  0.000e+00\n"
-        "1  0.000000000000  0.000000000000  0.000e+00\n"
-        "10  0.999727637517  0.999727637517  5.551e-16\n"
+        "parameters: J=1 orientation=xy theta=2.6179938779914944 b/J=0.10000000000000001 omega=0.099668652491162038\n"
+        "rows:\n"
+        "beta,concurrence,concurrence_isotropic,difference\n"
+        "0.10000000000000001,0,0,0\n"
+        "1,0,0,0\n"
+        "10,0.99972763751713778,0.99972763751713722,5.5511151231257827e-16\n"
+        "tolerance: 1e-12\n"
     ),
 }
 
@@ -704,3 +707,50 @@ GOLDEN_TEXT = {
 @pytest.mark.parametrize("command", GOLDEN_TEXT, ids=lambda c: c[0])
 def test_text_output_is_frozen(capsys, command):
     assert _run_in_process(capsys, *command, *GOLDEN_REF) == (0, GOLDEN_TEXT[command], "")
+
+
+TEXT_COMMANDS = [("transform",), ("decompose",), ("fields",), ("thermal",)] + [
+    ("gate", "--gate", g) for g in ("swap", "sqrt_swap", "cnot", "psw")]
+
+
+@pytest.mark.parametrize("command", TEXT_COMMANDS, ids=" ".join)
+def test_text_ends_with_the_stamp_only_when_asked(capsys, command):
+    code, out, _ = _run_in_process(capsys, *command, *XY_ARGS, "--stamp")
+    assert code == 0
+    last = out.splitlines()[-1]
+    assert re.fullmatch(r"stamp: \d{4}-\d\d-\d\dT\d\d:\d\d:\d\d\+00:00", last), last
+    code, out, _ = _run_in_process(capsys, *command, *XY_ARGS)
+    assert code == 0 and "stamp" not in out
+
+
+@pytest.mark.parametrize("command", TEXT_COMMANDS, ids=" ".join)
+def test_text_prints_every_key_of_the_json_document(capsys, command):
+    """Text and JSON are one document: each JSON key is a "key:" line of the
+    text, and each number in it reads back as the JSON number, bit for bit."""
+    code, out, _ = _run_in_process(capsys, *command, *XY_ARGS, "--format", "json")
+    assert code == 0
+    doc = json.loads(out)
+    code, out, _ = _run_in_process(capsys, *command, *XY_ARGS)
+    assert code == 0
+    lines = out.splitlines()
+    heads = {line.partition(":")[0]: i for i, line in enumerate(lines)
+             if re.match(r"^[A-Za-z]\w*:", line)}
+    assert list(heads)[0] == "parameters"
+    assert [k for k in heads if k != "parameters"] == [k for k in doc if k != "parameters"]
+    for key, value in doc.items():
+        text = lines[heads[key]].partition(": ")[2]
+        if isinstance(value, str):
+            assert text == value, key
+        elif isinstance(value, float):
+            assert float(text) == value, key
+        elif isinstance(value, dict):
+            assert {k: float(v) for k, v in (kv.split("=") for kv in text.split())} == value
+        elif key == "rows":
+            header, *rows = lines[heads[key] + 1:heads[key] + 2 + len(value)]
+            assert header.split(",") == list(value[0])
+            assert [[float(x) for x in row.split(",")] for row in rows] == [
+                list(r.values()) for r in value]
+        elif isinstance(value[0], float):
+            assert [float(x) for x in text.strip("()").split(", ")] == value, key
+        else:
+            assert text == "", key  # a matrix prints on the lines under its key

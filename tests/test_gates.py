@@ -8,10 +8,8 @@ from spinframe.gates import (
     CNOT,
     SQRT_SWAP,
     SWAP,
-    cnot,
-    corrected_swap,
+    gate_report,
     phase_shifted_swap,
-    sqrt_swap,
 )
 from spinframe.gates import _cnot_from_w
 from spinframe.linalg import expm_unitary, phase_distance
@@ -29,7 +27,7 @@ POINTS = [
 
 @pytest.mark.parametrize("p", POINTS, ids=str)
 def test_corrected_swap_hits_target(p):
-    report = corrected_swap(p)
+    report = gate_report("swap", p)
     assert report.phase_distance_to_target < 1e-12
     assert report.target_label == "SWAP"
 
@@ -49,27 +47,28 @@ def test_uncorrected_swap_error_decade_at_reference():
 
 @pytest.mark.parametrize("p", POINTS, ids=str)
 def test_sqrt_swap_squares_to_swap(p):
-    w = sqrt_swap(p).matrix
-    assert sqrt_swap(p).phase_distance_to_target < 1e-12
-    assert phase_distance(w @ w, corrected_swap(p).matrix) < 1e-12
+    report = gate_report("sqrt_swap", p)
+    w = report.matrix
+    assert report.phase_distance_to_target < 1e-12
+    assert phase_distance(w @ w, gate_report("swap", p).matrix) < 1e-12
 
 
 def test_sqrt_swap_entangles():
-    w = sqrt_swap(REFERENCE).matrix
+    w = gate_report("sqrt_swap", REFERENCE).matrix
     state = w @ np.array([0.0, 1.0, 0.0, 0.0], dtype=complex)
     assert concurrence(np.outer(state, state.conj())) == pytest.approx(1.0, abs=1e-10)
 
 
 @pytest.mark.parametrize("p", POINTS, ids=str)
 def test_cnot_hits_target(p):
-    report = cnot(p)
+    report = gate_report("cnot", p)
     assert report.phase_distance_to_target < 1e-10
     assert report.target_label == "CNOT"
 
 
 def test_cnot_core_sequence_is_conditional_phase_flip():
     """Undressed, the pulse sequence gives diag(-1,1,1,1) up to a phase."""
-    w = sqrt_swap(REFERENCE).matrix
+    w = gate_report("sqrt_swap", REFERENCE).matrix
 
     # build the raw product independently of the module helper
     def z1(angle):
@@ -86,12 +85,12 @@ def test_cnot_core_sequence_is_conditional_phase_flip():
 def test_cnot_dressing_is_parameter_independent():
     """The same fixed single-qubit dressing works at every operating point."""
     for p in POINTS:
-        u = _cnot_from_w(sqrt_swap(p).matrix)
+        u = _cnot_from_w(gate_report("sqrt_swap", p).matrix)
         assert phase_distance(u, CNOT) < 1e-10
 
 
 def test_cnot_flips_target_conditionally():
-    u = cnot(REFERENCE).matrix
+    u = gate_report("cnot", REFERENCE).matrix
     e = np.eye(4, dtype=complex)
     # column action: |10> -> |11>, |11> -> |10>, |00> and |01> fixed
     assert abs(np.vdot(e[3], u @ e[2])) == pytest.approx(1.0, abs=1e-8)
@@ -102,7 +101,7 @@ def test_cnot_flips_target_conditionally():
 
 def test_phase_shifted_swap_zero_field_is_swap():
     u0 = phase_shifted_swap(REFERENCE, 0.0).matrix
-    assert phase_distance(u0, corrected_swap(REFERENCE).matrix) < 1e-12
+    assert phase_distance(u0, gate_report("swap", REFERENCE).matrix) < 1e-12
 
 
 @pytest.mark.parametrize("B", [0.1, 1.0])
@@ -124,6 +123,6 @@ def test_phase_shifted_swap_still_swaps_populations():
 
 
 def test_gate_labels():
-    assert corrected_swap(REFERENCE).label == "swap"
-    assert sqrt_swap(REFERENCE).label == "sqrt_swap"
+    assert gate_report("swap", REFERENCE).label == "swap"
+    assert gate_report("sqrt_swap", REFERENCE).label == "sqrt_swap"
     assert phase_shifted_swap(REFERENCE, 1.0).label == "psw(B=1.0)"

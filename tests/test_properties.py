@@ -12,8 +12,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from spinframe.frame import rotation_matrix, verify_fields, verify_isotropization
-from spinframe.gates import GATES, SWAP, realize
-from spinframe.linalg import phase_distance
+from spinframe.gates import GATES, SWAP, phase_shifted_swap, realize
+from spinframe.linalg import fidelity, phase_distance
 from spinframe.model import (
     ExchangeParams,
     FieldSpec,
@@ -112,3 +112,44 @@ def test_rotation_is_unitary(p):
 @given(exchange_params(), st.floats(-100.0, 100.0))
 def test_compensating_fields_map_onto_a_uniform_z_field(p, B):
     assert verify_fields(p, B) <= 1e-14 * max(1.0, abs(B))
+
+
+@st.composite
+def unitaries(draw):
+    """A Haar-random 4x4 unitary from a drawn seed."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    q, r = np.linalg.qr(rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4)))
+    return q * (np.diagonal(r) / np.abs(np.diagonal(r)))
+
+
+def check_phase_distance(u, v):
+    """phase_distance(u, v) >= 0 and equal to 1 - fidelity(u, v).
+
+    The two agree to rounding when u^dag v is unitary to rounding; a unitarity
+    defect delta = |u^dag v|_F^2 / 4 - 1 shifts 1 - fidelity by up to |delta|.
+    """
+    a = u.conj().T @ v
+    defect = abs(np.vdot(a, a).real / 4 - 1)
+    d = phase_distance(u, v)
+    assert d >= 0
+    assert abs(d - (1 - fidelity(u, v))) <= 1e-15 + defect
+
+
+ANGLES = st.floats(0.0, 2 * math.pi)
+
+
+@PROPERTY
+@given(unitaries(), unitaries(), ANGLES)
+def test_phase_distance_of_random_unitaries(u, w, phase):
+    check_phase_distance(u, w)
+    check_phase_distance(u, np.exp(1j * phase) * u)
+    assert phase_distance(u, np.exp(1j * phase) * u) <= 1e-24
+
+
+@PROPERTY
+@given(exchange_params(), st.floats(-10.0, 10.0), ANGLES)
+def test_phase_distance_of_phase_shifted_swaps(p, B, phase):
+    u = phase_shifted_swap(p, B).matrix
+    check_phase_distance(u, SWAP)
+    check_phase_distance(u, np.exp(1j * phase) * u)
+    assert phase_distance(u, np.exp(1j * phase) * u) <= 1e-24
