@@ -136,9 +136,8 @@ def _option(default, parse, help: str, commands: tuple[str, ...] | None = None):
     """A row of the option table: a config-file key, and the flag --name
     (dashes for underscores) of each subcommand in `commands` (None: all).
     parse turns a flag's string or a config-file value into the field value."""
-    flag = {"choices": parse} if isinstance(parse, _Choice) else {}
-    if parse is _strict_bool:
-        flag = {"action": "store_true", "default": None}
+    flag = ({"action": "store_true", "default": None} if parse is _strict_bool
+            else {"choices": parse} if isinstance(parse, _Choice) else {})
     meta = {"parse": parse, "help": help, "commands": commands, "flag": flag}
     return field(default=default, metadata=meta)
 
@@ -152,7 +151,6 @@ class RunConfig:
     orientation: str | None = _option(None, _Choice(("xy", "z")), "anisotropy axis orientation")
     theta: float | None = _option(None, parse_angle, "axis azimuth: radians or Npi/M, e.g. 5pi/6")
     tan_omega: float | None = _option(None, _number, "anisotropy strength b/J, as tan(omega)")
-    b_over_J: float | None = _option(None, _number, "config-file synonym of tan_omega", ())
     gate: str | None = _option(None, _Choice((*gates.GATES, "psw")),
                                "gate to build, or to sweep (default swap)", ("gate", "sweep"))
     B: float = _option(1.0, _number, "field magnitude (default 1.0)", ("gate", "fields"))
@@ -173,6 +171,8 @@ class RunConfig:
 
 
 _OPTIONS = {f.name: f.metadata for f in fields(RunConfig) if f.metadata}
+_VALUE_FLAGS = {"--config"} | {"--" + key.replace("_", "-") for key, row in _OPTIONS.items()
+                               if "action" not in row["flag"]}
 
 
 def _resolve(args: argparse.Namespace) -> RunConfig:
@@ -194,18 +194,9 @@ def _exchange_params(cfg: RunConfig) -> model.ExchangeParams:
     """The model parameters; ExchangeParams' own ValueError exits 1 like a usage error."""
     if cfg.orientation is None:
         raise UsageError("orientation is required (xy or z)")
-    if (cfg.tan_omega is None) == (cfg.b_over_J is None):
-        raise UsageError("exactly one of tan_omega / b_over_J is required")
-    ratio = cfg.tan_omega if cfg.tan_omega is not None else cfg.b_over_J
-    return model.ExchangeParams(cfg.J, cfg.orientation, ratio, theta=cfg.theta)
-
-
-def _tol(cfg: RunConfig, default: float) -> float:
-    return cfg.tol if cfg.tol is not None else default
-
-
-def _g17(x: float) -> str:
-    return format(x, ".17g")
+    if cfg.tan_omega is None:
+        raise UsageError("tan_omega is required")
+    return model.ExchangeParams(cfg.J, cfg.orientation, cfg.tan_omega, theta=cfg.theta)
 
 
 def _fmt_matrix(m: np.ndarray) -> str:
@@ -227,7 +218,7 @@ class _Table:
 
 
 def _csv_line(row: tuple) -> str:
-    return ",".join(str(v).lower() if isinstance(v, bool) else _g17(v) for v in row)
+    return ",".join(str(v).lower() if isinstance(v, bool) else format(v, ".17g") for v in row)
 
 
 def _json_row(columns: tuple[str, ...], row: tuple) -> dict:
@@ -267,26 +258,32 @@ def _text(doc: dict) -> list[str]:
     return lines
 
 
-def _report(cfg: RunConfig, p: model.ExchangeParams, payload: dict,
-            check: tuple[str, float, float] | None = None) -> int:
-    """Write one command's report, rendering only the form that is written;
-    exit code 2 if check = (what, value, tol) has value > tol.  payload is the
-    JSON document, matrices still arrays and a table as the _Table under
-    "rows"; the text form prints the same document under a parameters line.
-    Without --format: CSV for sweep, else text to stdout and JSON to --out."""
+def _report(cfg: RunConfig, p: model.ExchangeParams, body: dict,
+            check: tuple[str, float | None, float | None]) -> int:
+    """Frame and write one report: parameters, the command's body (matrices as arrays,
+    a table as the _Table under "rows"), tolerance if checked, stamp with --stamp.
+    check = (what, value, default_tol), --tol overriding default_tol; exit code 2 if
+    value > tol.  default_tol None: no check, what names the report, a tol is refused.
+    Only the written form is rendered: CSV for sweep, else text (JSON to --out)."""
+    what, value, tol = check
+    if tol is None and cfg.tol is not None:
+        raise UsageError(f"tol: {what} has no tolerance check; omit tol")
+    doc = {"parameters": _params_line(p), **body}
+    if tol is not None:
+        tol = doc["tolerance"] = tol if cfg.tol is None else cfg.tol
     if cfg.stamp:
-        payload = {**payload, "stamp": datetime.now(timezone.utc).isoformat(timespec="seconds")}
-    table = payload.get("rows")
+        doc["stamp"] = datetime.now(timezone.utc).isoformat(timespec="seconds")
+    table = doc.get("rows")
     form = cfg.format or ("csv" if cfg.command == "sweep" else "json" if cfg.out else "text")
     if form == "csv" and table is None:
         raise UsageError(f"{cfg.command} has no csv form")
     if form == "text":
-        lines = _text({"parameters": _params_line(p), **payload})
+        lines = _text(doc)
     elif form == "csv":
-        lines = [f"# stamp: {payload['stamp']}"] if cfg.stamp else []
+        lines = [f"# stamp: {doc['stamp']}"] if cfg.stamp else []
         lines += _csv_lines(table)
     else:
-        lines = [json.dumps(payload, indent=2, allow_nan=False, default=_json_default)]
+        lines = [json.dumps(doc, indent=2, allow_nan=False, default=_json_default)]
     data = "\n".join(lines) + "\n"
     if cfg.out:
         with open(cfg.out, "wb") as fh:
@@ -295,82 +292,66 @@ def _report(cfg: RunConfig, p: model.ExchangeParams, payload: dict,
         sys.stdout.write(data)
         # A closed pipe must raise here, inside main, not at interpreter exit.
         sys.stdout.flush()
-    if check is not None and check[1] > check[2]:
-        what, value, tol = check
+    if tol is not None and value > tol:
         print(f"error: {what} {value:.6e} exceeds tolerance {tol:.6e}", file=sys.stderr)
         return 2
     return 0
 
 
 def _params_line(p: model.ExchangeParams) -> str:
-    theta = "-" if p.theta is None else _g17(p.theta)
-    return (
-        f"J={_g17(p.J)} orientation={p.orientation} theta={theta} "
-        f"b/J={_g17(p.b_over_J)} omega={_g17(p.omega)}"
-    )
+    theta = "-" if p.theta is None else f"{p.theta:.17g}"
+    return (f"J={p.J:.17g} orientation={p.orientation} theta={theta} "
+            f"b/J={p.b_over_J:.17g} omega={p.omega:.17g}")
 
 
 def cmd_transform(cfg: RunConfig, p: model.ExchangeParams) -> int:
     """print H, the rotation T, T H T^dag, and the residual"""
-    tol = _tol(cfg, 1e-12)
     h = model.build_hamiltonian(p)
     rot = frame.rotation_matrix(p)
-    h_iso = rot @ h @ rot.conj().T
     residual = frame.verify_isotropization(p)
-    payload = {"parameters": _params_line(p), "hamiltonian": h, "rotation": rot,
-               "transformed": h_iso, "residual": residual, "tolerance": tol}
-    return _report(cfg, p, payload, ("isotropization residual", residual, tol))
+    body = {"hamiltonian": h, "rotation": rot, "transformed": rot @ h @ rot.conj().T,
+            "residual": residual}
+    return _report(cfg, p, body, ("isotropization residual", residual, 1e-12))
 
 
 def cmd_decompose(cfg: RunConfig, p: model.ExchangeParams) -> int:
     """per-qubit ZYZ angles of T and the reassembly distance"""
-    tol = _tol(cfg, 1e-12)
     plan = frame.rotation_plan(p)
     distance = linalg.phase_distance(frame.assemble(plan), frame.rotation_matrix(p))
-    qubits = {name: dict(zip(("alpha", "gamma", "beta"), angles))
-              for name, angles in (("qubit1", plan.qubit1), ("qubit2", plan.qubit2))}
-    payload = {"parameters": _params_line(p), **qubits, "phase": plan.phase,
-               "assembly_distance": distance, "tolerance": tol}
-    return _report(cfg, p, payload, ("assembly distance", distance, tol))
+    body = {name: dict(zip(("alpha", "gamma", "beta"), angles))
+            for name, angles in (("qubit1", plan.qubit1), ("qubit2", plan.qubit2))}
+    body.update(phase=plan.phase, assembly_distance=distance)
+    return _report(cfg, p, body, ("assembly distance", distance, 1e-12))
 
 
 def cmd_gate(cfg: RunConfig, p: model.ExchangeParams) -> int:
     """emit a synthesized gate matrix"""
     if cfg.gate is None:
         raise UsageError(f"gate name required: {', '.join(gates.GATES)}, or psw")
-    if cfg.gate == "psw":
-        # psw is away from plain SWAP by design, so its distance is not checked.
-        if cfg.tol is not None:
-            raise UsageError("tol: gate psw has no tolerance check; omit tol")
-        report, tol = gates.phase_shifted_swap(p, cfg.B), math.inf
-    else:
-        report = gates.gate_report(cfg.gate, p)
-        tol = _tol(cfg, 1e-10 if cfg.gate == "cnot" else 1e-12)
+    psw = cfg.gate == "psw"
+    report = gates.phase_shifted_swap(p, cfg.B) if psw else gates.gate_report(cfg.gate, p)
     distance = report.phase_distance_to_target
-    payload = {"label": report.label, "matrix": report.matrix, "phase_distance": distance,
-               "target": report.target_label}
-    return _report(cfg, p, payload, ("gate distance", distance, tol))
+    body = {"label": report.label, "matrix": report.matrix, "phase_distance": distance,
+            "target": report.target_label}
+    # psw is away from plain SWAP by design, so its distance is not checked.
+    tol = None if psw else gates.GATES[cfg.gate].tol
+    return _report(cfg, p, body, ("gate psw" if psw else "gate distance", distance, tol))
 
 
 def cmd_fields(cfg: RunConfig, p: model.ExchangeParams) -> int:
     """compensating per-qubit fields and their transform residual"""
-    tol = _tol(cfg, 1e-12)
     pair = model.compensating_fields(p, cfg.B)
     residual = frame.verify_fields(p, cfg.B)
-    payload = {"parameters": _params_line(p), "B": cfg.B, "b1": list(pair.b1),
-               "b2": list(pair.b2), "residual": residual, "tolerance": tol}
-    return _report(cfg, p, payload, ("field transform residual", residual, tol))
+    body = {"B": cfg.B, "b1": list(pair.b1), "b2": list(pair.b2), "residual": residual}
+    return _report(cfg, p, body, ("field transform residual", residual, 1e-12))
 
 
 def cmd_sweep(cfg: RunConfig, p: model.ExchangeParams) -> int:
     """gate error over parameter misestimation ratios"""
-    if cfg.tol is not None:
-        raise UsageError("tol: sweep has no tolerance check; omit tol")
     if p.orientation != "xy":
         raise UsageError("sweep requires orientation xy")
     gate = cfg.gate or "swap"
     flags = {"both": (False, True), "uncorrected": (False,), "corrected": (True,)}[cfg.mode]
-
     rows = []
     for corrected in flags:
         result = analysis.gate_error_sweep(analysis.SweepConfig(
@@ -385,12 +366,12 @@ def cmd_sweep(cfg: RunConfig, p: model.ExchangeParams) -> int:
     config = {"gate": gate, "tan_omega0": p.b_over_J, "theta0": p.theta,
               "delta_omega_ratios": list(cfg.delta_omega_ratios),
               "delta_theta_ratios": list(cfg.delta_theta_ratios), "mode": cfg.mode}
-    return _report(cfg, p, {"config": config, "rows": _Table(columns, rows)})
+    body = {"config": config, "rows": _Table(columns, rows)}
+    return _report(cfg, p, body, ("sweep", None, None))
 
 
 def cmd_thermal(cfg: RunConfig, p: model.ExchangeParams) -> int:
     """thermal-state concurrence against the isotropic reference"""
-    tol = _tol(cfg, 1e-12)
     h = model.build_hamiltonian(p)
     h0 = model.build_isotropic(p.J)
     rows = []
@@ -399,15 +380,13 @@ def cmd_thermal(cfg: RunConfig, p: model.ExchangeParams) -> int:
         c0 = analysis.concurrence(analysis.thermal_state(h0, beta))
         rows.append((beta, c, c0, abs(c - c0)))
     columns = ("beta", "concurrence", "concurrence_isotropic", "difference")
-    payload = {"parameters": _params_line(p), "rows": _Table(columns, rows), "tolerance": tol}
     worst = max(d for _, _, _, d in rows)
-    return _report(cfg, p, payload, ("concurrence difference", worst, tol))
+    return _report(cfg, p, {"rows": _Table(columns, rows)},
+                   ("concurrence difference", worst, 1e-12))
 
 
-_COMMANDS = {
-    f.__name__.removeprefix("cmd_"): f
-    for f in (cmd_transform, cmd_decompose, cmd_gate, cmd_fields, cmd_sweep, cmd_thermal)
-}
+_COMMANDS = {f.__name__.removeprefix("cmd_"): f for f in (
+    cmd_transform, cmd_decompose, cmd_gate, cmd_fields, cmd_sweep, cmd_thermal)}
 
 
 class _Parser(argparse.ArgumentParser):
@@ -422,9 +401,8 @@ def _add_flag(parser: argparse.ArgumentParser, key: str) -> None:
 
 @functools.cache
 def _build_parser() -> _Parser:
-    """Flags for every command go on a parent parser that each subparser copies,
-    which is cheaper than adding them six times; the rest go on their subparsers.
-    Built once per process: parsing leaves the parser unchanged."""
+    """Flags for every command go on a parent parser that each subparser copies (cheaper
+    than adding them six times), the rest on subparsers.  Parsing leaves it unchanged."""
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--config", help="key = value or JSON config file; flags override it")
     for key, row in _OPTIONS.items():
@@ -441,9 +419,20 @@ def _build_parser() -> _Parser:
     return parser
 
 
+def _join_dash_values(argv: list[str]) -> list[str]:
+    """argv with --flag=value for each value flag followed by a value that starts
+    with one '-' (-pi/2, -0.1,0), which argparse alone would take for a flag."""
+    joined = []
+    for arg in argv:
+        if joined and joined[-1] in _VALUE_FLAGS and arg[:1] == "-" and arg[:2] != "--":
+            arg = joined.pop() + "=" + arg
+        joined.append(arg)
+    return joined
+
+
 def main(argv: list[str] | None = None) -> int:
     try:
-        args = _build_parser().parse_args(argv)
+        args = _build_parser().parse_args(_join_dash_values(sys.argv[1:] if argv is None else argv))
         cfg = _resolve(args)
         return args.func(cfg, _exchange_params(cfg))
     except (UsageError, ValueError) as exc:

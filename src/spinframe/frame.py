@@ -105,7 +105,7 @@ def rotation_matrix(p: ExchangeParams) -> np.ndarray:
         return np.diag(
             [1.0, np.exp(-0.5j * w), np.exp(0.5j * w), 1.0]
         ).astype(complex)
-    th = p.theta
+    th = p.reduced_theta
     c, s = math.cos(w / 4), math.sin(w / 4)
     e = np.exp
     q = math.pi / 4
@@ -149,7 +149,7 @@ def rotation_plan(p: ExchangeParams) -> RotationPlan:
     w = p.omega
     if p.orientation == "z":
         return RotationPlan(qubit1=(-w / 2, 0.0, 0.0), qubit2=(w / 2, 0.0, 0.0))
-    th = p.theta
+    th = p.reduced_theta
     return RotationPlan(
         qubit1=(-3 * math.pi / 4, w / 2, th + math.pi / 2),
         qubit2=(math.pi / 4, w / 2, th - math.pi / 2),
@@ -182,7 +182,7 @@ def eigenstates(p: ExchangeParams) -> tuple[np.ndarray, ...]:
             norm * (PSI_MINUS + 1j * t * PSI_PLUS),
         )
     c, s = math.cos(w / 2), math.sin(w / 2)
-    st, ct = math.sin(p.theta), math.cos(p.theta)
+    st, ct = math.sin(p.reduced_theta), math.cos(p.reduced_theta)
     phi2 = ((st + ct * c) * PHI_MINUS + 1j * (ct - st * c) * PHI_PLUS - 1j * s * PSI_MINUS) / _SQRT2
     phi3 = ((ct + st * c) * PHI_PLUS - 1j * (st - ct * c) * PHI_MINUS + s * PSI_MINUS) / _SQRT2
     phi4 = -1j * ct * s * PHI_MINUS - st * s * PHI_PLUS + c * PSI_MINUS

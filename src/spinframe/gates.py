@@ -84,12 +84,13 @@ def _cnot_from_w(w: np.ndarray) -> np.ndarray:
     return _CNOT_LEFT @ w @ _CNOT_MIDDLE @ w @ _CNOT_RIGHT
 
 
-# A gate: its exchange pulse area J t, its target and the target's label, its report label.
-GateSpec = namedtuple("GateSpec", "area target target_label label")
+# A gate: its exchange pulse area J t, its target and the target's label, its report
+# label, and the default tolerance on its distance to target in the frame.
+GateSpec = namedtuple("GateSpec", "area target target_label label tol")
 GATES = {
-    "swap": GateSpec(math.pi, SWAP, "SWAP", "swap"),
-    "sqrt_swap": GateSpec(math.pi / 2, SQRT_SWAP, "SQRT_SWAP", "sqrt_swap"),
-    "cnot": GateSpec(math.pi / 2, CNOT, "CNOT", "cnot [(I x H) . seq . (Z x ZH)]"),
+    "swap": GateSpec(math.pi, SWAP, "SWAP", "swap", 1e-12),
+    "sqrt_swap": GateSpec(math.pi / 2, SQRT_SWAP, "SQRT_SWAP", "sqrt_swap", 1e-12),
+    "cnot": GateSpec(math.pi / 2, CNOT, "CNOT", "cnot [(I x H) . seq . (Z x ZH)]", 1e-10),
 }
 
 

@@ -61,7 +61,8 @@ class ExchangeParams:
     must be omitted for orientation "z", where the axis has no azimuth.
     b_over_J is the antisymmetric coupling in units of J; the anisotropy
     angle omega = arctan(b_over_J) is recomputed on every access so it can
-    never go stale.
+    never go stale.  Every trigonometric function of theta takes
+    reduced_theta, so a large theta keeps its digits; theta keeps the value given.
     """
 
     J: float
@@ -86,11 +87,18 @@ class ExchangeParams:
     def omega(self) -> float:
         return math.atan(self.b_over_J)
 
+    @property
+    def reduced_theta(self) -> float | None:
+        """theta reduced exactly by fmod onto (-4 pi, 4 pi), where it is theta itself;
+        4 pi, not 2 pi, since frame.rotation_plan's angles live on a 4 pi circle."""
+        return None if self.theta is None else math.fmod(self.theta, 4 * math.pi)
+
     def axis(self) -> np.ndarray:
         """Unit anisotropy axis n."""
         if self.orientation == "z":
             return np.array([0.0, 0.0, 1.0])
-        return np.array([math.cos(self.theta), math.sin(self.theta), 0.0])
+        th = self.reduced_theta
+        return np.array([math.cos(th), math.sin(th), 0.0])
 
 
 @dataclass(frozen=True)
@@ -148,7 +156,7 @@ def compensating_fields(p: ExchangeParams, B: float) -> FieldSpec:
     if p.orientation == "z":
         return FieldSpec(b1=(0.0, 0.0, B), b2=(0.0, 0.0, B))
     s, c = math.sin(p.omega / 2), math.cos(p.omega / 2)
-    st, ct = math.sin(p.theta), math.cos(p.theta)
+    st, ct = math.sin(p.reduced_theta), math.cos(p.reduced_theta)
     return FieldSpec(
         b1=(-B * s * st, B * s * ct, B * c),
         b2=(B * s * st, -B * s * ct, B * c),

@@ -77,8 +77,9 @@ def test_gate_json_schema_is_exact():
     r = run_cli("gate", "--gate", "cnot", *XY_ARGS, "--format", "json")
     assert r.returncode == 0
     doc = json.loads(r.stdout)
-    assert set(doc) == {"label", "matrix", "phase_distance", "target"}
+    assert list(doc) == ["parameters", "label", "matrix", "phase_distance", "target", "tolerance"]
     assert doc["target"] == "CNOT"
+    assert doc["tolerance"] == 1e-10
     assert doc["phase_distance"] < 1e-10
     u = [[complex(re, im) for re, im in row] for row in doc["matrix"]]
     # CNOT column action survives the round trip
@@ -676,6 +677,7 @@ GOLDEN_TEXT = {
         "  0.      +0.j      ]]\n"
         "phase_distance: 2.253992870173943e-31\n"
         "target: CNOT\n"
+        "tolerance: 1e-10\n"
     ),
     ("fields",): (
         "parameters: J=1 orientation=xy theta=2.6179938779914944 b/J=0.10000000000000001 omega=0.099668652491162038\n"
@@ -754,3 +756,89 @@ def test_text_prints_every_key_of_the_json_document(capsys, command):
             assert [float(x) for x in text.strip("()").split(", ")] == value, key
         else:
             assert text == "", key  # a matrix prints on the lines under its key
+
+
+@pytest.mark.parametrize("args, values", [
+    (("transform", "--orientation", "xy", "--tan-omega", "0.1"), [("--theta", "-pi/2")]),
+    (("decompose", "--orientation", "xy", "--tan-omega", "0.1"), [("--theta", "-5pi/6")]),
+    (("sweep", "--orientation", "xy", "--theta", "0", "--tan-omega", "0.1"),
+     [("--delta-omega-ratios", "-0.1,0,0.05")]),
+    (("sweep", "--orientation", "xy", "--theta", "0.3", "--tan-omega", "0.1"),
+     [("--delta-theta-ratios", "-0.02,0.01"), ("--delta-omega-ratios", "-0.1:0.1:3")]),
+], ids=["transform", "decompose", "sweep", "sweep-two"])
+def test_a_negative_value_may_be_a_separate_argument(capsys, args, values):
+    separate = _run_in_process(capsys, *args, *(a for pair in values for a in pair))
+    assert separate == _run_in_process(capsys, *args, *(f"{flag}={v}" for flag, v in values))
+    assert separate[0] == 0 and separate[2] == ""
+
+
+@pytest.mark.parametrize("args", [
+    ("transform", "--orientation", "xy", "--theta", "--tan-omega", "0.1"),
+    ("sweep", *XY_ARGS, "--delta-omega-ratios", "--mode", "both"),
+], ids=["theta", "sweep"])
+def test_a_flag_followed_by_a_flag_still_exits_1(capsys, args):
+    code, out, err = _run_in_process(capsys, *args)
+    assert (code, out) == (1, "")
+    assert err.startswith("error: argument --") and err.endswith("expected one argument\n")
+
+
+def test_console_module_reads_a_negative_theta():
+    r = run_cli("transform", "--orientation", "xy", "--theta", "-pi/2", "--tan-omega", "0.1")
+    assert r.returncode == 0 and r.stderr == ""
+    assert r.stdout.startswith("parameters: J=1 orientation=xy theta=-1.5707963267948966 ")
+
+
+JSON_COMMANDS = TEXT_COMMANDS + [("sweep", "--delta-omega-ratios", "0,0.1", "--delta-theta-ratios",
+                                  "0.01")]
+# The default tolerance of each checked report; psw and sweep check nothing.
+DEFAULT_TOL = {"transform": 1e-12, "decompose": 1e-12, "fields": 1e-12, "thermal": 1e-12,
+               "gate swap": 1e-12, "gate sqrt_swap": 1e-12, "gate cnot": 1e-10}
+
+
+@pytest.mark.parametrize("command", JSON_COMMANDS, ids=" ".join)
+def test_every_json_document_starts_with_its_parameters(capsys, command):
+    code, out, _ = _run_in_process(capsys, *command, *XY_ARGS, "--format", "json")
+    assert code == 0
+    doc = json.loads(out)
+    assert list(doc)[0] == "parameters"
+    assert doc["parameters"] == ("J=1 orientation=xy theta=2.6179938779914944 "
+                                 "b/J=0.0050000000000000001 omega=0.0049999583339583225")
+
+
+@pytest.mark.parametrize("command", [c for c in TEXT_COMMANDS if c[-1] != "psw"], ids=" ".join)
+@pytest.mark.parametrize("tol", [None, "0.25"])
+def test_every_checked_report_ends_with_its_tolerance(capsys, command, tol):
+    want = DEFAULT_TOL[" ".join(command).replace("--gate ", "")] if tol is None else float(tol)
+    flag = () if tol is None else ("--tol", tol)
+    code, out, _ = _run_in_process(capsys, *command, *XY_ARGS, *flag, "--format", "json")
+    assert code == 0
+    doc = json.loads(out)
+    assert list(doc)[-1] == "tolerance" and doc["tolerance"] == want
+    code, out, _ = _run_in_process(capsys, *command, *XY_ARGS, *flag, "--stamp", "--format", "json")
+    assert list(json.loads(out))[-2:] == ["tolerance", "stamp"]
+    code, out, _ = _run_in_process(capsys, *command, *XY_ARGS, *flag, "--stamp")
+    assert code == 0
+    tail = out.splitlines()[-2:]
+    assert tail[0] == f"tolerance: {json.dumps(want)}" and tail[1].startswith("stamp: ")
+
+
+@pytest.mark.parametrize("command", [("gate", "--gate", "psw"), JSON_COMMANDS[-1]], ids=" ".join)
+def test_unchecked_reports_have_no_tolerance(capsys, command):
+    code, out, _ = _run_in_process(capsys, *command, *XY_ARGS, "--format", "json")
+    assert code == 0 and "tolerance" not in json.loads(out)
+
+
+@pytest.mark.parametrize("name, text", [
+    ("run.cfg", "orientation = xy\ntheta = 0.3\nb_over_J = 0.1\n"),
+    ("run.json", json.dumps({"orientation": "z", "b_over_J": 0.37})),
+], ids=["flat", "json"])
+def test_b_over_J_is_not_a_config_key(capsys, tmp_path, name, text):
+    cfg = tmp_path / name
+    cfg.write_text(text)
+    code, out, err = _run_in_process(capsys, "transform", "--config", str(cfg))
+    assert (code, out, err) == (1, "", "error: unknown config key(s): b_over_J\n")
+
+
+def test_the_coupling_is_required(capsys):
+    code, out, err = _run_in_process(capsys, "transform", "--orientation", "z")
+    assert (code, out, err) == (1, "", "error: tan_omega is required\n")

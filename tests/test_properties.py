@@ -1,8 +1,8 @@
 """Property tests over the parameter domain the API accepts.
 
 Draws J in [1e-2, 1e2], b/J in {0} u [1e-6, 1e3] (1e6 where named), theta in
-[0, 2 pi) and both orientations.  derandomize keeps each run on the same
-examples.
+[0, 2 pi) (in [-1e8, 1e8] where named WIDE_THETA) and both orientations.
+derandomize keeps each run on the same examples.
 """
 
 import math
@@ -11,7 +11,14 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from spinframe.frame import rotation_matrix, verify_fields, verify_isotropization
+from spinframe.frame import (
+    assemble,
+    eigenstates,
+    rotation_matrix,
+    rotation_plan,
+    verify_fields,
+    verify_isotropization,
+)
 from spinframe.gates import GATES, SWAP, phase_shifted_swap, realize
 from spinframe.linalg import fidelity, phase_distance
 from spinframe.model import (
@@ -23,14 +30,17 @@ from spinframe.model import (
 )
 
 
+THETA = st.floats(0.0, 2 * math.pi, exclude_max=True)
+WIDE_THETA = st.floats(-1e8, 1e8)
+
+
 @st.composite
-def exchange_params(draw, max_b_over_J=1e3):
+def exchange_params(draw, max_b_over_J=1e3, thetas=THETA):
     J = draw(st.floats(1e-2, 1e2))
     b_over_J = draw(st.one_of(st.just(0.0), st.floats(1e-6, max_b_over_J)))
     if draw(st.sampled_from(["xy", "z"])) == "z":
         return ExchangeParams(J, "z", b_over_J)
-    theta = draw(st.floats(0.0, 2 * math.pi, exclude_max=True))
-    return ExchangeParams(J, "xy", b_over_J, theta=theta)
+    return ExchangeParams(J, "xy", b_over_J, theta=draw(thetas))
 
 
 PROPERTY = settings(derandomize=True, deadline=None)
@@ -41,8 +51,7 @@ PROPERTY = settings(derandomize=True, deadline=None)
 def test_every_table_gate_in_the_frame_hits_its_target(p):
     frame = rotation_matrix(p)
     for name, spec in GATES.items():
-        tol = 1e-10 if name == "cnot" else 1e-12
-        assert phase_distance(realize(name, p, frame), spec.target) <= tol, name
+        assert phase_distance(realize(name, p, frame), spec.target) <= spec.tol, name
 
 
 @PROPERTY
@@ -153,3 +162,40 @@ def test_phase_distance_of_phase_shifted_swaps(p, B, phase):
     check_phase_distance(u, SWAP)
     check_phase_distance(u, np.exp(1j * phase) * u)
     assert phase_distance(u, np.exp(1j * phase) * u) <= 1e-24
+
+
+@PROPERTY
+@given(exchange_params(thetas=WIDE_THETA), st.floats(-100.0, 100.0))
+def test_residuals_keep_their_digits_at_any_theta(p, B):
+    assert verify_isotropization(p) <= 1e-14 * p.J
+    assert verify_fields(p, B) <= 1e-14 * max(1.0, abs(B))
+
+
+@PROPERTY
+@given(exchange_params(thetas=WIDE_THETA))
+def test_zyz_plan_assembles_to_the_closed_form_entry_by_entry(p):
+    """Equal as matrices, global phase included, not merely up to phase."""
+    assert np.abs(assemble(rotation_plan(p)) - rotation_matrix(p)).max() <= 1e-14
+
+
+@PROPERTY
+@given(exchange_params(thetas=WIDE_THETA))
+def test_closed_form_eigenstates_are_orthonormal_eigenvectors(p):
+    h = build_hamiltonian(p)
+    phis = eigenstates(p)
+    for phi, energy in zip(phis, (0.25, 0.25, 0.25, -0.75)):
+        assert np.abs(h @ phi - energy * p.J * phi).max() <= 1e-14 * p.J
+    gram = np.array([[np.vdot(a, b) for b in phis] for a in phis])
+    assert np.abs(gram - np.eye(4)).max() <= 1e-14
+
+
+@PROPERTY
+@given(exchange_params(thetas=WIDE_THETA))
+def test_theta_is_kept_as_given_and_reduced_only_for_trigonometry(p):
+    if p.theta is None:
+        assert p.reduced_theta is None
+        return
+    assert abs(p.reduced_theta) < 4 * math.pi
+    if abs(p.theta) < 4 * math.pi:
+        assert p.reduced_theta == p.theta
+    assert abs(math.sin(p.reduced_theta) - math.sin(p.theta)) <= 1e-16 * max(1.0, abs(p.theta))
