@@ -7,8 +7,6 @@ of the anisotropy parameters degrades those gates.
 """
 
 from .analysis import (
-    SweepConfig,
-    SweepResult,
     SweepRow,
     concurrence,
     gate_error_sweep,
@@ -63,9 +61,7 @@ __all__ = [
     "GateReport",
     "gate_report",
     "phase_shifted_swap",
-    "SweepConfig",
     "SweepRow",
-    "SweepResult",
     "fidelity",
     "gate_error_sweep",
     "thermal_state",

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -14,86 +14,75 @@ from .gates import GATES, realize
 
 __all__ = [
     "fidelity",
-    "SweepConfig",
     "SweepRow",
-    "SweepResult",
     "gate_error_sweep",
     "thermal_state",
     "concurrence",
 ]
 
-@dataclass(frozen=True)
-class SweepConfig:
-    """Error sweep around a reference point (omega0 via its tangent, theta0).
+class SweepRow(NamedTuple):
+    """One row of the sweep table; the fields are its CSV columns."""
 
-    Ratios are relative deviations: the evaluated parameters are
-    omega = omega0 (1 + r_w) and theta = theta0 (1 + r_th).  corrected selects
-    whether the pulse is sandwiched by the reference rotation T(omega0,
-    theta0); either way the comparison target is the canonical gate.
-    """
-
-    tan_omega0: float
-    theta0: float
-    delta_omega_ratios: tuple[float, ...]
-    delta_theta_ratios: tuple[float, ...]
-    corrected: bool
-    gate: str = "swap"
-
-    def __post_init__(self) -> None:
-        if not (math.isfinite(self.tan_omega0) and self.tan_omega0 >= 0):
-            raise ValueError("tan_omega0 must be nonnegative and finite")
-        if not math.isfinite(self.theta0):
-            raise ValueError("theta0 must be finite")
-        if self.gate not in GATES:
-            raise ValueError(f"gate must be one of {sorted(GATES)}")
-        for name in ("delta_omega_ratios", "delta_theta_ratios"):
-            ratios = tuple(float(r) for r in getattr(self, name))
-            if not ratios or not all(math.isfinite(r) for r in ratios):
-                raise ValueError(f"{name} must be a nonempty list of finite ratios")
-            object.__setattr__(self, name, ratios)
-        omega0 = math.atan(self.tan_omega0)
-        for r in self.delta_omega_ratios:
-            if not 0.0 <= omega0 * (1.0 + r) < math.pi / 2:
-                raise ValueError(
-                    f"delta_omega_ratios value {r!r} puts omega0 (1 + r) outside [0, pi/2)"
-                )
-
-
-@dataclass(frozen=True)
-class SweepRow:
     delta_omega_ratio: float
     delta_theta_ratio: float
+    corrected: bool
     fidelity: float
     error: float
+    log10_error: float
 
 
-@dataclass(frozen=True)
-class SweepResult:
-    config: SweepConfig
-    rows: tuple[SweepRow, ...]
+# The blocks of each mode, in order: whether the pulse is sandwiched by T(reference).
+_MODES = {"both": (False, True), "uncorrected": (False,), "corrected": (True,)}
 
 
-def gate_error_sweep(cfg: SweepConfig) -> SweepResult:
-    """Fidelity of the realized gate against the canonical target on a grid.
+def gate_error_sweep(reference: ExchangeParams, delta_omega_ratios, delta_theta_ratios,
+                     gate: str = "swap", mode: str = "both") -> tuple[SweepRow, ...]:
+    """Fidelity of the realized gate against the canonical target on a grid of
+    misestimations around the reference point (omega0, theta0), orientation xy.
 
-    Rows are sorted by (delta_theta_ratio, delta_omega_ratio).  J drops out
-    (only J t enters), so everything is evaluated at J = 1.
+    Ratios are relative deviations: a row is evaluated at omega = omega0 (1 + r_w)
+    and theta = theta0 (1 + r_th).  A corrected row sandwiches the pulse by the
+    reference rotation T(omega0, theta0), an uncorrected one is the bare pulse;
+    either way the target is the canonical gate.  mode "both" gives the
+    uncorrected block, then the corrected one; inside a block rows are sorted by
+    (delta_theta_ratio, delta_omega_ratio).  error = max(0, 1 - fidelity), and
+    log10_error is its log10 (-inf at 0).  J drops out (only J t enters, and T
+    does not depend on J), so every row is evaluated at J = 1.
     """
-    omega0 = math.atan(cfg.tan_omega0)
-    reference = ExchangeParams(1.0, "xy", cfg.tan_omega0, theta=cfg.theta0)
-    sandwich = rotation_matrix(reference) if cfg.corrected else None
-    target = GATES[cfg.gate].target
-
-    rows = []
-    for r_th in sorted(cfg.delta_theta_ratios):
-        for r_w in sorted(cfg.delta_omega_ratios):
-            omega = omega0 * (1.0 + r_w)
-            p = ExchangeParams(
-                1.0, "xy", math.tan(omega), theta=cfg.theta0 * (1.0 + r_th)
+    if reference.orientation != "xy":
+        raise ValueError("sweep requires orientation xy")
+    if mode not in _MODES:
+        raise ValueError(f"mode must be one of {', '.join(_MODES)}")
+    if gate not in GATES:
+        raise ValueError(f"gate must be one of {sorted(GATES)}")
+    grid = {}
+    for name, ratios in (("delta_omega_ratios", delta_omega_ratios),
+                         ("delta_theta_ratios", delta_theta_ratios)):
+        ratios = tuple(float(r) for r in ratios)
+        if not ratios or not all(math.isfinite(r) for r in ratios):
+            raise ValueError(f"{name} must be a nonempty list of finite ratios")
+        grid[name] = ratios
+    omega0, theta0 = reference.omega, reference.theta
+    for r in grid["delta_omega_ratios"]:
+        if not 0.0 <= omega0 * (1.0 + r) < math.pi / 2:
+            raise ValueError(
+                f"delta_omega_ratios value {r!r} puts omega0 (1 + r) outside [0, pi/2)"
             )
-            f = fidelity(realize(cfg.gate, p, sandwich), target)
-            rows.append(SweepRow(r_w, r_th, f, max(0.0, 1.0 - f)))
-    return SweepResult(config=cfg, rows=tuple(rows))
+
+    points = [(r_w, r_th, ExchangeParams(1.0, "xy", math.tan(omega0 * (1.0 + r_w)),
+                                         theta=theta0 * (1.0 + r_th)))
+              for r_th in sorted(grid["delta_theta_ratios"])
+              for r_w in sorted(grid["delta_omega_ratios"])]
+    target = GATES[gate].target
+    rows = []
+    for corrected in _MODES[mode]:
+        sandwich = rotation_matrix(reference) if corrected else None
+        for r_w, r_th, p in points:
+            f = fidelity(realize(gate, p, sandwich), target)
+            error = max(0.0, 1.0 - f)
+            log10_error = math.log10(error) if error > 0 else -math.inf
+            rows.append(SweepRow(r_w, r_th, corrected, f, error, log10_error))
+    return tuple(rows)
 
 
 def thermal_state(h, beta: float) -> np.ndarray:

@@ -16,6 +16,7 @@ import math
 import os
 import re
 import sys
+from collections.abc import Sequence
 from dataclasses import dataclass, field, fields
 from datetime import datetime, timezone
 
@@ -214,7 +215,7 @@ class _Table:
     """Rows under named columns, rendered as CSV lines or JSON objects when written."""
 
     columns: tuple[str, ...]
-    rows: list[tuple]
+    rows: Sequence[tuple]
 
 
 def _csv_line(row: tuple) -> str:
@@ -348,25 +349,13 @@ def cmd_fields(cfg: RunConfig, p: model.ExchangeParams) -> int:
 
 def cmd_sweep(cfg: RunConfig, p: model.ExchangeParams) -> int:
     """gate error over parameter misestimation ratios"""
-    if p.orientation != "xy":
-        raise UsageError("sweep requires orientation xy")
     gate = cfg.gate or "swap"
-    flags = {"both": (False, True), "uncorrected": (False,), "corrected": (True,)}[cfg.mode]
-    rows = []
-    for corrected in flags:
-        result = analysis.gate_error_sweep(analysis.SweepConfig(
-            tan_omega0=p.b_over_J, theta0=p.theta, delta_omega_ratios=cfg.delta_omega_ratios,
-            delta_theta_ratios=cfg.delta_theta_ratios, corrected=corrected, gate=gate))
-        for r in result.rows:
-            log10e = math.log10(r.error) if r.error > 0 else float("-inf")
-            rows.append((r.delta_omega_ratio, r.delta_theta_ratio, corrected, r.fidelity,
-                         r.error, log10e))
-    columns = ("delta_omega_ratio", "delta_theta_ratio", "corrected", "fidelity", "error",
-               "log10_error")
+    rows = analysis.gate_error_sweep(p, cfg.delta_omega_ratios, cfg.delta_theta_ratios,
+                                     gate, cfg.mode)
     config = {"gate": gate, "tan_omega0": p.b_over_J, "theta0": p.theta,
               "delta_omega_ratios": list(cfg.delta_omega_ratios),
               "delta_theta_ratios": list(cfg.delta_theta_ratios), "mode": cfg.mode}
-    body = {"config": config, "rows": _Table(columns, rows)}
+    body = {"config": config, "rows": _Table(analysis.SweepRow._fields, rows)}
     return _report(cfg, p, body, ("sweep", None, None))
 
 
@@ -408,10 +397,10 @@ def _build_parser() -> _Parser:
     for key, row in _OPTIONS.items():
         if row["commands"] is None:
             _add_flag(common, key)
-    parser = _Parser(prog="spinframe", description=__doc__.splitlines()[0])
+    parser = _Parser(prog="spinframe", description=__doc__.splitlines()[0], allow_abbrev=False)
     sub = parser.add_subparsers(dest="command", required=True, metavar="command")
     for command, func in _COMMANDS.items():
-        sp = sub.add_parser(command, parents=[common], help=func.__doc__)
+        sp = sub.add_parser(command, parents=[common], help=func.__doc__, allow_abbrev=False)
         sp.set_defaults(func=func)
         for key, row in _OPTIONS.items():
             if command in (row["commands"] or ()):

@@ -75,15 +75,11 @@ def test_4_error_study_decades(capsys):
     start = time.perf_counter()
     ratios = tuple(float(x) for x in np.linspace(0.0, 0.1, 50))
 
+    reference = sf.ExchangeParams(1.0, "xy", 5e-3, theta=5 * math.pi / 6)
+
     def errors(corrected, dth):
-        cfg = sf.SweepConfig(
-            tan_omega0=5e-3,
-            theta0=5 * math.pi / 6,
-            delta_omega_ratios=ratios,
-            delta_theta_ratios=(dth,),
-            corrected=corrected,
-        )
-        return [row.error for row in sf.gate_error_sweep(cfg).rows]
+        mode = "corrected" if corrected else "uncorrected"
+        return [row.error for row in sf.gate_error_sweep(reference, ratios, (dth,), mode=mode)]
 
     ok = True
     uncorrected = errors(False, 0.1)

@@ -1,10 +1,11 @@
 import math
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from spinframe.analysis import (
-    SweepConfig,
     concurrence,
     fidelity,
     gate_error_sweep,
@@ -114,40 +115,37 @@ def test_concurrence_validation():
         concurrence(negative)
 
 
+REFERENCE = ExchangeParams(1.0, "xy", 5e-3, theta=THETA0)
+
+
 def sweep(corrected, dths, dws=(0.0, 0.05, 0.1)):
-    cfg = SweepConfig(
-        tan_omega0=5e-3,
-        theta0=THETA0,
-        delta_omega_ratios=dws,
-        delta_theta_ratios=dths,
-        corrected=corrected,
-    )
-    return gate_error_sweep(cfg)
+    mode = "corrected" if corrected else "uncorrected"
+    return gate_error_sweep(REFERENCE, dws, dths, mode=mode)
 
 
 def test_sweep_exact_parameters_give_exact_gate():
-    rows = sweep(True, (0.0,), (0.0,)).rows
+    rows = sweep(True, (0.0,), (0.0,))
     assert rows[0].error < 1e-12
     assert rows[0].fidelity == pytest.approx(1.0, abs=1e-12)
 
 
 def test_sweep_frozen_endpoints():
     """Regression anchors for the error curves at the reference point."""
-    got = {row.delta_omega_ratio: row.error for row in sweep(False, (0.1,)).rows}
+    got = {row.delta_omega_ratio: row.error for row in sweep(False, (0.1,))}
     assert got[0.0] == pytest.approx(6.249882815057006e-06, rel=1e-6)
     assert got[0.1] == pytest.approx(7.562354898071888e-06, rel=1e-6)
-    got = {row.delta_omega_ratio: row.error for row in sweep(True, (0.1,)).rows}
+    got = {row.delta_omega_ratio: row.error for row in sweep(True, (0.1,))}
     assert got[0.0] == pytest.approx(4.2591914028999867e-07, rel=1e-6)
     assert got[0.1] == pytest.approx(5.310098897259863e-07, rel=1e-6)
-    got = {row.delta_omega_ratio: row.error for row in sweep(True, (0.01,)).rows}
+    got = {row.delta_omega_ratio: row.error for row in sweep(True, (0.01,))}
     assert got[0.0] == pytest.approx(4.283357557532952e-09, rel=1e-6)
     assert got[0.1] == pytest.approx(6.721064937931231e-08, rel=1e-6)
 
 
 def test_sweep_correction_never_hurts():
     dws = tuple(float(x) for x in np.linspace(0.0, 0.1, 11))
-    plain = sweep(False, (0.1, 0.01), dws).rows
-    fixed = sweep(True, (0.1, 0.01), dws).rows
+    plain = sweep(False, (0.1, 0.01), dws)
+    fixed = sweep(True, (0.1, 0.01), dws)
     for a, b in zip(fixed, plain):
         assert (a.delta_omega_ratio, a.delta_theta_ratio) == (
             b.delta_omega_ratio,
@@ -157,87 +155,38 @@ def test_sweep_correction_never_hurts():
 
 
 def test_sweep_rows_sorted_by_theta_then_omega():
-    rows = sweep(True, (0.1, 0.01), (0.1, 0.0)).rows
+    rows = sweep(True, (0.1, 0.01), (0.1, 0.0))
     keys = [(r.delta_theta_ratio, r.delta_omega_ratio) for r in rows]
     assert keys == sorted(keys)
 
 
 def test_sweep_other_gates_run():
     for gate in ("sqrt_swap", "cnot"):
-        cfg = SweepConfig(
-            tan_omega0=5e-3,
-            theta0=THETA0,
-            delta_omega_ratios=(0.0,),
-            delta_theta_ratios=(0.0,),
-            corrected=True,
-            gate=gate,
-        )
-        rows = gate_error_sweep(cfg).rows
+        rows = gate_error_sweep(REFERENCE, (0.0,), (0.0,), gate, "corrected")
         assert rows[0].error < 1e-9
 
 
 def test_sweep_config_validation():
+    reference = ExchangeParams(1.0, "xy", 0.1, theta=0.0)
     with pytest.raises(ValueError):
-        SweepConfig(
-            tan_omega0=-0.1,
-            theta0=0.0,
-            delta_omega_ratios=(0.0,),
-            delta_theta_ratios=(0.0,),
-            corrected=True,
-        )
-    with pytest.raises(ValueError):
-        SweepConfig(
-            tan_omega0=0.1,
-            theta0=0.0,
-            delta_omega_ratios=(),
-            delta_theta_ratios=(0.0,),
-            corrected=True,
-        )
-    with pytest.raises(ValueError):
-        SweepConfig(
-            tan_omega0=0.1,
-            theta0=0.0,
-            delta_omega_ratios=(0.0,),
-            delta_theta_ratios=(0.0,),
-            corrected=True,
-            gate="psw",
-        )
-
-
-def test_sweep_result_echoes_config():
-    cfg = SweepConfig(
-        tan_omega0=5e-3,
-        theta0=THETA0,
-        delta_omega_ratios=(0.0,),
-        delta_theta_ratios=(0.1,),
-        corrected=False,
-    )
-    result = gate_error_sweep(cfg)
-    assert result.config is cfg
-    assert len(result.rows) == 1
+        gate_error_sweep(ExchangeParams(1.0, "xy", -0.1, theta=0.0), (0.0,), (0.0,))
+    with pytest.raises(ValueError, match="delta_omega_ratios"):
+        gate_error_sweep(reference, (), (0.0,))
+    with pytest.raises(ValueError, match="gate"):
+        gate_error_sweep(reference, (0.0,), (0.0,), gate="psw")
+    with pytest.raises(ValueError, match="mode"):
+        gate_error_sweep(reference, (0.0,), (0.0,), mode="bare")
 
 
 @pytest.mark.parametrize("tan0, ratio", [(5e-3, -2.0), (5e-3, -1.5), (1000.0, 0.1)])
 def test_sweep_config_rejects_omega_outside_quarter_turn(tan0, ratio):
+    reference = ExchangeParams(1.0, "xy", tan0, theta=THETA0)
     with pytest.raises(ValueError, match="delta_omega_ratios"):
-        SweepConfig(
-            tan_omega0=tan0,
-            theta0=THETA0,
-            delta_omega_ratios=(0.0, ratio),
-            delta_theta_ratios=(0.0,),
-            corrected=True,
-        )
+        gate_error_sweep(reference, (0.0, ratio), (0.0,), mode="corrected")
 
 
 def test_sweep_config_accepts_omega_zero():
-    cfg = SweepConfig(
-        tan_omega0=5e-3,
-        theta0=THETA0,
-        delta_omega_ratios=(-1.0,),
-        delta_theta_ratios=(0.0,),
-        corrected=False,
-    )
-    (row,) = gate_error_sweep(cfg).rows
+    (row,) = sweep(False, (0.0,), (-1.0,))
     assert row.error < 1e-12
 
 
@@ -257,13 +206,20 @@ def test_sweep_at_zero_misestimation_is_the_public_gate(gate, t0):
     # The point exactly as gate_error_sweep builds it.
     p = ExchangeParams(1.0, "xy", math.tan(math.atan(t0)), theta=THETA0)
     target = gates.GATES[gate].target
-    rows = {}
-    for corrected in (True, False):
-        cfg = SweepConfig(t0, THETA0, (0.0,), (0.0,), corrected=corrected, gate=gate)
-        (rows[corrected],) = gate_error_sweep(cfg).rows
+    reference = ExchangeParams(1.0, "xy", t0, theta=THETA0)
+    rows = {row.corrected: row for row in gate_error_sweep(reference, (0.0,), (0.0,), gate)}
     public = gates.gate_report(gate, p)
     assert rows[True].fidelity == fidelity(public.matrix, target)
     bare = gates.pulse(build_hamiltonian(p), gates.GATES[gate].area / p.J)
     if gate == "cnot":
         bare = gates._cnot_from_w(bare)
     assert rows[False].fidelity == fidelity(bare, target)
+
+
+def test_readme_library_example_runs():
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    section = readme.split("\n## Library\n", 1)[1].split("\n## ", 1)[0]
+    (code,) = re.findall(r"```python\n(.*?)```", section, re.S)
+    namespace = {}
+    exec(compile(code, "README.md", "exec"), namespace)
+    assert len(namespace["rows"]) == 100

@@ -842,3 +842,17 @@ def test_b_over_J_is_not_a_config_key(capsys, tmp_path, name, text):
 def test_the_coupling_is_required(capsys):
     code, out, err = _run_in_process(capsys, "transform", "--orientation", "z")
     assert (code, out, err) == (1, "", "error: tan_omega is required\n")
+
+
+@pytest.mark.parametrize("value", ["-pi/2", "1"])
+def test_an_abbreviated_flag_exits_1(capsys, value):
+    args = ("transform", "--orientation", "xy", "--thet", value, "--tan-omega", "0.1")
+    code, out, err = _run_in_process(capsys, *args)
+    assert (code, out, err) == (1, "", f"error: unrecognized arguments: --thet {value}\n")
+
+
+def test_the_full_flag_takes_a_negative_value(capsys):
+    args = ("transform", "--orientation", "xy", "--theta", "-pi/2", "--tan-omega", "0.1")
+    code, out, err = _run_in_process(capsys, *args)
+    assert (code, err) == (0, "")
+    assert out.startswith("parameters: J=1 orientation=xy theta=-1.5707963267948966 ")

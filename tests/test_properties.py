@@ -6,8 +6,10 @@ derandomize keeps each run on the same examples.
 """
 
 import math
+from dataclasses import replace
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -19,6 +21,7 @@ from spinframe.frame import (
     verify_fields,
     verify_isotropization,
 )
+from spinframe.analysis import gate_error_sweep
 from spinframe.gates import GATES, SWAP, phase_shifted_swap, realize
 from spinframe.linalg import fidelity, phase_distance
 from spinframe.model import (
@@ -199,3 +202,41 @@ def test_theta_is_kept_as_given_and_reduced_only_for_trigonometry(p):
     if abs(p.theta) < 4 * math.pi:
         assert p.reduced_theta == p.theta
     assert abs(math.sin(p.reduced_theta) - math.sin(p.theta)) <= 1e-16 * max(1.0, abs(p.theta))
+
+
+@st.composite
+def sweep_cases(draw):
+    """A reference point (tan omega0 in [1e-3, 2], theta0 in [0, 2 pi)), signed ratio
+    lists with duplicates, omega ratios inside the quarter-turn bound, a gate and a mode."""
+    tan0 = draw(st.floats(1e-3, 2.0))
+    reference = ExchangeParams(1.0, "xy", tan0, theta=draw(THETA))
+    top = min(1.0, 0.999 * (math.pi / (2 * reference.omega) - 1.0))
+    ratios = []
+    for bound in (top, 1.0):
+        drawn = draw(st.lists(st.floats(-1.0, bound), min_size=1, max_size=3))
+        ratios.append(drawn + draw(st.lists(st.sampled_from(drawn), max_size=2)))
+    gate = draw(st.sampled_from(sorted(GATES)))
+    mode = draw(st.sampled_from(["both", "uncorrected", "corrected"]))
+    return reference, *ratios, gate, mode
+
+
+@PROPERTY
+@given(sweep_cases())
+def test_sweep_rows_are_the_per_point_oracle(case):
+    reference, dws, dths, gate, mode = case
+    rows = gate_error_sweep(reference, dws, dths, gate, mode)
+    expected = []
+    for corrected in {"both": (False, True), "uncorrected": (False,), "corrected": (True,)}[mode]:
+        frame = rotation_matrix(reference) if corrected else None
+        for r_th in sorted(dths):
+            for r_w in sorted(dws):
+                p = ExchangeParams(1.0, "xy", math.tan(reference.omega * (1.0 + r_w)),
+                                   theta=reference.theta * (1.0 + r_th))
+                f = fidelity(realize(gate, p, frame), GATES[gate].target)
+                expected.append((r_w, r_th, corrected, f, max(0.0, 1.0 - f)))
+    assert [row[:5] for row in rows] == expected
+    for row in rows:
+        assert row.log10_error == (math.log10(row.error) if row.error > 0 else -math.inf)
+    assert gate_error_sweep(replace(reference, J=2.5), dws, dths, gate, mode) == rows
+    with pytest.raises(ValueError, match="sweep requires orientation xy"):
+        gate_error_sweep(ExchangeParams(1.0, "z", reference.b_over_J), dws, dths, gate, mode)
