@@ -190,18 +190,20 @@ def eigenstates(p: ExchangeParams) -> tuple[np.ndarray, ...]:
 
 
 def verify_isotropization(p: ExchangeParams) -> float:
-    """Largest entry of |T H T^dag - J S1.S2|."""
+    """Largest entry of |T H T^dag - J S1.S2|, in units of J."""
     t = rotation_matrix(p)
     h = build_hamiltonian(p)
-    return float(np.abs(t @ h @ t.conj().T - build_isotropic(p.J)).max())
+    return float(np.abs(t @ h @ t.conj().T - build_isotropic(p.J)).max()) / p.J
 
 
 def verify_fields(p: ExchangeParams, B: float) -> float:
-    """Largest entry of |T (B1.S1 + B2.S2) T^dag - B (S1z + S2z)|.
+    """Largest entry of |T (B1.S1 + B2.S2) T^dag - B (S1z + S2z)|, over max(1, |B|).
 
     B1, B2 are the compensating fields of magnitude B from
-    compensating_fields(p, B).
+    compensating_fields(p, B).  Relative for |B| > 1, so a rounding-level
+    residual stays at the rounding floor however large B is.
     """
     t = rotation_matrix(p)
     zeeman = build_zeeman(compensating_fields(p, B))
-    return float(np.abs(t @ zeeman @ t.conj().T - B * (S1[2] + S2[2])).max())
+    residual = float(np.abs(t @ zeeman @ t.conj().T - B * (S1[2] + S2[2])).max())
+    return residual / max(1.0, abs(B))

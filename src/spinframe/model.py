@@ -49,7 +49,10 @@ IDENTITY_2 = np.eye(2, dtype=complex)
 S1 = np.stack([kron(s / 2, IDENTITY_2) for s in (SIGMA_X, SIGMA_Y, SIGMA_Z)])
 S2 = np.stack([kron(IDENTITY_2, s / 2) for s in (SIGMA_X, SIGMA_Y, SIGMA_Z)])
 PAIR = S1[:, None] @ S2[None, :]
-for _constant in (SIGMA_X, SIGMA_Y, SIGMA_Z, IDENTITY_2, S1, S2, PAIR):
+# The same bases with each operator flattened to a row of 16, for _combine.
+_S1_ROWS, _S2_ROWS, _PAIR_ROWS = S1.reshape(3, 16), S2.reshape(3, 16), PAIR.reshape(9, 16)
+for _constant in (SIGMA_X, SIGMA_Y, SIGMA_Z, IDENTITY_2, S1, S2, PAIR,
+                  _S1_ROWS, _S2_ROWS, _PAIR_ROWS):
     _constant.flags.writeable = False
 
 
@@ -121,25 +124,32 @@ def spin_operators() -> tuple[np.ndarray, ...]:
     return (*S1, *S2)
 
 
+def _combine(coeffs, rows: np.ndarray) -> np.ndarray:
+    """sum_i coeffs[i] basis[i] over a flattened basis: the one dot np.tensordot makes
+    for it, without tensordot's axis bookkeeping, so the result is bit for bit its own."""
+    coeffs = np.asarray(coeffs)
+    return np.dot(coeffs.reshape(1, coeffs.size), rows).reshape(4, 4)
+
+
 def build_hamiltonian(p: ExchangeParams) -> np.ndarray:
     """Full anisotropic exchange Hamiltonian, in the {00,01,10,11} basis."""
     n, w = p.axis(), p.omega
     x, y, z = n
     cross = np.array([[0.0, z, -y], [-z, 0.0, x], [y, -x, 0.0]])  # [n]_ab = eps_abc n_c
     k = math.cos(w) * np.eye(3) + 2.0 * math.sin(w / 2) ** 2 * np.outer(n, n) + math.sin(w) * cross
-    return np.tensordot(p.J * k, PAIR, axes=2)
+    return _combine(p.J * k, _PAIR_ROWS)
 
 
 def build_isotropic(J: float) -> np.ndarray:
     """Isotropic exchange J S1.S2, the target of the frame change."""
     if not (math.isfinite(J) and J > 0):
         raise ValueError("J must be positive and finite")
-    return np.tensordot(J * np.eye(3), PAIR, axes=2)
+    return _combine(J * np.eye(3), _PAIR_ROWS)
 
 
 def build_zeeman(f: FieldSpec) -> np.ndarray:
     """Field term B1.S1 + B2.S2 alone; add it to an exchange Hamiltonian."""
-    return np.tensordot(f.b1, S1, axes=1) + np.tensordot(f.b2, S2, axes=1)
+    return _combine(f.b1, _S1_ROWS) + _combine(f.b2, _S2_ROWS)
 
 
 def compensating_fields(p: ExchangeParams, B: float) -> FieldSpec:

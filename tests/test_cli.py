@@ -601,25 +601,69 @@ def test_a_table_builds_only_the_written_form(capsys, monkeypatch):
     from spinframe import cli
 
     built = {"csv": 0, "json": 0}
-    csv_line, json_row = cli._csv_line, cli._json_row
+    csv_line, write_json = cli._csv_line, cli._json
 
     def count_csv(row):
         built["csv"] += 1
         return csv_line(row)
 
-    def count_json(columns, row):
+    def count_json(doc):
         built["json"] += 1
-        return json_row(columns, row)
+        return write_json(doc)
 
     monkeypatch.setattr(cli, "_csv_line", count_csv)
-    monkeypatch.setattr(cli, "_json_row", count_json)
+    monkeypatch.setattr(cli, "_json", count_json)
     args = ("sweep", *XY_ARGS, "--delta-omega-ratios", "0:0.1:5", "--delta-theta-ratios", "0.01")
     code, out, _ = _run_in_process(capsys, *args, "--format", "csv")
     assert code == 0 and len(out.splitlines()) == 11
     assert built == {"csv": 10, "json": 0}
     code, out, _ = _run_in_process(capsys, *args, "--format", "json")
     assert code == 0 and len(json.loads(out)["rows"]) == 10
-    assert built == {"csv": 10, "json": 10}
+    assert built == {"csv": 10, "json": 1}
+
+
+ONE_OF_EACH = (
+    ("transform",), ("decompose",), ("gate", "--gate", "cnot"), ("gate", "--gate", "psw"),
+    ("fields", "--B", "0.5"), ("thermal",),
+    ("sweep", "--delta-omega-ratios", "-0.1,0,0.05", "--delta-theta-ratios", "0.1"),
+)
+
+
+@pytest.mark.parametrize("command", ONE_OF_EACH, ids=lambda c: " ".join(c))
+def test_json_reports_do_not_use_jsons_pure_python_encoder(capsys, monkeypatch, tmp_path,
+                                                           command):
+    """With json's pure-Python (indent) encoder made to raise, every report still
+    writes.  A JSON report is what json.dumps(doc, indent=2) writes for its numbers,
+    and a report to --out is the bytes of the same report on stdout."""
+    import json.encoder
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("json's pure-Python encoder was called")
+
+    out = tmp_path / "report"
+    form = "csv" if command[0] == "sweep" else "json"
+    with monkeypatch.context() as patch:
+        patch.setattr(json.encoder, "_make_iterencode", refuse)
+        code, text, err = _run_in_process(capsys, *command, *XY_ARGS, "--format", form)
+        assert (code, err) == (0, "")
+        code, written, err = _run_in_process(capsys, *command, *XY_ARGS, "--out", str(out))
+        assert (code, written, err) == (0, "", "")
+        code, doc, err = _run_in_process(capsys, *command, *XY_ARGS, "--format", "json")
+        assert (code, err) == (0, "")
+    assert out.read_bytes() == text.encode("utf-8")
+    assert doc == json.dumps(json.loads(doc), indent=2) + "\n"
+
+
+@pytest.mark.parametrize("command", [
+    ("transform", "--orientation", "xy", "--theta", "0.3", "--tan-omega", "0.37", "--J", "1e6"),
+    ("fields", "--orientation", "xy", "--theta", "0.3", "--tan-omega", "0.37", "--B", "1e5"),
+])
+def test_residuals_are_relative_so_large_scales_pass(capsys, command):
+    """The isotropization residual is in units of J and the field residual is over
+    max(1, |B|), so a rounding-level residual passes at any J or B."""
+    code, out, err = _run_in_process(capsys, *command, "--format", "json")
+    assert (code, err) == (0, "")
+    assert 0 <= json.loads(out)["residual"] <= 1e-14
 
 
 # The text form (no --format) of each subcommand at one reference point, frozen

@@ -1,10 +1,12 @@
 """Property tests over the parameter domain the API accepts.
 
 Draws J in [1e-2, 1e2], b/J in {0} u [1e-6, 1e3] (1e6 where named), theta in
-[0, 2 pi) (in [-1e8, 1e8] where named WIDE_THETA) and both orientations.
-derandomize keeps each run on the same examples.
+[0, 2 pi) (in [-1e8, 1e8] where named WIDE_THETA) and both orientations, and
+JSON documents of the shapes the CLI writes.  derandomize keeps each run on the
+same examples.
 """
 
+import json
 import math
 from dataclasses import replace
 
@@ -12,6 +14,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from spinframe.frame import (
     assemble,
@@ -22,12 +25,17 @@ from spinframe.frame import (
     verify_isotropization,
 )
 from spinframe.analysis import gate_error_sweep
+from spinframe.cli import _json, _Table
 from spinframe.gates import GATES, SWAP, phase_shifted_swap, realize
 from spinframe.linalg import fidelity, phase_distance
 from spinframe.model import (
+    PAIR,
+    S1,
+    S2,
     ExchangeParams,
     FieldSpec,
     build_hamiltonian,
+    build_isotropic,
     build_zeeman,
     spin_operators,
 )
@@ -66,8 +74,8 @@ def test_bare_swap_distance_is_sin_squared_half_omega(p):
 
 @PROPERTY
 @given(exchange_params())
-def test_isotropization_residual_scales_with_J(p):
-    assert verify_isotropization(p) <= 1e-12 * p.J
+def test_isotropization_residual_is_in_units_of_J(p):
+    assert verify_isotropization(p) <= 1e-12
 
 
 def hamiltonian_oracle(p):
@@ -123,7 +131,7 @@ def test_rotation_is_unitary(p):
 @PROPERTY
 @given(exchange_params(), st.floats(-100.0, 100.0))
 def test_compensating_fields_map_onto_a_uniform_z_field(p, B):
-    assert verify_fields(p, B) <= 1e-14 * max(1.0, abs(B))
+    assert verify_fields(p, B) <= 1e-14
 
 
 @st.composite
@@ -170,8 +178,8 @@ def test_phase_distance_of_phase_shifted_swaps(p, B, phase):
 @PROPERTY
 @given(exchange_params(thetas=WIDE_THETA), st.floats(-100.0, 100.0))
 def test_residuals_keep_their_digits_at_any_theta(p, B):
-    assert verify_isotropization(p) <= 1e-14 * p.J
-    assert verify_fields(p, B) <= 1e-14 * max(1.0, abs(B))
+    assert verify_isotropization(p) <= 1e-14
+    assert verify_fields(p, B) <= 1e-14
 
 
 @PROPERTY
@@ -240,3 +248,89 @@ def test_sweep_rows_are_the_per_point_oracle(case):
     assert gate_error_sweep(replace(reference, J=2.5), dws, dths, gate, mode) == rows
     with pytest.raises(ValueError, match="sweep requires orientation xy"):
         gate_error_sweep(ExchangeParams(1.0, "z", reference.b_over_J), dws, dths, gate, mode)
+
+
+def assert_same_bits(a, b):
+    """Equal entries, and equal signs of the zeros among them."""
+    assert np.array_equal(a, b)
+    for part in (np.real, np.imag):
+        assert np.array_equal(np.signbit(part(a)), np.signbit(part(b)))
+
+
+def tensordot_hamiltonian(p):
+    """H as np.tensordot of the coupling tensor K with PAIR."""
+    n, w = p.axis(), p.omega
+    x, y, z = n
+    cross = np.array([[0.0, z, -y], [-z, 0.0, x], [y, -x, 0.0]])
+    k = math.cos(w) * np.eye(3) + 2.0 * math.sin(w / 2) ** 2 * np.outer(n, n) + math.sin(w) * cross
+    return np.tensordot(p.J * k, PAIR, axes=2)
+
+
+@PROPERTY
+@given(exchange_params(max_b_over_J=1e6, thetas=WIDE_THETA),
+       st.lists(st.floats(-100.0, 100.0), min_size=6, max_size=6))
+def test_operator_builds_are_bit_for_bit_their_tensordot_forms(p, b):
+    f = FieldSpec(tuple(b[:3]), tuple(b[3:]))
+    assert_same_bits(build_hamiltonian(p), tensordot_hamiltonian(p))
+    assert_same_bits(build_isotropic(p.J), np.tensordot(p.J * np.eye(3), PAIR, axes=2))
+    assert_same_bits(build_zeeman(f),
+                     np.tensordot(f.b1, S1, axes=1) + np.tensordot(f.b2, S2, axes=1))
+
+
+def json_default_oracle(o):
+    """The json.dumps hook the CLI's JSON writer replaces: a matrix as [re, im] pairs,
+    a table as a list of row objects with a non-finite number as null."""
+    if isinstance(o, _Table):
+        return [{c: v if isinstance(v, bool) or math.isfinite(v) else None
+                 for c, v in zip(o.columns, row)} for row in o.rows]
+    if isinstance(o, np.ndarray):
+        return [[[float(z.real), float(z.imag)] for z in row] for row in o]
+    raise TypeError(f"{type(o).__name__} is not JSON serializable")
+
+
+def json_oracle(doc):
+    return json.dumps(doc, indent=2, allow_nan=False, default=json_default_oracle)
+
+
+FINITE = st.one_of(st.floats(allow_nan=False, allow_infinity=False),
+                   st.sampled_from([-0.0, 5e-324, -5e-324, 1e308, -1e308]))
+TEXT = st.one_of(st.text(), st.sampled_from(['"quoted"', "back\\slash", "tab\tnew\nline\x00\x1f",
+                                             "\u00e9t\u00e9 \u03c9 \U0001f600", "\ud800"]))
+MATRICES = hnp.arrays(complex, hnp.array_shapes(min_dims=2, max_dims=2, min_side=0, max_side=4),
+                      elements=st.complex_numbers(allow_nan=False, allow_infinity=False))
+
+
+@st.composite
+def tables(draw):
+    columns = tuple(draw(st.lists(TEXT, unique=True, max_size=4)))
+    cell = st.one_of(st.floats(), st.floats().map(np.float64), st.booleans(),
+                     st.integers(-2**53, 2**53),
+                     st.sampled_from([math.inf, -math.inf, math.nan]))
+    rows = draw(st.lists(st.tuples(*[cell] * len(columns)), max_size=4))
+    return _Table(columns, rows)
+
+
+DOCUMENTS = st.recursive(
+    st.one_of(st.none(), st.booleans(), st.integers(), FINITE, FINITE.map(np.float64), TEXT,
+              MATRICES, tables()),
+    lambda inner: st.one_of(st.lists(inner, max_size=4),
+                            st.dictionaries(TEXT, inner, max_size=4)),
+    max_leaves=12,
+)
+
+
+@PROPERTY
+@given(DOCUMENTS)
+def test_json_writer_is_json_dumps_with_indent_2(doc):
+    assert _json(doc) == json_oracle(doc)
+
+
+@PROPERTY
+@given(st.sampled_from([math.nan, math.inf, -math.inf]), st.integers(0, 3))
+def test_json_writer_refuses_a_non_finite_number_as_json_does(x, where):
+    doc = [{"value": x}, [1.0, x], np.array([[1.0, complex(2.0, x)]]), x][where]
+    with pytest.raises(ValueError) as expected:
+        json_oracle({"before": 1.0, "doc": doc})
+    with pytest.raises(ValueError) as got:
+        _json({"before": 1.0, "doc": doc})
+    assert str(got.value) == str(expected.value)
