@@ -7,10 +7,10 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .linalg import fidelity, herm_eig
-from .model import PAIR, ExchangeParams
+from .linalg import expm_unitary, fidelity, herm_eig
+from .model import PAIR, ExchangeParams, build_hamiltonian
 from .frame import rotation_matrix
-from .gates import GATES, realize
+from .gates import GATES, dress
 
 __all__ = [
     "fidelity",
@@ -43,7 +43,9 @@ def gate_error_sweep(reference: ExchangeParams, delta_omega_ratios, delta_theta_
     Ratios are relative deviations: a row is evaluated at omega = omega0 (1 + r_w)
     and theta = theta0 (1 + r_th).  A corrected row sandwiches the pulse by the
     reference rotation T(omega0, theta0), an uncorrected one is the bare pulse;
-    either way the target is the canonical gate.  mode "both" gives the
+    either way the target is the canonical gate.  Each grid point's pulse
+    exp(-i H t) is computed once and dressed (gates.dress) once per block, so
+    every row is realize(gate, p, T or None) bit for bit.  mode "both" gives the
     uncorrected block, then the corrected one; inside a block rows are sorted by
     (delta_theta_ratio, delta_omega_ratio).  error = max(0, 1 - fidelity), and
     log10_error is its log10 (-inf at 0).  J drops out (only J t enters, and T
@@ -73,12 +75,13 @@ def gate_error_sweep(reference: ExchangeParams, delta_omega_ratios, delta_theta_
                                          theta=theta0 * (1.0 + r_th)))
               for r_th in sorted(grid["delta_theta_ratios"])
               for r_w in sorted(grid["delta_omega_ratios"])]
-    target = GATES[gate].target
+    area, target = GATES[gate].area, GATES[gate].target
+    pulses = [expm_unitary(build_hamiltonian(p), area / p.J) for _, _, p in points]
     rows = []
     for corrected in _MODES[mode]:
         sandwich = rotation_matrix(reference) if corrected else None
-        for r_w, r_th, p in points:
-            f = fidelity(realize(gate, p, sandwich), target)
+        for (r_w, r_th, _), u in zip(points, pulses):
+            f = fidelity(dress(u, sandwich, gate), target)
             error = max(0.0, 1.0 - f)
             log10_error = math.log10(error) if error > 0 else -math.inf
             rows.append(SweepRow(r_w, r_th, corrected, f, error, log10_error))
@@ -94,7 +97,8 @@ def thermal_state(h, beta: float) -> np.ndarray:
     if not (math.isfinite(beta) and beta >= 0):
         raise ValueError("beta must be nonnegative and finite")
     w, v = herm_eig(h)
-    weights = np.exp(-beta * (w - w[0]))
+    with np.errstate(over="ignore"):  # a product past the float range is -inf, and exp(-inf) is 0
+        weights = np.exp(-beta * (w - w[0]))
     return (v * weights) @ v.conj().T / weights.sum()
 
 

@@ -206,7 +206,8 @@ def _fmt_matrix(m: np.ndarray) -> str:
     every column."""
     m = np.array(m, dtype=complex)
     for part in (m.real, m.imag):
-        part[np.round(part, 6) == 0] = 0.0
+        with np.errstate(over="ignore"):  # an entry past 1.8e302 rounds to inf, not 0
+            part[np.round(part, 6) == 0] = 0.0
     return np.array2string(m, precision=6, suppress_small=True)
 
 

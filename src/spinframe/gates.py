@@ -2,9 +2,11 @@
 
 T exp(-i H t) T^dag equals exp(-i J S1.S2 t) exactly when T is the
 isotropizing rotation, so the swap family comes out at the isotropic pulse
-areas: J t = pi for swap, pi/2 for its square root.  Every gate is made by
-pulse(); realize() makes each GATES row, for the gate reports and the sweep.
-Global phases are tracked nowhere; distances are phase insensitive.
+areas: J t = pi for swap, pi/2 for its square root.  dress() turns a bare
+pulse exp(-i H t) into a gate: the frame sandwich, then the cnot sequence for
+cnot.  pulse() and realize() make every gate through it, and the sweep dresses
+each of its pulses once per block.  Global phases are tracked nowhere;
+distances are phase insensitive.
 """
 
 from __future__ import annotations
@@ -25,6 +27,7 @@ __all__ = [
     "CNOT",
     "GATES",
     "GateReport",
+    "dress",
     "pulse",
     "realize",
     "gate_report",
@@ -67,10 +70,17 @@ class GateReport:
     target_label: str
 
 
+def dress(u: np.ndarray, frame: np.ndarray | None = None, gate: str | None = None) -> np.ndarray:
+    """A bare pulse u = exp(-i H t) as a gate: frame u frame^dag (u itself when frame
+    is None), then _cnot_from_w of that for gate "cnot"."""
+    if frame is not None:
+        u = frame @ u @ frame.conj().T
+    return _cnot_from_w(u) if gate == "cnot" else u
+
+
 def pulse(h, t: float, frame: np.ndarray | None = None) -> np.ndarray:
     """frame exp(-i h t) frame^dag; the bare pulse exp(-i h t) when frame is None."""
-    u = expm_unitary(h, t)
-    return u if frame is None else frame @ u @ frame.conj().T
+    return dress(expm_unitary(h, t), frame)
 
 
 def _cnot_from_w(w: np.ndarray) -> np.ndarray:
@@ -96,8 +106,7 @@ GATES = {
 
 def realize(gate: str, p: ExchangeParams, frame: np.ndarray | None = None) -> np.ndarray:
     """GATES[gate] as its exchange pulse on H(p) produces it, in frame (None: bare)."""
-    u = pulse(build_hamiltonian(p), GATES[gate].area / p.J, frame)
-    return _cnot_from_w(u) if gate == "cnot" else u
+    return dress(expm_unitary(build_hamiltonian(p), GATES[gate].area / p.J), frame, gate)
 
 
 def gate_report(gate: str, p: ExchangeParams) -> GateReport:

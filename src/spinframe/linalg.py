@@ -6,6 +6,9 @@ import numpy as np
 
 __all__ = ["kron", "herm_eig", "expm_unitary", "fidelity", "phase_distance", "require_unitary"]
 
+_IDENTITY_4 = np.eye(4)
+_IDENTITY_4.flags.writeable = False
+
 
 def _as_matrix(a, shape: tuple[int, int], name: str) -> np.ndarray:
     m = np.asarray(a, dtype=complex)
@@ -41,7 +44,7 @@ def expm_unitary(h, t: float) -> np.ndarray:
 
 def require_unitary(u, name: str = "matrix", atol: float = 1e-10) -> np.ndarray:
     u = _as_matrix(u, (4, 4), name)
-    if np.abs(u.conj().T @ u - np.eye(4)).max() > atol:
+    if np.abs(u.conj().T @ u - _IDENTITY_4).max() > atol:
         raise ValueError(f"{name} is not unitary")
     return u
 

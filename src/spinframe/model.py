@@ -43,6 +43,7 @@ SIGMA_X = np.array([[0, 1], [1, 0]], dtype=complex)
 SIGMA_Y = np.array([[0, -1j], [1j, 0]], dtype=complex)
 SIGMA_Z = np.array([[1, 0], [0, -1]], dtype=complex)
 IDENTITY_2 = np.eye(2, dtype=complex)
+_IDENTITY_3 = np.eye(3)
 
 # The two-spin operator basis, built once: S1[a] = S^a x I, S2[a] = I x S^a and
 # PAIR[a, b] = S1^a S2^b.  Read-only, so no caller can change them for the next.
@@ -51,7 +52,7 @@ S2 = np.stack([kron(IDENTITY_2, s / 2) for s in (SIGMA_X, SIGMA_Y, SIGMA_Z)])
 PAIR = S1[:, None] @ S2[None, :]
 # The same bases with each operator flattened to a row of 16, for _combine.
 _S1_ROWS, _S2_ROWS, _PAIR_ROWS = S1.reshape(3, 16), S2.reshape(3, 16), PAIR.reshape(9, 16)
-for _constant in (SIGMA_X, SIGMA_Y, SIGMA_Z, IDENTITY_2, S1, S2, PAIR,
+for _constant in (SIGMA_X, SIGMA_Y, SIGMA_Z, IDENTITY_2, _IDENTITY_3, S1, S2, PAIR,
                   _S1_ROWS, _S2_ROWS, _PAIR_ROWS):
     _constant.flags.writeable = False
 
@@ -136,7 +137,8 @@ def build_hamiltonian(p: ExchangeParams) -> np.ndarray:
     n, w = p.axis(), p.omega
     x, y, z = n
     cross = np.array([[0.0, z, -y], [-z, 0.0, x], [y, -x, 0.0]])  # [n]_ab = eps_abc n_c
-    k = math.cos(w) * np.eye(3) + 2.0 * math.sin(w / 2) ** 2 * np.outer(n, n) + math.sin(w) * cross
+    k = (math.cos(w) * _IDENTITY_3 + 2.0 * math.sin(w / 2) ** 2 * np.outer(n, n)
+         + math.sin(w) * cross)
     return _combine(p.J * k, _PAIR_ROWS)
 
 
@@ -144,7 +146,7 @@ def build_isotropic(J: float) -> np.ndarray:
     """Isotropic exchange J S1.S2, the target of the frame change."""
     if not (math.isfinite(J) and J > 0):
         raise ValueError("J must be positive and finite")
-    return _combine(J * np.eye(3), _PAIR_ROWS)
+    return _combine(J * _IDENTITY_3, _PAIR_ROWS)
 
 
 def build_zeeman(f: FieldSpec) -> np.ndarray:

@@ -13,7 +13,7 @@ from spinframe.analysis import (
 )
 from spinframe.frame import PSI_MINUS
 from spinframe.gates import GATES, SWAP
-from spinframe.linalg import kron
+from spinframe.linalg import expm_unitary, kron
 from spinframe.model import ExchangeParams, build_hamiltonian, build_isotropic
 
 THETA0 = 5 * math.pi / 6
@@ -214,6 +214,44 @@ def test_sweep_at_zero_misestimation_is_the_public_gate(gate, t0):
     if gate == "cnot":
         bare = gates._cnot_from_w(bare)
     assert rows[False].fidelity == fidelity(bare, target)
+
+
+@pytest.mark.parametrize("gate", ["swap", "cnot"])
+@pytest.mark.parametrize("mode", ["both", "uncorrected", "corrected"])
+def test_sweep_exponentiates_each_grid_point_once(monkeypatch, gate, mode):
+    from spinframe import analysis
+
+    calls = []
+
+    def counted(h, t):
+        calls.append(t)
+        return expm_unitary(h, t)
+
+    monkeypatch.setattr(analysis, "expm_unitary", counted)
+    reference = ExchangeParams(1.0, "xy", 0.1, theta=THETA0)
+    rows = gate_error_sweep(reference, (-0.1, 0.0, 0.1), (0.0, 0.2), gate, mode)
+    assert len(calls) == 6
+    assert len(rows) == 6 * (2 if mode == "both" else 1)
+
+
+def test_sweep_refuses_a_hamiltonian_that_is_not_hermitian(monkeypatch):
+    from spinframe import analysis
+
+    skew = 1e-6j * np.diag([1.0, -1.0, 0.0, 0.0])
+    monkeypatch.setattr(analysis, "build_hamiltonian", lambda p: build_hamiltonian(p) + skew)
+    reference = ExchangeParams(1.0, "xy", 0.1, theta=THETA0)
+    with pytest.raises(ValueError, match="matrix is not Hermitian"):
+        gate_error_sweep(reference, (0.0,), (0.0,))
+
+
+@pytest.mark.parametrize("gate", ["swap", "cnot"])
+def test_sweep_refuses_a_pulse_that_is_not_unitary(monkeypatch, gate):
+    from spinframe import analysis
+
+    monkeypatch.setattr(analysis, "expm_unitary", lambda h, t: 1.01 * expm_unitary(h, t))
+    reference = ExchangeParams(1.0, "xy", 0.1, theta=THETA0)
+    with pytest.raises(ValueError, match="u is not unitary"):
+        gate_error_sweep(reference, (0.0,), (0.0,), gate, "corrected")
 
 
 def test_readme_library_example_runs():

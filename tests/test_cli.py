@@ -5,6 +5,7 @@ import os
 import re
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import pytest
@@ -664,6 +665,18 @@ def test_residuals_are_relative_so_large_scales_pass(capsys, command):
     code, out, err = _run_in_process(capsys, *command, "--format", "json")
     assert (code, err) == (0, "")
     assert 0 <= json.loads(out)["residual"] <= 1e-14
+
+
+@pytest.mark.parametrize("command", ["transform", "thermal"])
+def test_huge_J_prints_no_numpy_warning(capsys, command):
+    """At J = 1e308 the text matrix's rounding and the Gibbs weights' exponent pass
+    the float range; the numbers stay right and stderr stays empty."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code, out, err = _run_in_process(capsys, command, "--orientation", "xy", "--theta", "0.3",
+                                         "--tan-omega", "0.37", "--J", "1e308")
+    assert (code, err, caught) == (0, "", [])
+    assert out
 
 
 # The text form (no --format) of each subcommand at one reference point, frozen
