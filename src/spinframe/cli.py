@@ -87,7 +87,7 @@ def load_config(path: str) -> dict:
 
 
 def _tolerance(value) -> float:
-    # A NaN tolerance would pass every "value > tol" check.
+    # A NaN tolerance would fail every check, an infinite one pass every finite value.
     tol = _number(value)
     if not (math.isfinite(tol) and tol >= 0):
         raise ValueError(f"must be finite and >= 0, got {value!r}")
@@ -148,7 +148,7 @@ class RunConfig:
     """Settings of one run.  Each field after command is declared by its option row."""
 
     command: str
-    J: float = _option(1.0, _number, "exchange strength J > 0 (default 1.0)")
+    J: float = _option(1.0, _number, "exchange strength J, a normal float > 0 (default 1.0)")
     orientation: str | None = _option(None, _Choice(("xy", "z")), "anisotropy axis orientation")
     theta: float | None = _option(None, parse_angle, "axis azimuth: radians or Npi/M, e.g. 5pi/6")
     tan_omega: float | None = _option(None, _number, "anisotropy strength b/J, as tan(omega)")
@@ -302,9 +302,9 @@ def _report(cfg: RunConfig, p: model.ExchangeParams, body: dict,
             check: tuple[str, float | None, float | None]) -> int:
     """Frame and write one report: parameters, the command's body (matrices as arrays,
     a table as the _Table under "rows"), tolerance if checked, stamp with --stamp.
-    check = (what, value, default_tol), --tol overriding default_tol; exit code 2 if
-    value > tol.  default_tol None: no check, what names the report, a tol is refused.
-    Only the written form is rendered: CSV for sweep, else text (JSON to --out)."""
+    check = (what, value, default_tol), --tol overriding default_tol; exit code 2 unless
+    value <= tol (a NaN fails).  default_tol None: no check, what names the report, a tol
+    is refused.  Only the written form is rendered: CSV for sweep, else text (JSON to --out)."""
     what, value, tol = check
     if tol is None and cfg.tol is not None:
         raise UsageError(f"tol: {what} has no tolerance check; omit tol")
@@ -332,7 +332,7 @@ def _report(cfg: RunConfig, p: model.ExchangeParams, body: dict,
         sys.stdout.write(data)
         # A closed pipe must raise here, inside main, not at interpreter exit.
         sys.stdout.flush()
-    if tol is not None and value > tol:
+    if tol is not None and not value <= tol:
         print(f"error: {what} {value:.6e} exceeds tolerance {tol:.6e}", file=sys.stderr)
         return 2
     return 0
@@ -360,7 +360,7 @@ def cmd_decompose(cfg: RunConfig, p: model.ExchangeParams) -> int:
     distance = linalg.phase_distance(frame.assemble(plan), frame.rotation_matrix(p))
     body = {name: dict(zip(("alpha", "gamma", "beta"), angles))
             for name, angles in (("qubit1", plan.qubit1), ("qubit2", plan.qubit2))}
-    body.update(phase=plan.phase, assembly_distance=distance)
+    body["assembly_distance"] = distance
     return _report(cfg, p, body, ("assembly distance", distance, 1e-12))
 
 

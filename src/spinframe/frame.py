@@ -1,9 +1,10 @@
 """Local rotations that carry the anisotropic exchange onto the isotropic one.
 
-For either axis orientation there is a product of single-qubit rotations
-T = U1 (x) U2 with T H T^dag = J S1.S2.  This module holds the closed forms
-of T, their per-qubit ZYZ factorizations, and the model eigenvectors that T
-maps onto the Bell basis.
+For either axis orientation a product of single-qubit rotations T = U(-omega)
+(x) U(omega) gives T H T^dag = J S1.S2: the qubits rotate symmetrically, by one
+closed form at opposite angles (the counter-rotation gauge).  This module holds
+that form, the per-qubit ZYZ factorizations of T, and the model eigenvectors
+that T maps onto the Bell basis.
 
 Rotation convention: R^z(a) = exp(+i a S^z), R^y(g) = exp(+i g S^y) with
 S = sigma/2, so all angles live on a 4 pi circle.
@@ -11,6 +12,7 @@ S = sigma/2, so all angles live on a 4 pi circle.
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass
 
@@ -73,16 +75,14 @@ def _wrap(angle: float) -> float:
 
 @dataclass(frozen=True)
 class RotationPlan:
-    """Per-qubit ZYZ angles (alpha, gamma, beta) with a global phase.
+    """Per-qubit ZYZ angles (alpha, gamma, beta).
 
-    assemble(plan) = e^{i phase} (Rz(alpha1) Ry(gamma1) Rz(beta1)) (x)
-    (Rz(alpha2) Ry(gamma2) Rz(beta2)).  Angles are stored wrapped into
-    (-2 pi, 2 pi].
+    assemble(plan) = (Rz(alpha1) Ry(gamma1) Rz(beta1)) (x) (Rz(alpha2) Ry(gamma2)
+    Rz(beta2)).  Angles are stored wrapped into (-2 pi, 2 pi].
     """
 
     qubit1: tuple[float, float, float]
     qubit2: tuple[float, float, float]
-    phase: float = 0.0
 
     def __post_init__(self) -> None:
         for name, angles in (("qubit1", self.qubit1), ("qubit2", self.qubit2)):
@@ -90,62 +90,32 @@ class RotationPlan:
             if len(angles) != 3 or not all(math.isfinite(a) for a in angles):
                 raise ValueError(f"{name} needs three finite angles")
             object.__setattr__(self, name, tuple(_wrap(a) for a in angles))
-        if not math.isfinite(self.phase):
-            raise ValueError("phase must be finite")
+
+
+def _local_rotation(p: ExchangeParams, omega: float) -> np.ndarray:
+    """Qubit 2's factor of T at anisotropy angle omega; qubit 1's is the same at -omega.
+
+    Axis z: Rz(omega/2).  Axis xy: the ZYZ product Rz(pi/4) Ry(omega/2) Rz(theta - pi/2)
+    in closed form.  Qubit 1's product Rz(-3 pi/4) Ry(omega/2) Rz(theta + pi/2) equals
+    it at -omega, since Rz(+-pi) = +-i sigma_z and sigma_z Ry(g) sigma_z = Ry(-g).
+    """
+    if p.orientation == "z":
+        return rz(omega / 2)
+    th = p.reduced_theta
+    c, s = math.cos(omega / 4), math.sin(omega / 4)
+    x, y = cmath.exp(0.5j * (th - math.pi / 4)), cmath.exp(0.5j * (3 * math.pi / 4 - th))
+    return np.array([[c * x, s * y], [-s * y.conjugate(), c * x.conjugate()]])
 
 
 def rotation_matrix(p: ExchangeParams) -> np.ndarray:
-    """Closed form of the isotropizing rotation T in the {00,01,10,11} basis.
-
-    Orientation z gives a diagonal T; orientation xy mixes the corner states
-    through the quarter-angle w/4.
-    """
-    w = p.omega
-    if p.orientation == "z":
-        return np.diag(
-            [1.0, np.exp(-0.5j * w), np.exp(0.5j * w), 1.0]
-        ).astype(complex)
-    th = p.reduced_theta
-    c, s = math.cos(w / 4), math.sin(w / 4)
-    e = np.exp
-    q = math.pi / 4
-    return np.array(
-        [
-            [
-                c * c * e(1j * (th - q)),
-                c * s * e(1j * q),
-                -c * s * e(1j * q),
-                s * s * e(-1j * (th + q)),
-            ],
-            [
-                c * s * e(1j * (th + 2 * q)),
-                c * c,
-                s * s,
-                c * s * e(-1j * (th + 2 * q)),
-            ],
-            [
-                c * s * e(1j * (th - 2 * q)),
-                s * s,
-                c * c,
-                c * s * e(-1j * (th - 2 * q)),
-            ],
-            [
-                s * s * e(1j * (th + q)),
-                c * s * e(-1j * q),
-                -c * s * e(-1j * q),
-                c * c * e(-1j * (th - q)),
-            ],
-        ],
-        dtype=complex,
-    )
+    """The isotropizing rotation T = U(-omega) (x) U(omega) in the {00,01,10,11} basis,
+    U being _local_rotation: the two qubits rotate symmetrically."""
+    return kron(_local_rotation(p, -p.omega), _local_rotation(p, p.omega))
 
 
 def rotation_plan(p: ExchangeParams) -> RotationPlan:
-    """ZYZ factorization of rotation_matrix(p), global phase zero.
-
-    The assembled plan reproduces the closed form exactly, not merely up to
-    phase.
-    """
+    """ZYZ factorization of rotation_matrix(p), entry by entry, not merely up to phase.
+    Qubit 1's triple is not _local_rotation's at -omega, so assemble checks T."""
     w = p.omega
     if p.orientation == "z":
         return RotationPlan(qubit1=(-w / 2, 0.0, 0.0), qubit2=(w / 2, 0.0, 0.0))
@@ -157,11 +127,8 @@ def rotation_plan(p: ExchangeParams) -> RotationPlan:
 
 
 def assemble(plan: RotationPlan) -> np.ndarray:
-    a1, g1, b1 = plan.qubit1
-    a2, g2, b2 = plan.qubit2
-    u1 = rz(a1) @ ry(g1) @ rz(b1)
-    u2 = rz(a2) @ ry(g2) @ rz(b2)
-    return np.exp(1j * plan.phase) * kron(u1, u2)
+    u1, u2 = (rz(a) @ ry(g) @ rz(b) for a, g, b in (plan.qubit1, plan.qubit2))
+    return kron(u1, u2)
 
 
 def eigenstates(p: ExchangeParams) -> tuple[np.ndarray, ...]:

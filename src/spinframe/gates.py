@@ -105,8 +105,9 @@ GATES = {
 
 
 def realize(gate: str, p: ExchangeParams, frame: np.ndarray | None = None) -> np.ndarray:
-    """GATES[gate] as its exchange pulse on H(p) produces it, in frame (None: bare)."""
-    return dress(expm_unitary(build_hamiltonian(p), GATES[gate].area / p.J), frame, gate)
+    """GATES[gate] as its exchange pulse on H(p) produces it, in frame (None: bare).
+    The pulse exponentiates H/J over the area J t, so no time area/J can overflow."""
+    return dress(expm_unitary(build_hamiltonian(p) / p.J, GATES[gate].area), frame, gate)
 
 
 def gate_report(gate: str, p: ExchangeParams) -> GateReport:
@@ -125,9 +126,12 @@ def phase_shifted_swap(p: ExchangeParams, B: float) -> GateReport:
     SWAP . (D x D) with D = diag(e^{-i B pi/(2J)}, e^{+i B pi/(2J)}) up to a
     global phase: a swap whose outputs each carry a field phase.  The
     distance to plain SWAP is reported for reference; it is nonzero whenever
-    B tau_s is not a multiple of 2 pi.
+    B tau_s is not a multiple of 2 pi.  As in realize, H/J is exponentiated over
+    the pulse area, so B/J must be finite.
     """
+    if not math.isfinite(B / p.J):
+        raise ValueError(f"B must be finite in units of J; B/J = {B / p.J!r} for B = {B!r}")
     swap = GATES["swap"]
-    h = build_hamiltonian(p) + build_zeeman(compensating_fields(p, B))
-    u = pulse(h, swap.area / p.J, rotation_matrix(p))
+    h = build_hamiltonian(p) / p.J + build_zeeman(compensating_fields(p, B / p.J))
+    u = pulse(h, swap.area, rotation_matrix(p))
     return GateReport(u, f"psw(B={B!r})", phase_distance(u, swap.target), swap.target_label)

@@ -23,6 +23,7 @@ rotates the eigenbasis, which is what the frame module exploits.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -57,6 +58,11 @@ for _constant in (SIGMA_X, SIGMA_Y, SIGMA_Z, IDENTITY_2, _IDENTITY_3, S1, S2, PA
     _constant.flags.writeable = False
 
 
+def _require_normal_J(J: float) -> None:
+    if not (math.isfinite(J) and J >= sys.float_info.min):  # a subnormal J has lost digits
+        raise ValueError(f"J must be finite and at least {sys.float_info.min!r}; got {J!r}")
+
+
 @dataclass(frozen=True)
 class ExchangeParams:
     """Exchange parameters of the two-spin pair.
@@ -75,8 +81,7 @@ class ExchangeParams:
     theta: float | None = None
 
     def __post_init__(self) -> None:
-        if not (math.isfinite(self.J) and self.J > 0):
-            raise ValueError("J must be positive and finite")
+        _require_normal_J(self.J)
         if self.orientation not in ("xy", "z"):
             raise ValueError("orientation must be 'xy' or 'z'")
         if not (math.isfinite(self.b_over_J) and self.b_over_J >= 0):
@@ -144,8 +149,7 @@ def build_hamiltonian(p: ExchangeParams) -> np.ndarray:
 
 def build_isotropic(J: float) -> np.ndarray:
     """Isotropic exchange J S1.S2, the target of the frame change."""
-    if not (math.isfinite(J) and J > 0):
-        raise ValueError("J must be positive and finite")
+    _require_normal_J(J)
     return _combine(J * _IDENTITY_3, _PAIR_ROWS)
 
 

@@ -285,7 +285,7 @@ def test_main_returns_int_in_process(capsys):
     code = main(["decompose", *XY_ARGS, "--format", "json"])
     assert code == 0
     doc = json.loads(capsys.readouterr().out)
-    assert doc["phase"] == 0.0
+    assert list(doc) == ["parameters", "qubit1", "qubit2", "assembly_distance", "tolerance"]
 
 
 def _run_in_process(capsys, *args):
@@ -709,15 +709,14 @@ GOLDEN_TEXT = {
         " [ 0.  +0.j -0.25+0.j  0.5 +0.j  0.  +0.j]\n"
         " [ 0.  +0.j  0.5 +0.j -0.25+0.j  0.  +0.j]\n"
         " [ 0.  +0.j  0.  +0.j  0.  +0.j  0.25+0.j]]\n"
-        "residual: 5.551117281212283e-17\n"
+        "residual: 1.1178969667087664e-16\n"
         "tolerance: 1e-12\n"
     ),
     ("decompose",): (
         "parameters: J=1 orientation=xy theta=2.6179938779914944 b/J=0.10000000000000001 omega=0.099668652491162038\n"
         "qubit1: alpha=-2.356194490192345 gamma=0.04983432624558102 beta=4.188790204786391\n"
         "qubit2: alpha=0.7853981633974483 gamma=0.04983432624558102 beta=1.0471975511965979\n"
-        "phase: 0.0\n"
-        "assembly_distance: 9.098626480950786e-32\n"
+        "assembly_distance: 9.319253801965706e-32\n"
         "tolerance: 1e-12\n"
     ),
     ("gate", "--gate", "cnot"): (
@@ -732,7 +731,7 @@ GOLDEN_TEXT = {
         "  0.707107+0.707107j]\n"
         " [0.      +0.j       0.      +0.j       0.707107+0.707107j\n"
         "  0.      +0.j      ]]\n"
-        "phase_distance: 2.253992870173943e-31\n"
+        "phase_distance: 2.071538963152543e-31\n"
         "target: CNOT\n"
         "tolerance: 1e-10\n"
     ),
@@ -741,15 +740,15 @@ GOLDEN_TEXT = {
         "B: 1.0\n"
         "b1: (-0.02490685094007988, -0.04313993128476302, 0.998758526924799)\n"
         "b2: (0.02490685094007988, 0.04313993128476302, 0.998758526924799)\n"
-        "residual: 1.1443916996305594e-16\n"
+        "residual: 2.220446049250313e-16\n"
         "tolerance: 1e-12\n"
     ),
     ("sweep", "--delta-omega-ratios", "0,0.1", "--delta-theta-ratios", "0.01"): (
         "delta_omega_ratio,delta_theta_ratio,corrected,fidelity,error,log10_error\n"
         "0,0.01,false,0.99751859510499474,0.002481404895005257,-2.605302365385429\n"
         "0.10000000000000001,0.01,false,0.99699802208838406,0.0030019779116159384,-2.5225925075952813\n"
-        "0,0.01,true,0.99999829936975715,1.7006302428512754e-06,-5.7693901019931868\n"
-        "0.10000000000000001,0.01,true,0.99997329509752597,2.6704902474028458e-05,-4.5734090037299922\n"
+        "0,0.01,true,0.99999829936975737,1.7006302426292308e-06,-5.7693901020498908\n"
+        "0.10000000000000001,0.01,true,0.9999732950975263,2.6704902473695391e-05,-4.5734090037354083\n"
     ),
     ("thermal",): (
         "parameters: J=1 orientation=xy theta=2.6179938779914944 b/J=0.10000000000000001 omega=0.099668652491162038\n"
@@ -913,3 +912,53 @@ def test_the_full_flag_takes_a_negative_value(capsys):
     code, out, err = _run_in_process(capsys, *args)
     assert (code, err) == (0, "")
     assert out.startswith("parameters: J=1 orientation=xy theta=-1.5707963267948966 ")
+
+
+def test_a_nan_value_fails_its_tolerance_check(capsys, monkeypatch):
+    """The check passes only when value <= tol, so a NaN exits 2 rather than 0."""
+    from spinframe import frame
+
+    monkeypatch.setattr(frame, "verify_isotropization", lambda p: math.nan)
+    code, out, err = _run_in_process(capsys, "transform", *XY_ARGS)
+    assert code == 2
+    assert "residual: NaN" in out
+    assert err == "error: isotropization residual nan exceeds tolerance 1.000000e-12\n"
+
+
+@pytest.mark.parametrize("gate", ["swap", "sqrt_swap", "cnot"])
+@pytest.mark.parametrize("J", [repr(sys.float_info.min), "1e308"])
+def test_gates_pass_at_the_ends_of_the_J_range(capsys, gate, J):
+    args = ("gate", "--gate", gate, "--orientation", "xy", "--theta", "0.3",
+            "--tan-omega", "0.37", "--J", J, "--format", "json")
+    code, out, err = _run_in_process(capsys, *args)
+    assert (code, err) == (0, "")
+    doc = json.loads(out)
+    assert 0 <= doc["phase_distance"] <= 1e-29 < doc["tolerance"]
+
+
+@pytest.mark.parametrize("command", [("transform",), ("gate", "--gate", "cnot")], ids=" ".join)
+@pytest.mark.parametrize("J", ["1e-308", "1e-320"])
+def test_a_subnormal_J_exits_1(capsys, command, J):
+    """Below the smallest normal float J has lost digits: at 1e-320 the residual in
+    units of J would read 1e-3 on exact closed forms, and a pulse time area/J at
+    1e-308 would be infinite."""
+    code, out, err = _run_in_process(capsys, *command, *XY_ARGS, "--J", J)
+    assert (code, out) == (1, "")
+    assert err.startswith("error: J must be finite and at least 2.2250738585072014e-308")
+
+
+@pytest.mark.parametrize("orientation", [("--orientation", "z"),
+                                         ("--orientation", "xy", "--theta", "0.3")])
+def test_decompose_catches_a_plan_with_its_qubits_swapped(capsys, monkeypatch, orientation):
+    """decompose compares the ZYZ plan with T = U(-omega) (x) U(omega), two independent
+    derivations, so a plan with the qubits' factors exchanged exits 2."""
+    from spinframe import frame
+
+    args = ("decompose", *orientation, "--tan-omega", "0.37")
+    code, _, err = _run_in_process(capsys, *args)
+    assert (code, err) == (0, "")
+    plan = frame.rotation_plan
+    monkeypatch.setattr(frame, "rotation_plan",
+                        lambda p: frame.RotationPlan(plan(p).qubit2, plan(p).qubit1))
+    code, _, err = _run_in_process(capsys, *args)
+    assert code == 2 and err.startswith("error: assembly distance ")

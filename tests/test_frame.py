@@ -63,7 +63,6 @@ def test_plan_angles_xy():
     plan = rotation_plan(p)
     np.testing.assert_allclose(plan.qubit1, (-3 * math.pi / 4, w / 2, 0.4 + math.pi / 2), atol=1e-15)
     np.testing.assert_allclose(plan.qubit2, (math.pi / 4, w / 2, 0.4 - math.pi / 2), atol=1e-15)
-    assert plan.phase == 0.0
 
 
 def test_plan_angles_z():
@@ -90,6 +89,14 @@ def test_assemble_reproduces_closed_form_exactly(p):
     """Entrywise, not just up to a global phase."""
     diff = np.abs(assemble(rotation_plan(p)) - rotation_matrix(p)).max()
     assert diff < 1e-12
+
+
+@pytest.mark.parametrize("tan_omega", TAN_OMEGAS)
+def test_z_plan_assembles_to_the_rotation_bit_for_bit(tan_omega):
+    """Along z both sides multiply the same Rz factors, so decompose's distance is
+    that of T to itself: the rounding floor of T's unitarity."""
+    p = ExchangeParams(1.0, "z", tan_omega)
+    assert np.array_equal(assemble(rotation_plan(p)), rotation_matrix(p))
 
 
 def test_assemble_full_turn_is_minus_identity():

@@ -1,4 +1,5 @@
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -126,3 +127,10 @@ def test_gate_labels():
     assert gate_report("swap", REFERENCE).label == "swap"
     assert gate_report("sqrt_swap", REFERENCE).label == "sqrt_swap"
     assert phase_shifted_swap(REFERENCE, 1.0).label == "psw(B=1.0)"
+
+
+def test_phase_shifted_swap_refuses_a_field_past_the_float_range_in_units_of_J():
+    p = ExchangeParams(sys.float_info.min, "xy", 0.37, theta=0.3)
+    with pytest.raises(ValueError, match="B must be finite in units of J"):
+        phase_shifted_swap(p, 10.0)
+    assert np.isfinite(phase_shifted_swap(ExchangeParams(1e308, "z", 0.3), 1e308).matrix).all()

@@ -42,6 +42,19 @@ def test_kron_mixed_product():
         np.testing.assert_allclose(kron(a, b) @ kron(c, d), kron(a @ c, b @ d), atol=1e-12)
 
 
+def test_kron_is_np_kron_bit_for_bit():
+    """Signed zeros, subnormals and magnitudes near the float range included."""
+    values = np.array([0.0, -0.0, 5e-324, -5e-324, 1e-310, 1e-300, -1e300, 1e300, 0.5, -3.0])
+    rng = np.random.default_rng(12)
+    for _ in range(300):
+        a, b = (rng.choice(values, size=(2, 2)) + 1j * rng.choice(values, size=(2, 2))
+                for _ in range(2))
+        with np.errstate(over="ignore", under="ignore", invalid="ignore"):
+            got, want = kron(a, b).view(float), np.kron(a, b).view(float)
+        assert np.array_equal(got, want, equal_nan=True)
+        assert np.array_equal(np.signbit(got), np.signbit(want))
+
+
 def test_kron_rejects_wrong_shape():
     with pytest.raises(ValueError):
         kron(np.eye(3), np.eye(2))

@@ -1,4 +1,5 @@
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -99,6 +100,17 @@ def test_hamiltonian_continuous_at_zero_coupling():
 def test_params_validation(kwargs):
     with pytest.raises(ValueError):
         ExchangeParams(**kwargs)
+
+
+def test_J_must_be_a_normal_float():
+    """The smallest normal J is accepted; a subnormal one has lost digits and is not."""
+    ExchangeParams(sys.float_info.min, "z", 0.1)
+    build_isotropic(sys.float_info.min)
+    for J in (1e-308, 1e-320):
+        with pytest.raises(ValueError, match="J must be"):
+            ExchangeParams(J, "z", 0.1)
+        with pytest.raises(ValueError, match="J must be"):
+            build_isotropic(J)
 
 
 def test_axis_is_unit_vector():

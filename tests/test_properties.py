@@ -17,10 +17,13 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from spinframe.frame import (
+    _local_rotation,
     assemble,
     eigenstates,
     rotation_matrix,
     rotation_plan,
+    ry,
+    rz,
     verify_fields,
     verify_isotropization,
 )
@@ -187,6 +190,17 @@ def test_residuals_keep_their_digits_at_any_theta(p, B):
 def test_zyz_plan_assembles_to_the_closed_form_entry_by_entry(p):
     """Equal as matrices, global phase included, not merely up to phase."""
     assert np.abs(assemble(rotation_plan(p)) - rotation_matrix(p)).max() <= 1e-14
+
+
+@PROPERTY
+@given(exchange_params(thetas=WIDE_THETA))
+def test_each_qubit_of_the_plan_is_the_one_factor_at_minus_and_plus_omega(p):
+    """T = U(-omega) (x) U(omega): the plan's ZYZ triples, assembled one qubit at a
+    time, are _local_rotation at -omega and +omega, though qubit 1's triple is not
+    U's own triple at -omega.  So the symmetry is checked, not assumed."""
+    plan = rotation_plan(p)
+    for (a, g, b), omega in ((plan.qubit1, -p.omega), (plan.qubit2, p.omega)):
+        assert np.abs(rz(a) @ ry(g) @ rz(b) - _local_rotation(p, omega)).max() <= 1e-15
 
 
 @PROPERTY
