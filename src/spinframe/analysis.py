@@ -70,6 +70,11 @@ def gate_error_sweep(reference: ExchangeParams, delta_omega_ratios, delta_theta_
             raise ValueError(
                 f"delta_omega_ratios value {r!r} puts omega0 (1 + r) outside [0, pi/2)"
             )
+    for r in grid["delta_theta_ratios"]:
+        if not math.isfinite(theta0 * (1.0 + r)):
+            raise ValueError(
+                f"delta_theta_ratios value {r!r} puts theta0 (1 + r) past the float range"
+            )
 
     points = [(r_w, r_th, ExchangeParams(1.0, "xy", math.tan(omega0 * (1.0 + r_w)),
                                          theta=theta0 * (1.0 + r_th)))
@@ -108,7 +113,7 @@ def concurrence(rho) -> float:
     Computed as the singular values of sqrt(rho) (sy x sy) conj(sqrt(rho)):
     their squares are the eigenvalues of rho rho~, but the SVD keeps the
     small ones accurate near pure states, where sqrt-of-eigenvalue loses
-    half the digits.
+    half the digits.  The result is clamped to [0, 1], where rounding can leave it.
     """
     rho = np.asarray(rho, dtype=complex)
     if rho.shape != (4, 4):
@@ -124,4 +129,4 @@ def concurrence(rho) -> float:
     root = (v * np.sqrt(np.clip(w, 0.0, None))) @ v.conj().T
     yy = 4 * PAIR[1, 1]  # sigma_y x sigma_y = 4 S1^y S2^y
     lam = np.linalg.svd(root @ yy @ root.conj(), compute_uv=False)
-    return max(0.0, float(lam[0] - lam[1] - lam[2] - lam[3]))
+    return min(1.0, max(0.0, float(lam[0] - lam[1] - lam[2] - lam[3])))

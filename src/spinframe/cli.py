@@ -223,56 +223,20 @@ def _csv_line(row: tuple) -> str:
     return ",".join(str(v).lower() if isinstance(v, bool) else format(v, ".17g") for v in row)
 
 
-def _json(doc) -> str:
-    """json.dumps(doc, indent=2, allow_nan=False) byte for byte, with a matrix as rows
-    of [re, im] pairs and a _Table as a list of row objects (a non-finite cell as
-    null), but without json's pure-Python indent encoder, which runs only to raise
-    json's own error for a non-finite number.  Keys are strings."""
-    return _json_value(doc, "\n")
-
-
-def _json_float(x: float) -> str:
-    if not math.isfinite(x):
-        json.dumps(x, indent=2, allow_nan=False)  # raises json's ValueError for x
-    return float.__repr__(x)
-
-
-def _json_items(items: list[str], ind: str, brackets: str = "[]") -> str:
-    """Rendered items, one a line, between brackets; the closing one at indent ind."""
-    if not items:
-        return brackets
-    return f"{brackets[0]}{ind}  {f',{ind}  '.join(items)}{ind}{brackets[1]}"
-
-
-def _json_value(o, ind: str) -> str:
-    """o as JSON whose lines after the first start with ind (a newline and spaces)."""
-    if o is None or isinstance(o, (str, bool)):
-        return json.dumps(o)
-    if isinstance(o, int):
-        return int.__repr__(o)
-    if isinstance(o, float):
-        return _json_float(o)
-    inner = ind + "  "
-    if isinstance(o, (list, tuple)):
-        return _json_items([_json_value(v, inner) for v in o], ind)
-    if isinstance(o, dict):
-        return _json_items([f"{json.dumps(k)}: {_json_value(v, inner)}" for k, v in o.items()],
-                           ind, "{}")
+def _json_plain(o):
+    """json.dumps' hook: a matrix as rows of [re, im] pairs, a _Table as a list of row
+    objects (a non-finite cell as null)."""
     if isinstance(o, _Table):
-        keys = [json.dumps(c) + ": " for c in o.columns]
-        cell = lambda v: _json_value(v if isinstance(v, bool) or math.isfinite(v) else None, "")
-        return _json_items([_json_items([k + cell(v) for k, v in zip(keys, row)], inner, "{}")
-                            for row in o.rows], ind)
+        return [{c: v if isinstance(v, bool) or math.isfinite(v) else None
+                 for c, v in zip(o.columns, row)} for row in o.rows]
     if isinstance(o, np.ndarray) and o.ndim == 2:
-        o = o.astype(complex, copy=False)
-        if not np.isfinite(o).all():
-            for x in o.ravel().view(float):  # json's error for the first one, in its order
-                _json_float(float(x))
-        i2, i3 = inner + "  ", inner + "    "
-        num = float.__repr__
-        return _json_items([_json_items([f"[{i3}{num(z.real)},{i3}{num(z.imag)}{i2}]"
-                                         for z in row], inner) for row in o.tolist()], ind)
+        return np.stack((o.real, o.imag), axis=-1).tolist()
     raise TypeError(f"{type(o).__name__} is not JSON serializable")
+
+
+def _json(doc) -> str:
+    """doc as one line of JSON, by json's C encoder; a non-finite number is a ValueError."""
+    return json.dumps(doc, allow_nan=False, default=_json_plain)
 
 
 def _csv_lines(table: _Table) -> list[str]:

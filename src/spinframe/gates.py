@@ -127,10 +127,15 @@ def phase_shifted_swap(p: ExchangeParams, B: float) -> GateReport:
     global phase: a swap whose outputs each carry a field phase.  The
     distance to plain SWAP is reported for reference; it is nonzero whenever
     B tau_s is not a multiple of 2 pi.  As in realize, H/J is exponentiated over
-    the pulse area, so B/J must be finite.
+    the pulse area, so B/J must be finite.  The field phase B pi/J must also keep
+    digits at 1e-10, the tolerance require_unitary holds every matrix to: an ulp
+    of it above 1e-10, which is |B/J| >= 2^19/pi, is refused.
     """
     if not math.isfinite(B / p.J):
         raise ValueError(f"B must be finite in units of J; B/J = {B / p.J!r} for B = {B!r}")
+    if math.ulp(math.pi * (B / p.J)) > 1e-10:
+        raise ValueError(f"B/J = {B / p.J!r} for B = {B!r} is too large: an ulp of the field "
+                         "phase B pi/J exceeds 1e-10, so |B/J| must be below 2^19/pi")
     swap = GATES["swap"]
     h = build_hamiltonian(p) / p.J + build_zeeman(compensating_fields(p, B / p.J))
     u = pulse(h, swap.area, rotation_matrix(p))

@@ -101,6 +101,17 @@ def test_concurrence_thermal_closed_form(beta):
         assert c == pytest.approx(max(0.0, (x - 3) / (x + 3)), abs=1e-12)
 
 
+@pytest.mark.parametrize("p", [ExchangeParams(1.0, "xy", 0.1, theta=0.3),
+                               ExchangeParams(1.0, "xy", 0.37, theta=THETA0),
+                               ExchangeParams(1.0, "z", 0.1), ExchangeParams(1.0, "z", 0.3)],
+                         ids=str)
+@pytest.mark.parametrize("beta", [50.0, 1e308])
+def test_concurrence_of_a_near_pure_ground_state_is_at_most_1(p, beta):
+    """Rounding put xy, theta 0.3, tan omega 0.1 at 1.0000000000000002 for beta 50."""
+    c = concurrence(thermal_state(build_hamiltonian(p), beta))
+    assert 1.0 - 1e-12 <= c <= 1.0
+
+
 def test_concurrence_validation():
     with pytest.raises(ValueError):
         concurrence(np.eye(2))
@@ -183,6 +194,14 @@ def test_sweep_config_rejects_omega_outside_quarter_turn(tan0, ratio):
     reference = ExchangeParams(1.0, "xy", tan0, theta=THETA0)
     with pytest.raises(ValueError, match="delta_omega_ratios"):
         gate_error_sweep(reference, (0.0, ratio), (0.0,), mode="corrected")
+
+
+@pytest.mark.parametrize("theta0, ratio", [(1e308, 0.9), (-1e308, 1.0), (1e300, 1e10)])
+def test_sweep_config_rejects_a_theta_ratio_past_the_float_range(theta0, ratio):
+    """theta0 (1 + r) overflows: the error names the theta ratio, not theta."""
+    reference = ExchangeParams(1.0, "xy", 0.1, theta=theta0)
+    with pytest.raises(ValueError, match=re.escape(f"delta_theta_ratios value {ratio!r} ")):
+        gate_error_sweep(reference, (0.0,), (0.0, ratio))
 
 
 def test_sweep_config_accepts_omega_zero():

@@ -377,6 +377,14 @@ def test_sweep_ratio_out_of_range_exits_1(capsys, args):
     assert err.startswith("error:") and "delta_omega_ratios" in err
 
 
+def test_sweep_theta_ratio_past_the_float_range_exits_1_naming_the_ratio(capsys):
+    code, out, err = _run_in_process(capsys, "sweep", "--orientation", "xy", "--theta", "1e308",
+                                     "--tan-omega", "0.1", "--delta-omega-ratios", "0",
+                                     "--delta-theta-ratios", "0.9")
+    assert (code, out) == (1, "")
+    assert err == "error: delta_theta_ratios value 0.9 puts theta0 (1 + r) past the float range\n"
+
+
 COMMON_FLAGS = {"--config", "--J", "--orientation", "--theta", "--tan-omega", "--out",
                 "--format", "--tol", "--stamp"}
 COMMAND_FLAGS = {
@@ -479,6 +487,15 @@ def test_flat_file_bool_is_not_a_number(capsys, tmp_path):
     assert code == 1
     assert out == ""
     assert err.startswith("error: J: ")
+
+
+def test_psw_refuses_a_field_phase_of_rounding_noise(capsys):
+    """At B/J = 1e300 the phase B pi/J has no digits: exit 1 naming B/J, not a distance."""
+    code, out, err = _run_in_process(capsys, "gate", "--gate", "psw", "--B", "1", "--J", "1e-300",
+                                     "--orientation", "xy", "--theta", "5pi/6",
+                                     "--tan-omega", "0.37")
+    assert (code, out) == (1, "")
+    assert err.startswith(f"error: B/J = {1 / 1e-300!r} for B = 1.0 ") and err.count("\n") == 1
 
 
 def test_gate_choices_are_the_gate_table_and_psw():
@@ -633,9 +650,9 @@ ONE_OF_EACH = (
 @pytest.mark.parametrize("command", ONE_OF_EACH, ids=lambda c: " ".join(c))
 def test_json_reports_do_not_use_jsons_pure_python_encoder(capsys, monkeypatch, tmp_path,
                                                            command):
-    """With json's pure-Python (indent) encoder made to raise, every report still
-    writes.  A JSON report is what json.dumps(doc, indent=2) writes for its numbers,
-    and a report to --out is the bytes of the same report on stdout."""
+    """With json's pure-Python encoder made to raise, every report still writes.  A
+    JSON report is one line, what json.dumps(doc) writes for its numbers, and a report
+    to --out is the bytes of the same report on stdout."""
     import json.encoder
 
     def refuse(*args, **kwargs):
@@ -652,7 +669,7 @@ def test_json_reports_do_not_use_jsons_pure_python_encoder(capsys, monkeypatch, 
         code, doc, err = _run_in_process(capsys, *command, *XY_ARGS, "--format", "json")
         assert (code, err) == (0, "")
     assert out.read_bytes() == text.encode("utf-8")
-    assert doc == json.dumps(json.loads(doc), indent=2) + "\n"
+    assert doc == json.dumps(json.loads(doc)) + "\n"
 
 
 @pytest.mark.parametrize("command", [

@@ -1,4 +1,5 @@
 import math
+import re
 import sys
 
 import numpy as np
@@ -134,3 +135,21 @@ def test_phase_shifted_swap_refuses_a_field_past_the_float_range_in_units_of_J()
     with pytest.raises(ValueError, match="B must be finite in units of J"):
         phase_shifted_swap(p, 10.0)
     assert np.isfinite(phase_shifted_swap(ExchangeParams(1e308, "z", 0.3), 1e308).matrix).all()
+
+
+PSW_BOUND = 2**19 / math.pi  # math.pi times it is 2^19, where an ulp first exceeds 1e-10
+
+
+@pytest.mark.parametrize("J", [1.0, 2.0, 0.25])
+@pytest.mark.parametrize("sign", [1.0, -1.0])
+def test_phase_shifted_swap_refuses_a_field_phase_without_digits_at_1e_10(J, sign):
+    """Just below 2^19/pi in units of J the gate builds; at and above it B/J is refused,
+    with B and B/J named."""
+    p = ExchangeParams(J, "xy", 0.37, theta=0.3)
+    below = sign * math.nextafter(PSW_BOUND, 0.0)
+    assert math.ulp(math.pi * below) < 1e-10
+    assert np.isfinite(phase_shifted_swap(p, below * J).matrix).all()
+    for b_over_J in (sign * PSW_BOUND, sign * math.nextafter(PSW_BOUND, math.inf), sign * 1e300):
+        named = re.escape(f"B/J = {b_over_J!r} for B = {b_over_J * J!r} ")
+        with pytest.raises(ValueError, match=named):
+            phase_shifted_swap(p, b_over_J * J)
