@@ -13,7 +13,6 @@ from .frame import rotation_matrix
 from .gates import GATES, dress
 
 __all__ = [
-    "fidelity",
     "SweepRow",
     "gate_error_sweep",
     "thermal_state",
@@ -66,10 +65,11 @@ def gate_error_sweep(reference: ExchangeParams, delta_omega_ratios, delta_theta_
         grid[name] = ratios
     omega0, theta0 = reference.omega, reference.theta
     for r in grid["delta_omega_ratios"]:
-        if not 0.0 <= omega0 * (1.0 + r) < math.pi / 2:
-            raise ValueError(
-                f"delta_omega_ratios value {r!r} puts omega0 (1 + r) outside [0, pi/2)"
-            )
+        omega = omega0 * (1.0 + r)
+        if not 0.0 <= omega < math.pi / 2:
+            raise ValueError(f"delta_omega_ratios value {r!r} puts omega0 (1 + r) = {omega!r} "
+                             f"outside [0, pi/2), with omega0 = atan(b/J) = {omega0!r} at "
+                             f"b/J = {reference.b_over_J!r}")
     for r in grid["delta_theta_ratios"]:
         if not math.isfinite(theta0 * (1.0 + r)):
             raise ValueError(

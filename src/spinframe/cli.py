@@ -1,10 +1,10 @@
 """Command-line interface.
 
-Subcommands: transform, decompose, gate, fields, sweep, thermal.
-Configuration comes from flags, or from --config pointing at a flat
-key = value file or a JSON object; flags override the file.  Exit codes:
-0 success, 1 usage or config error, 2 numeric tolerance failure, 3 I/O error.
-Outputs are byte-deterministic unless --stamp is given.
+Subcommands: transform, decompose, gate, fields, sweep, thermal.  Configuration comes
+from flags, or from --config pointing at a flat key = value file or a JSON object; flags
+override the file.  Exit codes: 0 success, 1 usage or config error (before any command
+computes), 2 numeric tolerance failure, 3 I/O error.  Outputs are byte-deterministic
+unless --stamp is given.
 """
 
 from __future__ import annotations
@@ -122,10 +122,12 @@ def _parse_series(value) -> tuple[float, ...]:
             parts = text.split(":")
             if len(parts) != 3:
                 raise ValueError("range must be start:stop:count")
-            count = int(parts[2])
+            count, start, stop = int(parts[2]), float(parts[0]), float(parts[1])
             if count < 1:
                 raise ValueError("count must be >= 1")
-            vals = [float(x) for x in np.linspace(float(parts[0]), float(parts[1]), count)]
+            if not math.isfinite(stop - start):  # an inf or nan end, or a span past the range
+                raise ValueError("range start, stop and stop - start must be finite")
+            vals = [float(x) for x in np.linspace(start, stop, count)]
         else:
             vals = [float(tok) for tok in text.split(",") if tok.strip()]
     if not vals:
@@ -177,6 +179,8 @@ _VALUE_FLAGS = {"--config"} | {"--" + key.replace("_", "-") for key, row in _OPT
 
 
 def _resolve(args: argparse.Namespace) -> RunConfig:
+    """The run's settings, each report decision made before a command computes: the gate,
+    the tolerance (none for an unchecked report) and the written form."""
     raw = load_config(args.config) if args.config else {}
     unknown = set(raw) - _OPTIONS.keys()
     if unknown:
@@ -188,16 +192,26 @@ def _resolve(args: argparse.Namespace) -> RunConfig:
             values[key] = _OPTIONS[key]["parse"](value)
         except (TypeError, ValueError, UsageError) as exc:
             raise UsageError(f"{key}: {exc}") from None
-    return RunConfig(args.command, **values)
-
-
-def _exchange_params(cfg: RunConfig) -> model.ExchangeParams:
-    """The model parameters; ExchangeParams' own ValueError exits 1 like a usage error."""
-    if cfg.orientation is None:
+    if "orientation" not in values:
         raise UsageError("orientation is required (xy or z)")
-    if cfg.tan_omega is None:
+    if "tan_omega" not in values:
         raise UsageError("tan_omega is required")
-    return model.ExchangeParams(cfg.J, cfg.orientation, cfg.tan_omega, theta=cfg.theta)
+    command, gate = args.command, values.get("gate")
+    if command == "sweep":
+        gate = values.setdefault("gate", "swap")
+    elif command == "gate" and gate is None:
+        raise UsageError(f"gate name required: {', '.join(gates.GATES)}, or psw")
+    # Unchecked: the sweep, and psw, which is away from plain SWAP by design.
+    what = f"gate {gate}" if command == "gate" else command
+    if what not in ("sweep", "gate psw"):
+        values.setdefault("tol", gates.GATES[gate].tol if command == "gate" else 1e-12)
+    elif "tol" in values:
+        raise UsageError(f"tol: {what} has no tolerance check; omit tol")
+    values["format"] = form = values.get("format") or (
+        "csv" if command == "sweep" else "json" if values.get("out") else "text")
+    if form == "csv" and command not in ("sweep", "thermal"):
+        raise UsageError(f"{command} has no csv form")
+    return RunConfig(command, **values)
 
 
 def _fmt_matrix(m: np.ndarray) -> str:
@@ -262,30 +276,20 @@ def _text(doc: dict) -> list[str]:
     return lines
 
 
-def _report(cfg: RunConfig, p: model.ExchangeParams, body: dict,
-            check: tuple[str, float | None, float | None]) -> int:
-    """Frame and write one report: parameters, the command's body (matrices as arrays,
-    a table as the _Table under "rows"), tolerance if checked, stamp with --stamp.
-    check = (what, value, default_tol), --tol overriding default_tol; exit code 2 unless
-    value <= tol (a NaN fails).  default_tol None: no check, what names the report, a tol
-    is refused.  Only the written form is rendered: CSV for sweep, else text (JSON to --out)."""
-    what, value, tol = check
-    if tol is None and cfg.tol is not None:
-        raise UsageError(f"tol: {what} has no tolerance check; omit tol")
+def _report(cfg: RunConfig, p: model.ExchangeParams, body: dict, check: tuple = ()) -> int:
+    """Frame and write one report in cfg.format: parameters, the command's body (matrices as
+    arrays, a table as the _Table under "rows"), tolerance when checked, stamp with --stamp.
+    check = (what, value): exit code 2 unless value <= cfg.tol (a NaN fails)."""
     doc = {"parameters": _params_line(p), **body}
-    if tol is not None:
-        tol = doc["tolerance"] = tol if cfg.tol is None else cfg.tol
+    if cfg.tol is not None:
+        doc["tolerance"] = cfg.tol
     if cfg.stamp:
         doc["stamp"] = datetime.now(timezone.utc).isoformat(timespec="seconds")
-    table = doc.get("rows")
-    form = cfg.format or ("csv" if cfg.command == "sweep" else "json" if cfg.out else "text")
-    if form == "csv" and table is None:
-        raise UsageError(f"{cfg.command} has no csv form")
-    if form == "text":
+    if cfg.format == "text":
         lines = _text(doc)
-    elif form == "csv":
+    elif cfg.format == "csv":
         lines = [f"# stamp: {doc['stamp']}"] if cfg.stamp else []
-        lines += _csv_lines(table)
+        lines += _csv_lines(doc["rows"])
     else:
         lines = [_json(doc)]
     data = "\n".join(lines) + "\n"
@@ -296,8 +300,8 @@ def _report(cfg: RunConfig, p: model.ExchangeParams, body: dict,
         sys.stdout.write(data)
         # A closed pipe must raise here, inside main, not at interpreter exit.
         sys.stdout.flush()
-    if tol is not None and not value <= tol:
-        print(f"error: {what} {value:.6e} exceeds tolerance {tol:.6e}", file=sys.stderr)
+    if cfg.tol is not None and not check[1] <= cfg.tol:
+        print(f"error: {check[0]} {check[1]:.6e} exceeds tolerance {cfg.tol:.6e}", file=sys.stderr)
         return 2
     return 0
 
@@ -315,7 +319,7 @@ def cmd_transform(cfg: RunConfig, p: model.ExchangeParams) -> int:
     residual = frame.verify_isotropization(p)
     body = {"hamiltonian": h, "rotation": rot, "transformed": rot @ h @ rot.conj().T,
             "residual": residual}
-    return _report(cfg, p, body, ("isotropization residual", residual, 1e-12))
+    return _report(cfg, p, body, ("isotropization residual", residual))
 
 
 def cmd_decompose(cfg: RunConfig, p: model.ExchangeParams) -> int:
@@ -325,21 +329,17 @@ def cmd_decompose(cfg: RunConfig, p: model.ExchangeParams) -> int:
     body = {name: dict(zip(("alpha", "gamma", "beta"), angles))
             for name, angles in (("qubit1", plan.qubit1), ("qubit2", plan.qubit2))}
     body["assembly_distance"] = distance
-    return _report(cfg, p, body, ("assembly distance", distance, 1e-12))
+    return _report(cfg, p, body, ("assembly distance", distance))
 
 
 def cmd_gate(cfg: RunConfig, p: model.ExchangeParams) -> int:
     """emit a synthesized gate matrix"""
-    if cfg.gate is None:
-        raise UsageError(f"gate name required: {', '.join(gates.GATES)}, or psw")
-    psw = cfg.gate == "psw"
-    report = gates.phase_shifted_swap(p, cfg.B) if psw else gates.gate_report(cfg.gate, p)
+    report = (gates.phase_shifted_swap(p, cfg.B) if cfg.gate == "psw"
+              else gates.gate_report(cfg.gate, p))
     distance = report.phase_distance_to_target
     body = {"label": report.label, "matrix": report.matrix, "phase_distance": distance,
             "target": report.target_label}
-    # psw is away from plain SWAP by design, so its distance is not checked.
-    tol = None if psw else gates.GATES[cfg.gate].tol
-    return _report(cfg, p, body, ("gate psw" if psw else "gate distance", distance, tol))
+    return _report(cfg, p, body, ("gate distance", distance))
 
 
 def cmd_fields(cfg: RunConfig, p: model.ExchangeParams) -> int:
@@ -347,19 +347,17 @@ def cmd_fields(cfg: RunConfig, p: model.ExchangeParams) -> int:
     pair = model.compensating_fields(p, cfg.B)
     residual = frame.verify_fields(p, cfg.B)
     body = {"B": cfg.B, "b1": list(pair.b1), "b2": list(pair.b2), "residual": residual}
-    return _report(cfg, p, body, ("field transform residual", residual, 1e-12))
+    return _report(cfg, p, body, ("field transform residual", residual))
 
 
 def cmd_sweep(cfg: RunConfig, p: model.ExchangeParams) -> int:
     """gate error over parameter misestimation ratios"""
-    gate = cfg.gate or "swap"
     rows = analysis.gate_error_sweep(p, cfg.delta_omega_ratios, cfg.delta_theta_ratios,
-                                     gate, cfg.mode)
-    config = {"gate": gate, "tan_omega0": p.b_over_J, "theta0": p.theta,
+                                     cfg.gate, cfg.mode)
+    config = {"gate": cfg.gate, "tan_omega0": p.b_over_J, "theta0": p.theta,
               "delta_omega_ratios": list(cfg.delta_omega_ratios),
               "delta_theta_ratios": list(cfg.delta_theta_ratios), "mode": cfg.mode}
-    body = {"config": config, "rows": _Table(analysis.SweepRow._fields, rows)}
-    return _report(cfg, p, body, ("sweep", None, None))
+    return _report(cfg, p, {"config": config, "rows": _Table(analysis.SweepRow._fields, rows)})
 
 
 def cmd_thermal(cfg: RunConfig, p: model.ExchangeParams) -> int:
@@ -373,8 +371,7 @@ def cmd_thermal(cfg: RunConfig, p: model.ExchangeParams) -> int:
         rows.append((beta, c, c0, abs(c - c0)))
     columns = ("beta", "concurrence", "concurrence_isotropic", "difference")
     worst = max(d for _, _, _, d in rows)
-    return _report(cfg, p, {"rows": _Table(columns, rows)},
-                   ("concurrence difference", worst, 1e-12))
+    return _report(cfg, p, {"rows": _Table(columns, rows)}, ("concurrence difference", worst))
 
 
 _COMMANDS = {f.__name__.removeprefix("cmd_"): f for f in (
@@ -426,7 +423,9 @@ def main(argv: list[str] | None = None) -> int:
     try:
         args = _build_parser().parse_args(_join_dash_values(sys.argv[1:] if argv is None else argv))
         cfg = _resolve(args)
-        return args.func(cfg, _exchange_params(cfg))
+        # ExchangeParams' own ValueError exits 1 like a usage error.
+        return args.func(cfg, model.ExchangeParams(cfg.J, cfg.orientation, cfg.tan_omega,
+                                                   theta=cfg.theta))
     except (UsageError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

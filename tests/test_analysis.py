@@ -7,13 +7,12 @@ import pytest
 
 from spinframe.analysis import (
     concurrence,
-    fidelity,
     gate_error_sweep,
     thermal_state,
 )
 from spinframe.frame import PSI_MINUS
 from spinframe.gates import GATES, SWAP
-from spinframe.linalg import expm_unitary, kron
+from spinframe.linalg import expm_unitary, fidelity, kron
 from spinframe.model import ExchangeParams, build_hamiltonian, build_isotropic
 
 THETA0 = 5 * math.pi / 6
@@ -202,6 +201,20 @@ def test_sweep_config_rejects_a_theta_ratio_past_the_float_range(theta0, ratio):
     reference = ExchangeParams(1.0, "xy", 0.1, theta=theta0)
     with pytest.raises(ValueError, match=re.escape(f"delta_theta_ratios value {ratio!r} ")):
         gate_error_sweep(reference, (0.0,), (0.0, ratio))
+
+
+def test_sweep_error_gives_b_over_J_and_omega0_when_atan_rounds_to_a_quarter_turn():
+    """At b/J = 2e16, atan(b/J) rounds to pi/2 and the ratio 0 is refused: the message
+    shows that the reference is at fault.  Negative ratios still give rows there."""
+    reference = ExchangeParams(1.0, "xy", 2e16, theta=THETA0)
+    assert reference.omega == math.pi / 2
+    with pytest.raises(ValueError) as info:
+        gate_error_sweep(reference, (-0.1, 0.0), (0.0,))
+    assert str(info.value) == (
+        "delta_omega_ratios value 0.0 puts omega0 (1 + r) = 1.5707963267948966 outside"
+        " [0, pi/2), with omega0 = atan(b/J) = 1.5707963267948966 at b/J = 2e+16")
+    rows = gate_error_sweep(reference, (-0.5, -0.1), (0.0,), mode="corrected")
+    assert [row.delta_omega_ratio for row in rows] == [-0.5, -0.1]
 
 
 def test_sweep_config_accepts_omega_zero():

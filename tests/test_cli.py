@@ -567,6 +567,73 @@ def test_sweep_rejects_a_tol_in_a_config_file(capsys, tmp_path, name, text):
     assert (code, out, err) == (1, "", "error: tol: sweep has no tolerance check; omit tol\n")
 
 
+@pytest.fixture
+def computed(monkeypatch):
+    """The library functions the commands compute with, spied on: the list of the
+    names called, in order."""
+    from spinframe import analysis, gates, model
+
+    calls = []
+    for module, name in ((analysis, "gate_error_sweep"), (gates, "gate_report"),
+                         (gates, "phase_shifted_swap"), (model, "build_hamiltonian")):
+        def spy(*args, _fn=getattr(module, name), _name=name, **kwargs):
+            calls.append(_name)
+            return _fn(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, spy)
+    return calls
+
+
+@pytest.mark.parametrize("args, fault, message", [
+    (SWEEP_TOL_ARGS, ("--tol", "1"), "tol: sweep has no tolerance check; omit tol"),
+    (SWEEP_TOL_ARGS, "tol = 1\n", "tol: sweep has no tolerance check; omit tol"),
+    (("gate", "--gate", "cnot", *XY_ARGS), ("--format", "csv"), "gate has no csv form"),
+    (PSW_ARGS, ("--tol", "1e-3"), "tol: gate psw has no tolerance check; omit tol"),
+    (("transform", *XY_ARGS), ("--format", "csv"), "transform has no csv form"),
+], ids=["sweep tol flag", "sweep tol config", "gate csv", "psw tol", "transform csv"])
+def test_a_usage_error_exits_1_before_any_computation(capsys, tmp_path, computed, args, fault,
+                                                      message):
+    if isinstance(fault, str):  # a config file holding the fault
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(fault)
+        fault = ("--config", str(cfg))
+    code, out, err = _run_in_process(capsys, *args, *fault)
+    assert (code, out, err, computed) == (1, "", f"error: {message}\n", [])
+    # Without the fault the same command computes, and the spies see it.
+    assert _run_in_process(capsys, *args)[0] == 0 and computed
+
+
+def test_a_usage_error_comes_before_a_model_error(capsys, computed):
+    """psw refuses B/J = 1e300, but the csv request is refused first."""
+    code, out, err = _run_in_process(capsys, *PSW_ARGS, "--B", "1e300", "--format", "csv")
+    assert (code, out, err, computed) == (1, "", "error: gate has no csv form\n", [])
+
+
+@pytest.mark.parametrize("option, args", [
+    ("delta_omega_ratios", ("sweep", *XY_ARGS, "--delta-omega-ratios", "0:inf:3")),
+    ("delta_theta_ratios", ("sweep", *XY_ARGS, "--delta-theta-ratios=-1e308:1e308:3")),
+    ("beta", ("thermal", "--orientation", "z", "--tan-omega", "0.1", "--beta=-1e308:1e308:3")),
+], ids=["delta_omega_ratios", "delta_theta_ratios", "beta"])
+def test_a_non_finite_range_exits_1_naming_its_option(capsys, option, args):
+    """An infinite end, or a span past the float range, is refused before numpy sees it:
+    one error line, no RuntimeWarning."""
+    want = f"error: {option}: range start, stop and stop - start must be finite\n"
+    assert _run_in_process(capsys, *args) == (1, "", want)
+    r = run_cli(*args)
+    assert (r.returncode, r.stdout, r.stderr) == (1, "", want)
+
+
+def test_sweep_error_gives_b_over_J_when_the_reference_is_at_fault(capsys):
+    """atan(2e16) rounds to pi/2, so even the ratio 0 is refused: the message gives b/J and
+    omega0 as well as the ratio."""
+    code, out, err = _run_in_process(capsys, "sweep", "--orientation", "xy", "--theta", "0.3",
+                                     "--tan-omega", "2e16")
+    assert (code, out) == (1, "")
+    assert err == ("error: delta_omega_ratios value 0.0 puts omega0 (1 + r) = 1.5707963267948966"
+                   " outside [0, pi/2), with omega0 = atan(b/J) = 1.5707963267948966 at"
+                   " b/J = 2e+16\n")
+
+
 def test_text_matrix_prints_no_signed_zero():
     import numpy as np
 
