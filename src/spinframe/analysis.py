@@ -42,8 +42,9 @@ def gate_error_sweep(reference: ExchangeParams, delta_omega_ratios, delta_theta_
     Ratios are relative deviations: a row is evaluated at omega = omega0 (1 + r_w)
     and theta = theta0 (1 + r_th).  A corrected row sandwiches the pulse by the
     reference rotation T(omega0, theta0), an uncorrected one is the bare pulse;
-    either way the target is the canonical gate.  Each grid point's pulse
-    exp(-i H t) is computed once and dressed (gates.dress) once per block, so
+    either way the target is the canonical gate.  The pulses exp(-i H t) of the
+    whole grid are one stacked expm_unitary call, dressed (gates.dress) as one
+    stack per block, and each row's fidelity checks its own dressed pulse, so
     every row is realize(gate, p, T or None) bit for bit.  mode "both" gives the
     uncorrected block, then the corrected one; inside a block rows are sorted by
     (delta_theta_ratio, delta_omega_ratio).  error = max(0, 1 - fidelity), and
@@ -81,12 +82,12 @@ def gate_error_sweep(reference: ExchangeParams, delta_omega_ratios, delta_theta_
               for r_th in sorted(grid["delta_theta_ratios"])
               for r_w in sorted(grid["delta_omega_ratios"])]
     area, target = GATES[gate].area, GATES[gate].target
-    pulses = [expm_unitary(build_hamiltonian(p), area / p.J) for _, _, p in points]
+    pulses = expm_unitary(np.stack([build_hamiltonian(p) for _, _, p in points]), area)
     rows = []
     for corrected in _MODES[mode]:
         sandwich = rotation_matrix(reference) if corrected else None
-        for (r_w, r_th, _), u in zip(points, pulses):
-            f = fidelity(dress(u, sandwich, gate), target)
+        for (r_w, r_th, _), u in zip(points, dress(pulses, sandwich, gate)):
+            f = fidelity(u, target)
             error = max(0.0, 1.0 - f)
             log10_error = math.log10(error) if error > 0 else -math.inf
             rows.append(SweepRow(r_w, r_th, corrected, f, error, log10_error))

@@ -139,9 +139,7 @@ def _option(default, parse, help: str, commands: tuple[str, ...] | None = None):
     """A row of the option table: a config-file key, and the flag --name
     (dashes for underscores) of each subcommand in `commands` (None: all).
     parse turns a flag's string or a config-file value into the field value."""
-    flag = ({"action": "store_true", "default": None} if parse is _strict_bool
-            else {"choices": parse} if isinstance(parse, _Choice) else {})
-    meta = {"parse": parse, "help": help, "commands": commands, "flag": flag}
+    meta = {"parse": parse, "help": help, "commands": commands}
     return field(default=default, metadata=meta)
 
 
@@ -175,7 +173,14 @@ class RunConfig:
 
 _OPTIONS = {f.name: f.metadata for f in fields(RunConfig) if f.metadata}
 _VALUE_FLAGS = {"--config"} | {"--" + key.replace("_", "-") for key, row in _OPTIONS.items()
-                               if "action" not in row["flag"]}
+                               if row["parse"] is not _strict_bool}
+# A sweep's gate is a row of the gate table: psw is a gate command only.
+_SWEEP_GATE = _Choice(gates.GATES)
+
+
+def _parse(key: str, command: str):
+    """The parser of option key in command."""
+    return _SWEEP_GATE if (command, key) == ("sweep", "gate") else _OPTIONS[key]["parse"]
 
 
 def _resolve(args: argparse.Namespace) -> RunConfig:
@@ -189,7 +194,7 @@ def _resolve(args: argparse.Namespace) -> RunConfig:
     values = {}
     for key, value in raw.items():
         try:
-            values[key] = _OPTIONS[key]["parse"](value)
+            values[key] = _parse(key, args.command)(value)
         except (TypeError, ValueError, UsageError) as exc:
             raise UsageError(f"{key}: {exc}") from None
     if "orientation" not in values:
@@ -383,9 +388,11 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
-def _add_flag(parser: argparse.ArgumentParser, key: str) -> None:
-    row = _OPTIONS[key]
-    parser.add_argument("--" + key.replace("_", "-"), dest=key, help=row["help"], **row["flag"])
+def _add_flag(parser: argparse.ArgumentParser, key: str, command: str | None = None) -> None:
+    parse = _parse(key, command)
+    flag = ({"action": "store_true", "default": None} if parse is _strict_bool
+            else {"choices": parse} if isinstance(parse, _Choice) else {})
+    parser.add_argument("--" + key.replace("_", "-"), dest=key, help=_OPTIONS[key]["help"], **flag)
 
 
 @functools.cache
@@ -404,7 +411,7 @@ def _build_parser() -> _Parser:
         sp.set_defaults(func=func)
         for key, row in _OPTIONS.items():
             if command in (row["commands"] or ()):
-                _add_flag(sp, key)
+                _add_flag(sp, key, command)
     return parser
 
 

@@ -5,7 +5,7 @@ isotropizing rotation, so the swap family comes out at the isotropic pulse
 areas: J t = pi for swap, pi/2 for its square root.  dress() turns a bare
 pulse exp(-i H t) into a gate: the frame sandwich, then the cnot sequence for
 cnot.  pulse() and realize() make every gate through it, and the sweep dresses
-each of its pulses once per block.  Global phases are tracked nowhere;
+its stack of pulses once per block.  Global phases are tracked nowhere;
 distances are phase insensitive.
 """
 
@@ -72,7 +72,7 @@ class GateReport:
 
 def dress(u: np.ndarray, frame: np.ndarray | None = None, gate: str | None = None) -> np.ndarray:
     """A bare pulse u = exp(-i H t) as a gate: frame u frame^dag (u itself when frame
-    is None), then _cnot_from_w of that for gate "cnot"."""
+    is None), then _cnot_from_w of that for gate "cnot".  u may be a stack (..., 4, 4)."""
     if frame is not None:
         u = frame @ u @ frame.conj().T
     return _cnot_from_w(u) if gate == "cnot" else u

@@ -10,10 +10,12 @@ _IDENTITY_4 = np.eye(4)
 _IDENTITY_4.flags.writeable = False
 
 
-def _as_matrix(a, shape: tuple[int, int], name: str) -> np.ndarray:
+def _as_matrix(a, shape: tuple[int, int], name: str, stack: bool = False) -> np.ndarray:
+    """a as a complex array of the given shape; with stack, of shape (..., *shape)."""
     m = np.asarray(a, dtype=complex)
-    if m.shape != shape:
-        raise ValueError(f"{name} must have shape {shape}, got {m.shape}")
+    if (m.shape[-2:] if stack else m.shape) != shape:
+        want = "(..., %d, %d)" % shape if stack else shape
+        raise ValueError(f"{name} must have shape {want}, got {m.shape}")
     return m
 
 
@@ -26,26 +28,30 @@ def kron(a, b) -> np.ndarray:
 
 
 def herm_eig(h) -> tuple[np.ndarray, np.ndarray]:
-    """Eigendecomposition of a Hermitian 4x4 matrix.
+    """Eigendecomposition of a Hermitian 4x4 matrix, or of each matrix in a stack
+    (..., 4, 4), with the bits of one call per matrix.
 
     Returns (w, v): eigenvalues w ascending, orthonormal eigenvectors in the
-    columns of v, so that h = v @ diag(w) @ v^dag.
+    columns of v, so that h = v @ diag(w) @ v^dag.  Every matrix of the stack
+    must be Hermitian to 1e-12; a NaN entry fails.
     """
-    h = _as_matrix(h, (4, 4), "h")
-    if np.abs(h - h.conj().T).max() > 1e-12:
+    h = _as_matrix(h, (4, 4), "h", stack=True)
+    if not np.abs(h - h.conj().swapaxes(-1, -2)).max(initial=0.0) <= 1e-12:
         raise ValueError("matrix is not Hermitian")
     return np.linalg.eigh(h)
 
 
 def expm_unitary(h, t: float) -> np.ndarray:
-    """exp(-i h t) for Hermitian h, computed through the eigendecomposition."""
+    """exp(-i h t) for Hermitian h, or for each matrix in a stack (..., 4, 4),
+    computed through the eigendecomposition."""
     w, v = herm_eig(h)
-    return (v * np.exp(-1j * w * float(t))) @ v.conj().T
+    return (v * np.exp(-1j * w * float(t))[..., None, :]) @ v.conj().swapaxes(-1, -2)
 
 
 def require_unitary(u, name: str = "matrix", atol: float = 1e-10) -> np.ndarray:
+    """u, if it is a 4x4 matrix within atol of unitary; a NaN entry fails."""
     u = _as_matrix(u, (4, 4), name)
-    if np.abs(u.conj().T @ u - _IDENTITY_4).max() > atol:
+    if not np.abs(u.conj().T @ u - _IDENTITY_4).max() <= atol:
         raise ValueError(f"{name} is not unitary")
     return u
 

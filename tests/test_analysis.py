@@ -256,14 +256,18 @@ def test_sweep_exponentiates_each_grid_point_once(monkeypatch, gate, mode):
     calls = []
 
     def counted(h, t):
-        calls.append(t)
+        calls.append(h)
         return expm_unitary(h, t)
 
     monkeypatch.setattr(analysis, "expm_unitary", counted)
     reference = ExchangeParams(1.0, "xy", 0.1, theta=THETA0)
     rows = gate_error_sweep(reference, (-0.1, 0.0, 0.1), (0.0, 0.2), gate, mode)
-    assert len(calls) == 6
     assert len(rows) == 6 * (2 if mode == "both" else 1)
+    # One call, whose stack holds the Hamiltonian of each of the 6 grid points in row order.
+    (stack,) = calls
+    grid = [ExchangeParams(1.0, "xy", math.tan(reference.omega * (1 + row.delta_omega_ratio)),
+                           theta=THETA0 * (1 + row.delta_theta_ratio)) for row in rows[:6]]
+    assert np.array_equal(stack, np.stack([build_hamiltonian(p) for p in grid]))
 
 
 def test_sweep_refuses_a_hamiltonian_that_is_not_hermitian(monkeypatch):

@@ -504,9 +504,31 @@ def test_gate_choices_are_the_gate_table_and_psw():
 
     parser = _build_parser()
     sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
-    for command in ("gate", "sweep"):
+    for command, psw in (("gate", {"psw"}), ("sweep", set())):
         action = next(a for a in sub.choices[command]._actions if a.dest == "gate")
-        assert set(action.choices) == set(gates.GATES) | {"psw"}
+        assert set(action.choices) == set(gates.GATES) | psw, command
+
+
+def test_sweep_help_lists_the_gate_table_only(capsys):
+    with pytest.raises(SystemExit):
+        main(["sweep", "--help"])
+    out = capsys.readouterr().out
+    assert "{swap,sqrt_swap,cnot}" in out and "psw" not in out
+
+
+@pytest.mark.parametrize("fault", [("--gate", "psw"), "gate = psw\n", '{"gate": "psw"}'],
+                         ids=["flag", "config", "json config"])
+def test_a_psw_sweep_exits_1_before_any_computation(capsys, tmp_path, computed, fault):
+    args = ("sweep", *XY_ARGS, "--delta-omega-ratios", "0.1", "--delta-theta-ratios", "0.1")
+    if isinstance(fault, str):  # a config file holding the fault
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(fault)
+        fault = ("--config", str(cfg))
+    code, out, err = _run_in_process(capsys, *args, *fault)
+    assert (code, out, computed) == (1, "", [])
+    assert err.startswith("error:") and err.count("\n") == 1
+    assert "gate" in err and "'psw'" in err
+    assert _run_in_process(capsys, *args, "--gate", "cnot")[0] == 0 and computed
 
 
 PSW_ARGS = ("gate", "--orientation", "xy", "--theta", "0.3", "--tan-omega", "0.37", "--gate", "psw")

@@ -3,6 +3,7 @@ import pytest
 
 from spinframe.linalg import (
     expm_unitary,
+    fidelity,
     herm_eig,
     kron,
     phase_distance,
@@ -82,6 +83,43 @@ def test_herm_eig_rejects_non_hermitian():
     m[0, 1] = 1e-6
     with pytest.raises(ValueError, match="Hermitian"):
         herm_eig(m)
+
+
+def test_herm_eig_refuses_a_stack_with_one_non_hermitian_member():
+    rng = np.random.default_rng(14)
+    stack = np.stack([random_hermitian(rng) for _ in range(20)])
+    stack[13, 0, 1] += 1e-6
+    with pytest.raises(ValueError, match="matrix is not Hermitian"):
+        herm_eig(stack)
+    with pytest.raises(ValueError, match="matrix is not Hermitian"):
+        expm_unitary(stack, 1.0)
+
+
+@pytest.mark.parametrize("shape", [(), (4,), (3, 3), (4, 3), (2, 4, 3), (5, 3, 4)])
+def test_herm_eig_refuses_a_shape_other_than_a_stack_of_4x4(shape):
+    with pytest.raises(ValueError, match=r"h must have shape \(\.\.\., 4, 4\)"):
+        herm_eig(np.zeros(shape))
+
+
+@pytest.mark.parametrize("where", [(0, 0), (1, 2)])
+def test_a_nan_entry_fails_the_hermitian_check(where):
+    h = heisenberg()
+    h[where] = np.nan
+    with pytest.raises(ValueError, match="matrix is not Hermitian"):
+        herm_eig(h)
+    stack = np.stack([heisenberg()] * 3)
+    stack[(1, *where)] = np.nan
+    with pytest.raises(ValueError, match="matrix is not Hermitian"):
+        herm_eig(stack)
+
+
+def test_a_nan_matrix_is_not_unitary():
+    with pytest.raises(ValueError, match="matrix is not unitary"):
+        require_unitary(np.full((4, 4), np.nan))
+    u = SWAP.copy()
+    u[3, 3] = np.nan
+    with pytest.raises(ValueError, match="u is not unitary"):
+        fidelity(u, SWAP)
 
 
 def test_expm_unitary_zero_time():

@@ -30,7 +30,7 @@ from spinframe.frame import (
 from spinframe.analysis import gate_error_sweep
 from spinframe.cli import _json, _Table
 from spinframe.gates import GATES, SWAP, phase_shifted_swap, realize
-from spinframe.linalg import fidelity, phase_distance
+from spinframe.linalg import expm_unitary, fidelity, herm_eig, phase_distance
 from spinframe.model import (
     PAIR,
     S1,
@@ -269,6 +269,26 @@ def assert_same_bits(a, b):
     assert np.array_equal(a, b)
     for part in (np.real, np.imag):
         assert np.array_equal(np.signbit(part(a)), np.signbit(part(b)))
+
+
+def test_stacked_exponential_is_the_per_matrix_one_bit_for_bit():
+    """herm_eig and expm_unitary on a stack give each matrix's own call's bits: 150
+    random Hermitian matrices, some with entries set to +-0, and 50 Hamiltonians."""
+    rng = np.random.default_rng(15)
+    a = rng.normal(size=(150, 4, 4)) + 1j * rng.normal(size=(150, 4, 4))
+    zeros = rng.choice([0.0, -0.0], size=(*a.shape, 2)).view(complex)[..., 0]
+    a = np.where(rng.random(a.shape) < 0.3, zeros, a)
+    random = a + a.conj().swapaxes(-1, -2)
+    hamiltonians = [build_hamiltonian(ExchangeParams(1.0, "xy", b, theta=t))
+                    for b, t in zip(rng.uniform(0.0, 2.0, 50), rng.uniform(0.0, 7.0, 50))]
+    stack = np.concatenate((random, hamiltonians))
+    w, v = herm_eig(stack)
+    u = expm_unitary(stack, 1.3)
+    for i, h in enumerate(stack):
+        for got, want in zip((w[i], v[i], u[i]), (*herm_eig(h), expm_unitary(h, 1.3))):
+            assert_same_bits(got, want)
+    # Any number of leading dimensions.
+    assert_same_bits(expm_unitary(stack.reshape(8, 25, 4, 4), 1.3), u.reshape(8, 25, 4, 4))
 
 
 def tensordot_hamiltonian(p):
