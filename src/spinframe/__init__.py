@@ -28,7 +28,7 @@ from .gates import (
     gate_report,
     phase_shifted_swap,
 )
-from .linalg import expm_unitary, fidelity, herm_eig, kron, phase_distance, require_unitary
+from .linalg import fidelity, kron, phase_distance
 from .model import (
     ExchangeParams,
     FieldSpec,
@@ -36,7 +36,6 @@ from .model import (
     build_isotropic,
     build_zeeman,
     compensating_fields,
-    spin_operators,
 )
 
 __version__ = "0.1.0"
@@ -44,7 +43,6 @@ __version__ = "0.1.0"
 __all__ = [
     "ExchangeParams",
     "FieldSpec",
-    "spin_operators",
     "build_hamiltonian",
     "build_isotropic",
     "build_zeeman",
@@ -67,9 +65,6 @@ __all__ = [
     "thermal_state",
     "concurrence",
     "kron",
-    "herm_eig",
-    "expm_unitary",
     "phase_distance",
-    "require_unitary",
     "__version__",
 ]

@@ -119,12 +119,12 @@ def concurrence(rho) -> float:
     rho = np.asarray(rho, dtype=complex)
     if rho.shape != (4, 4):
         raise ValueError("density matrix must be 4x4")
-    if np.abs(rho - rho.conj().T).max() > 1e-10:
+    if not np.abs(rho - rho.conj().T).max() <= 1e-10:
         raise ValueError("density matrix must be Hermitian")
-    if abs(np.trace(rho).real - 1.0) > 1e-10:
+    if not abs(np.trace(rho).real - 1.0) <= 1e-10:
         raise ValueError("density matrix must have unit trace")
     w, v = np.linalg.eigh(rho)
-    if w[0] < -1e-10:
+    if not w[0] >= -1e-10:
         raise ValueError("density matrix must be positive semidefinite")
 
     root = (v * np.sqrt(np.clip(w, 0.0, None))) @ v.conj().T

@@ -50,6 +50,8 @@ PSI_PLUS = np.array([0, 1, 1, 0], dtype=complex) / _SQRT2
 PSI_MINUS = np.array([0, 1, -1, 0], dtype=complex) / _SQRT2
 PHI_PLUS = np.array([1, 0, 0, 1], dtype=complex) / _SQRT2
 PHI_MINUS = np.array([1, 0, 0, -1], dtype=complex) / _SQRT2
+for _constant in (PSI_PLUS, PSI_MINUS, PHI_PLUS, PHI_MINUS):
+    _constant.flags.writeable = False
 
 
 def rz(angle: float) -> np.ndarray:

@@ -4,9 +4,9 @@ T exp(-i H t) T^dag equals exp(-i J S1.S2 t) exactly when T is the
 isotropizing rotation, so the swap family comes out at the isotropic pulse
 areas: J t = pi for swap, pi/2 for its square root.  dress() turns a bare
 pulse exp(-i H t) into a gate: the frame sandwich, then the cnot sequence for
-cnot.  pulse() and realize() make every gate through it, and the sweep dresses
-its stack of pulses once per block.  Global phases are tracked nowhere;
-distances are phase insensitive.
+cnot.  realize() and phase_shifted_swap() make every gate through it, and the
+sweep dresses its stack of pulses once per block.  Global phases are tracked
+nowhere; distances are phase insensitive.
 """
 
 from __future__ import annotations
@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import expm_unitary, kron, phase_distance
+from .linalg import UNITARY_TOL, expm_unitary, kron, phase_distance
 from .model import IDENTITY_2, ExchangeParams, build_hamiltonian, build_zeeman, compensating_fields
 from .frame import rotation_matrix, rz
 
@@ -28,7 +28,6 @@ __all__ = [
     "GATES",
     "GateReport",
     "dress",
-    "pulse",
     "realize",
     "gate_report",
     "phase_shifted_swap",
@@ -60,6 +59,9 @@ _CNOT_LEFT = (
 )
 _CNOT_MIDDLE = kron(rz(math.pi), IDENTITY_2)
 _CNOT_RIGHT = kron(_Z_FLIP, _Z_FLIP @ _HADAMARD)
+for _constant in (SWAP, SQRT_SWAP, CNOT, _HADAMARD, _Z_FLIP,
+                  _CNOT_LEFT, _CNOT_MIDDLE, _CNOT_RIGHT):
+    _constant.flags.writeable = False
 
 
 @dataclass(frozen=True)
@@ -76,11 +78,6 @@ def dress(u: np.ndarray, frame: np.ndarray | None = None, gate: str | None = Non
     if frame is not None:
         u = frame @ u @ frame.conj().T
     return _cnot_from_w(u) if gate == "cnot" else u
-
-
-def pulse(h, t: float, frame: np.ndarray | None = None) -> np.ndarray:
-    """frame exp(-i h t) frame^dag; the bare pulse exp(-i h t) when frame is None."""
-    return dress(expm_unitary(h, t), frame)
 
 
 def _cnot_from_w(w: np.ndarray) -> np.ndarray:
@@ -128,15 +125,15 @@ def phase_shifted_swap(p: ExchangeParams, B: float) -> GateReport:
     distance to plain SWAP is reported for reference; it is nonzero whenever
     B tau_s is not a multiple of 2 pi.  As in realize, H/J is exponentiated over
     the pulse area, so B/J must be finite.  The field phase B pi/J must also keep
-    digits at 1e-10, the tolerance require_unitary holds every matrix to: an ulp
-    of it above 1e-10, which is |B/J| >= 2^19/pi, is refused.
+    digits at UNITARY_TOL, the tolerance require_unitary holds every matrix to:
+    an ulp of it above UNITARY_TOL, which is |B/J| >= 2^19/pi, is refused.
     """
     if not math.isfinite(B / p.J):
         raise ValueError(f"B must be finite in units of J; B/J = {B / p.J!r} for B = {B!r}")
-    if math.ulp(math.pi * (B / p.J)) > 1e-10:
+    if math.ulp(math.pi * (B / p.J)) > UNITARY_TOL:
         raise ValueError(f"B/J = {B / p.J!r} for B = {B!r} is too large: an ulp of the field "
-                         "phase B pi/J exceeds 1e-10, so |B/J| must be below 2^19/pi")
+                         f"phase B pi/J exceeds {UNITARY_TOL:g}, so |B/J| must be below 2^19/pi")
     swap = GATES["swap"]
     h = build_hamiltonian(p) / p.J + build_zeeman(compensating_fields(p, B / p.J))
-    u = pulse(h, swap.area, rotation_matrix(p))
+    u = dress(expm_unitary(h, swap.area), rotation_matrix(p))
     return GateReport(u, f"psw(B={B!r})", phase_distance(u, swap.target), swap.target_label)

@@ -6,6 +6,9 @@ import numpy as np
 
 __all__ = ["kron", "herm_eig", "expm_unitary", "fidelity", "phase_distance", "require_unitary"]
 
+# The largest entry of |u^dag u - I| that require_unitary accepts.
+UNITARY_TOL = 1e-10
+
 _IDENTITY_4 = np.eye(4)
 _IDENTITY_4.flags.writeable = False
 
@@ -48,10 +51,10 @@ def expm_unitary(h, t: float) -> np.ndarray:
     return (v * np.exp(-1j * w * float(t))[..., None, :]) @ v.conj().swapaxes(-1, -2)
 
 
-def require_unitary(u, name: str = "matrix", atol: float = 1e-10) -> np.ndarray:
-    """u, if it is a 4x4 matrix within atol of unitary; a NaN entry fails."""
+def require_unitary(u, name: str = "matrix") -> np.ndarray:
+    """u, if it is a 4x4 matrix within UNITARY_TOL of unitary; a NaN entry fails."""
     u = _as_matrix(u, (4, 4), name)
-    if not np.abs(u.conj().T @ u - _IDENTITY_4).max() <= atol:
+    if not np.abs(u.conj().T @ u - _IDENTITY_4).max() <= UNITARY_TOL:
         raise ValueError(f"{name} is not unitary")
     return u
 

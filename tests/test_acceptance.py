@@ -14,6 +14,7 @@ import pytest
 
 import spinframe as sf
 from spinframe.linalg import expm_unitary, phase_distance
+from spinframe.model import S1, S2
 
 TAN_OMEGAS = (1e-4, 5e-3, 0.1, 0.5)
 THETAS = (0.0, math.pi / 6, 5 * math.pi / 6, 3 * math.pi / 2)
@@ -108,7 +109,7 @@ def test_5_gate_constructions(capsys):
 
 def test_6_compensating_fields_and_phase_shifted_swap(capsys):
     start = time.perf_counter()
-    s1z, s2z = sf.spin_operators()[2], sf.spin_operators()[5]
+    s1z, s2z = S1[2], S2[2]
 
     worst = 0.0
     for p in grid():

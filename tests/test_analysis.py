@@ -125,6 +125,18 @@ def test_concurrence_validation():
         concurrence(negative)
 
 
+def test_concurrence_refuses_an_all_nan_matrix():
+    with pytest.raises(ValueError, match="density matrix must be Hermitian"):
+        concurrence(np.full((4, 4), np.nan))
+
+
+def test_concurrence_refuses_a_nan_off_diagonal_pair():
+    rho = np.eye(4, dtype=complex) / 4
+    rho[0, 1] = rho[1, 0] = np.nan
+    with pytest.raises(ValueError, match="density matrix must be Hermitian"):
+        concurrence(rho)
+
+
 REFERENCE = ExchangeParams(1.0, "xy", 5e-3, theta=THETA0)
 
 
@@ -242,10 +254,7 @@ def test_sweep_at_zero_misestimation_is_the_public_gate(gate, t0):
     rows = {row.corrected: row for row in gate_error_sweep(reference, (0.0,), (0.0,), gate)}
     public = gates.gate_report(gate, p)
     assert rows[True].fidelity == fidelity(public.matrix, target)
-    bare = gates.pulse(build_hamiltonian(p), gates.GATES[gate].area / p.J)
-    if gate == "cnot":
-        bare = gates._cnot_from_w(bare)
-    assert rows[False].fidelity == fidelity(bare, target)
+    assert rows[False].fidelity == fidelity(gates.realize(gate, p), target)
 
 
 @pytest.mark.parametrize("gate", ["swap", "cnot"])
