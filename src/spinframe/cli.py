@@ -27,10 +27,6 @@ from . import analysis, frame, gates, linalg, model
 __all__ = ["main", "parse_angle", "load_config", "RunConfig"]
 
 
-class UsageError(Exception):
-    pass
-
-
 _ANGLE_RE = re.compile(r"^([+-]?)(\d*)pi(?:/(\d+))?$")
 
 
@@ -55,7 +51,7 @@ def parse_angle(value) -> float:
     try:
         return float(text)
     except ValueError:
-        raise UsageError(f"cannot parse angle {value!r}") from None
+        raise ValueError(f"cannot parse angle {value!r}") from None
 
 
 def load_config(path: str) -> dict:
@@ -66,9 +62,9 @@ def load_config(path: str) -> dict:
         try:
             data = json.loads(text)
         except json.JSONDecodeError as exc:
-            raise UsageError(f"bad JSON config: {exc}") from None
+            raise ValueError(f"bad JSON config: {exc}") from None
         if not isinstance(data, dict):
-            raise UsageError("JSON config must be an object")
+            raise ValueError("JSON config must be an object")
         return data
     data = {}
     for lineno, line in enumerate(text.splitlines(), start=1):
@@ -76,7 +72,7 @@ def load_config(path: str) -> dict:
         if not line:
             continue
         if "=" not in line:
-            raise UsageError(f"config line {lineno} is not 'key = value'")
+            raise ValueError(f"config line {lineno} is not 'key = value'")
         key, _, value = line.partition("=")
         value = value.strip()
         try:
@@ -86,12 +82,12 @@ def load_config(path: str) -> dict:
     return data
 
 
-def _tolerance(value) -> float:
-    # A NaN tolerance would fail every check, an infinite one pass every finite value.
-    tol = _number(value)
-    if not (math.isfinite(tol) and tol >= 0):
+def _finite_nonnegative(value) -> float:
+    """A finite number >= 0, as a tolerance or tan(omega) must be; NaN and inf are refused."""
+    x = _number(value)
+    if not (math.isfinite(x) and x >= 0):
         raise ValueError(f"must be finite and >= 0, got {value!r}")
-    return tol
+    return x
 
 
 def _strict_bool(value) -> bool:
@@ -151,7 +147,8 @@ class RunConfig:
     J: float = _option(1.0, _number, "exchange strength J, a normal float > 0 (default 1.0)")
     orientation: str | None = _option(None, _Choice(("xy", "z")), "anisotropy axis orientation")
     theta: float | None = _option(None, parse_angle, "axis azimuth: radians or Npi/M, e.g. 5pi/6")
-    tan_omega: float | None = _option(None, _number, "anisotropy strength b/J, as tan(omega)")
+    tan_omega: float | None = _option(None, _finite_nonnegative,
+                                      "anisotropy strength b/J, as tan(omega)")
     gate: str | None = _option(None, _Choice((*gates.GATES, "psw")),
                                "gate to build, or to sweep (default swap)", ("gate", "sweep"))
     B: float = _option(1.0, _number, "field magnitude (default 1.0)", ("gate", "fields"))
@@ -167,7 +164,8 @@ class RunConfig:
                         "which pulse variants to evaluate (default both)", ("sweep",))
     out: str | None = _option(None, str, "write the report to this file")
     format: str | None = _option(None, _Choice(("csv", "json")), "output document format")
-    tol: float | None = _option(None, _tolerance, "verification tolerance, finite and >= 0")
+    tol: float | None = _option(None, _finite_nonnegative,
+                                "verification tolerance, finite and >= 0")
     stamp: bool = _option(False, _strict_bool, "include a UTC timestamp in the output metadata")
 
 
@@ -189,33 +187,33 @@ def _resolve(args: argparse.Namespace) -> RunConfig:
     raw = load_config(args.config) if args.config else {}
     unknown = set(raw) - _OPTIONS.keys()
     if unknown:
-        raise UsageError(f"unknown config key(s): {', '.join(sorted(unknown))}")
+        raise ValueError(f"unknown config key(s): {', '.join(sorted(unknown))}")
     raw.update((k, v) for k, v in vars(args).items() if k in _OPTIONS and v is not None)
     values = {}
     for key, value in raw.items():
         try:
             values[key] = _parse(key, args.command)(value)
-        except (TypeError, ValueError, UsageError) as exc:
-            raise UsageError(f"{key}: {exc}") from None
+        except (TypeError, ValueError) as exc:
+            raise ValueError(f"{key}: {exc}") from None
     if "orientation" not in values:
-        raise UsageError("orientation is required (xy or z)")
+        raise ValueError("orientation is required (xy or z)")
     if "tan_omega" not in values:
-        raise UsageError("tan_omega is required")
+        raise ValueError("tan_omega is required")
     command, gate = args.command, values.get("gate")
     if command == "sweep":
         gate = values.setdefault("gate", "swap")
     elif command == "gate" and gate is None:
-        raise UsageError(f"gate name required: {', '.join(gates.GATES)}, or psw")
+        raise ValueError(f"gate name required: {', '.join(gates.GATES)}, or psw")
     # Unchecked: the sweep, and psw, which is away from plain SWAP by design.
     what = f"gate {gate}" if command == "gate" else command
     if what not in ("sweep", "gate psw"):
         values.setdefault("tol", gates.GATES[gate].tol if command == "gate" else 1e-12)
     elif "tol" in values:
-        raise UsageError(f"tol: {what} has no tolerance check; omit tol")
+        raise ValueError(f"tol: {what} has no tolerance check; omit tol")
     values["format"] = form = values.get("format") or (
         "csv" if command == "sweep" else "json" if values.get("out") else "text")
     if form == "csv" and command not in ("sweep", "thermal"):
-        raise UsageError(f"{command} has no csv form")
+        raise ValueError(f"{command} has no csv form")
     return RunConfig(command, **values)
 
 
@@ -385,7 +383,7 @@ _COMMANDS = {f.__name__.removeprefix("cmd_"): f for f in (
 
 class _Parser(argparse.ArgumentParser):
     def error(self, message):
-        raise UsageError(message)
+        raise ValueError(message)
 
 
 def _add_flag(parser: argparse.ArgumentParser, key: str, command: str | None = None) -> None:
@@ -408,7 +406,6 @@ def _build_parser() -> _Parser:
     sub = parser.add_subparsers(dest="command", required=True, metavar="command")
     for command, func in _COMMANDS.items():
         sp = sub.add_parser(command, parents=[common], help=func.__doc__, allow_abbrev=False)
-        sp.set_defaults(func=func)
         for key, row in _OPTIONS.items():
             if command in (row["commands"] or ()):
                 _add_flag(sp, key, command)
@@ -430,10 +427,9 @@ def main(argv: list[str] | None = None) -> int:
     try:
         args = _build_parser().parse_args(_join_dash_values(sys.argv[1:] if argv is None else argv))
         cfg = _resolve(args)
-        # ExchangeParams' own ValueError exits 1 like a usage error.
-        return args.func(cfg, model.ExchangeParams(cfg.J, cfg.orientation, cfg.tan_omega,
-                                                   theta=cfg.theta))
-    except (UsageError, ValueError) as exc:
+        return _COMMANDS[cfg.command](
+            cfg, model.ExchangeParams(cfg.J, cfg.orientation, cfg.tan_omega, theta=cfg.theta))
+    except ValueError as exc:  # every refusal, the parser's, the config's and the model's
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except BrokenPipeError:

@@ -85,7 +85,7 @@ class ExchangeParams:
         if self.orientation not in ("xy", "z"):
             raise ValueError("orientation must be 'xy' or 'z'")
         if not (math.isfinite(self.b_over_J) and self.b_over_J >= 0):
-            raise ValueError("b_over_J must be nonnegative and finite")
+            raise ValueError(f"b_over_J must be nonnegative and finite; got {self.b_over_J!r}")
         if self.orientation == "xy":
             if self.theta is None or not math.isfinite(self.theta):
                 raise ValueError("orientation 'xy' requires a finite theta")

@@ -112,8 +112,9 @@ def test_concurrence_of_a_near_pure_ground_state_is_at_most_1(p, beta):
 
 
 def test_concurrence_validation():
-    with pytest.raises(ValueError):
-        concurrence(np.eye(2))
+    for rho in (np.eye(2) / 2, np.eye(3) / 3, np.stack([np.eye(4) / 4] * 2)):
+        with pytest.raises(ValueError, match="density matrix must be 4x4"):
+            concurrence(rho)
     with pytest.raises(ValueError):
         concurrence(np.eye(4))  # trace 4
     bad = np.eye(4, dtype=complex) / 4

@@ -34,10 +34,19 @@ def test_parse_angle_forms():
 
 
 def test_parse_angle_rejects_garbage():
-    from spinframe.cli import UsageError
-
-    with pytest.raises(UsageError):
+    with pytest.raises(ValueError):
         parse_angle("5pi/")
+
+
+def test_every_refusal_is_a_value_error():
+    """parse_angle refuses an unparsable angle and a zero denominator with the same type,
+    the one type every CLI refusal has."""
+    import spinframe.cli
+
+    for text in ("5pi/", "pi/0"):
+        with pytest.raises(ValueError, match=re.escape(repr(text))):
+            parse_angle(text)
+    assert not hasattr(spinframe.cli, "UsageError")
 
 
 def test_transform_json_schema():
@@ -999,6 +1008,28 @@ def test_b_over_J_is_not_a_config_key(capsys, tmp_path, name, text):
     cfg.write_text(text)
     code, out, err = _run_in_process(capsys, "transform", "--config", str(cfg))
     assert (code, out, err) == (1, "", "error: unknown config key(s): b_over_J\n")
+
+
+@pytest.mark.parametrize("value", ["-0.1", "nan", "inf", "-1e-300"])
+def test_a_tan_omega_flag_out_of_range_names_tan_omega(capsys, value):
+    code, out, err = _run_in_process(capsys, "transform", "--orientation", "xy", "--theta",
+                                     "0.3", "--tan-omega", value)
+    want = f"error: tan_omega: must be finite and >= 0, got {value!r}\n"
+    assert (code, out, err) == (1, "", want)
+
+
+@pytest.mark.parametrize("name, text, shown", [
+    ("run.cfg", "orientation = xy\ntheta = 0.3\ntan_omega = -0.1\n", "-0.1"),
+    ("run.json", json.dumps({"orientation": "z", "tan_omega": -0.5}), "-0.5"),
+    ("nan.json", '{"orientation": "z", "tan_omega": NaN}', "nan"),
+], ids=["flat", "json", "json-nan"])
+def test_a_tan_omega_config_value_out_of_range_names_tan_omega(capsys, tmp_path, name, text,
+                                                                shown):
+    cfg = tmp_path / name
+    cfg.write_text(text)
+    code, out, err = _run_in_process(capsys, "sweep", "--config", str(cfg))
+    want = f"error: tan_omega: must be finite and >= 0, got {shown}\n"
+    assert (code, out, err) == (1, "", want)
 
 
 def test_the_coupling_is_required(capsys):

@@ -1,4 +1,5 @@
 import math
+import re
 import sys
 
 import numpy as np
@@ -100,6 +101,13 @@ def test_hamiltonian_continuous_at_zero_coupling():
 def test_params_validation(kwargs):
     with pytest.raises(ValueError):
         ExchangeParams(**kwargs)
+
+
+@pytest.mark.parametrize("b_over_J", [-0.1, math.nan, math.inf])
+def test_a_refused_coupling_is_named_with_its_value(b_over_J):
+    with pytest.raises(ValueError, match=re.escape(f"b_over_J must be nonnegative and finite; "
+                                                   f"got {b_over_J!r}")):
+        ExchangeParams(1.0, "z", b_over_J)
 
 
 def test_J_must_be_a_normal_float():
