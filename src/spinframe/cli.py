@@ -55,10 +55,14 @@ def parse_angle(value) -> float:
 
 
 def load_config(path: str) -> dict:
-    """Read a JSON object or a flat key = value file ('#' starts a comment)."""
-    with open(path, "r", encoding="utf-8") as fh:
-        text = fh.read()
-    if text.lstrip().startswith("{"):
+    """Read a JSON object or a flat key = value file ('#' starts a comment).  A file whose
+    first non-blank character is { or [ is JSON."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            text = fh.read()
+    except UnicodeDecodeError as exc:  # from read: open errors stay OSError, exit 3
+        raise ValueError(f"config {path} is not UTF-8: {exc.reason} at byte {exc.start}") from None
+    if text.lstrip().startswith(("{", "[")):
         try:
             data = json.loads(text)
         except json.JSONDecodeError as exc:
@@ -183,7 +187,7 @@ def _parse(key: str, command: str):
 
 def _resolve(args: argparse.Namespace) -> RunConfig:
     """The run's settings, each report decision made before a command computes: the gate,
-    the tolerance (none for an unchecked report) and the written form."""
+    the tolerance (none for the sweep) and the written form."""
     raw = load_config(args.config) if args.config else {}
     unknown = set(raw) - _OPTIONS.keys()
     if unknown:
@@ -200,16 +204,15 @@ def _resolve(args: argparse.Namespace) -> RunConfig:
     if "tan_omega" not in values:
         raise ValueError("tan_omega is required")
     command, gate = args.command, values.get("gate")
-    if command == "sweep":
-        gate = values.setdefault("gate", "swap")
+    if command == "sweep":  # the one unchecked report
+        values.setdefault("gate", "swap")
+        if "tol" in values:
+            raise ValueError("tol: sweep has no tolerance check; omit tol")
     elif command == "gate" and gate is None:
         raise ValueError(f"gate name required: {', '.join(gates.GATES)}, or psw")
-    # Unchecked: the sweep, and psw, which is away from plain SWAP by design.
-    what = f"gate {gate}" if command == "gate" else command
-    if what not in ("sweep", "gate psw"):
-        values.setdefault("tol", gates.GATES[gate].tol if command == "gate" else 1e-12)
-    elif "tol" in values:
-        raise ValueError(f"tol: {what} has no tolerance check; omit tol")
+    else:  # a gate's default tol is its GATES row's; psw's, like every other report's, 1e-12
+        row = gates.GATES.get(gate) if command == "gate" else None
+        values.setdefault("tol", row.tol if row else 1e-12)
     values["format"] = form = values.get("format") or (
         "csv" if command == "sweep" else "json" if values.get("out") else "text")
     if form == "csv" and command not in ("sweep", "thermal"):
@@ -389,7 +392,7 @@ class _Parser(argparse.ArgumentParser):
 def _add_flag(parser: argparse.ArgumentParser, key: str, command: str | None = None) -> None:
     parse = _parse(key, command)
     flag = ({"action": "store_true", "default": None} if parse is _strict_bool
-            else {"choices": parse} if isinstance(parse, _Choice) else {})
+            else {"metavar": "{" + ",".join(parse) + "}"} if isinstance(parse, _Choice) else {})
     parser.add_argument("--" + key.replace("_", "-"), dest=key, help=_OPTIONS[key]["help"], **flag)
 
 

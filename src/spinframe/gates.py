@@ -120,20 +120,21 @@ def phase_shifted_swap(p: ExchangeParams, B: float) -> GateReport:
     Evolves H + B1.S1 + B2.S2 for pi/J inside the sandwich, with the fields
     from compensating_fields(p, B).  In the rotated frame that is the
     isotropic exchange plus a uniform z field, so the result is
-    SWAP . (D x D) with D = diag(e^{-i B pi/(2J)}, e^{+i B pi/(2J)}) up to a
-    global phase: a swap whose outputs each carry a field phase.  The
-    distance to plain SWAP is reported for reference; it is nonzero whenever
-    B tau_s is not a multiple of 2 pi.  As in realize, H/J is exponentiated over
-    the pulse area, so B/J must be finite.  The field phase B pi/J must also keep
-    digits at UNITARY_TOL, the tolerance require_unitary holds every matrix to:
-    an ulp of it above UNITARY_TOL, which is |B/J| >= 2^19/pi, is refused.
+    SWAP . (D x D) with D = Rz(-pi B/J) = diag(e^{-i B pi/(2J)}, e^{+i B pi/(2J)})
+    up to a global phase: a swap whose outputs each carry a field phase.  The
+    distance is to that closed form, so psw is checked like every gate.  As in
+    realize, H/J is exponentiated over the pulse area, so B/J must be finite.
+    The field phase B pi/J must also keep digits at UNITARY_TOL, the tolerance
+    require_unitary holds every matrix to: an ulp of it above UNITARY_TOL, which
+    is |B/J| >= 2^19/pi, is refused.
     """
-    if not math.isfinite(B / p.J):
-        raise ValueError(f"B must be finite in units of J; B/J = {B / p.J!r} for B = {B!r}")
-    if math.ulp(math.pi * (B / p.J)) > UNITARY_TOL:
-        raise ValueError(f"B/J = {B / p.J!r} for B = {B!r} is too large: an ulp of the field "
+    b = B / p.J
+    if not math.isfinite(b):
+        raise ValueError(f"B must be finite in units of J; B/J = {b!r} for B = {B!r}")
+    if math.ulp(math.pi * b) > UNITARY_TOL:
+        raise ValueError(f"B/J = {b!r} for B = {B!r} is too large: an ulp of the field "
                          f"phase B pi/J exceeds {UNITARY_TOL:g}, so |B/J| must be below 2^19/pi")
-    swap = GATES["swap"]
-    h = build_hamiltonian(p) / p.J + build_zeeman(compensating_fields(p, B / p.J))
-    u = dress(expm_unitary(h, swap.area), rotation_matrix(p))
-    return GateReport(u, f"psw(B={B!r})", phase_distance(u, swap.target), swap.target_label)
+    h = build_hamiltonian(p) / p.J + build_zeeman(compensating_fields(p, b))
+    u = dress(expm_unitary(h, GATES["swap"].area), rotation_matrix(p))
+    d = rz(-math.pi * b)
+    return GateReport(u, f"psw(B={B!r})", phase_distance(u, SWAP @ kron(d, d)), "SWAP.(D x D)")

@@ -96,13 +96,14 @@ def test_gate_json_schema_is_exact():
     assert abs(u[3][2]) == pytest.approx(1.0, abs=1e-8)
 
 
-def test_gate_psw_reports_without_tolerance_check():
-    """psw is away from plain SWAP by design; that must not exit 2."""
+def test_gate_psw_is_checked_against_its_closed_form():
+    """psw's target is SWAP.(D x D), the swap with its field phases, checked at 1e-12."""
     r = run_cli("gate", "--gate", "psw", "--B", "1.0", *XY_ARGS, "--format", "json")
     assert r.returncode == 0
     doc = json.loads(r.stdout)
     assert doc["label"] == "psw(B=1.0)"
-    assert doc["phase_distance"] > 0.1
+    assert doc["phase_distance"] <= 1e-12
+    assert (doc["target"], doc["tolerance"]) == ("SWAP.(D x D)", 1e-12)
 
 
 def test_fields_json():
@@ -169,6 +170,21 @@ def test_unknown_config_key_exits_1(tmp_path):
     r = run_cli("transform", "--config", str(cfg))
     assert r.returncode == 1
     assert "wibble" in r.stderr
+
+
+def test_a_config_file_opening_with_a_bracket_is_json(capsys, tmp_path):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("  \n[1, 2]\n")
+    code, out, err = _run_in_process(capsys, "transform", "--config", str(cfg))
+    assert (code, out, err) == (1, "", "error: JSON config must be an object\n")
+
+
+def test_a_config_file_that_is_not_utf8_is_named(capsys, tmp_path):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_bytes(b"orientation = xy\xff\n")
+    code, out, err = _run_in_process(capsys, "transform", "--config", str(cfg))
+    assert (code, out) == (1, "")
+    assert err == f"error: config {cfg} is not UTF-8: invalid start byte at byte 16\n"
 
 
 SWEEP_ARGS = (
@@ -513,9 +529,10 @@ def test_gate_choices_are_the_gate_table_and_psw():
 
     parser = _build_parser()
     sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
-    for command, psw in (("gate", {"psw"}), ("sweep", set())):
+    for command, psw in (("gate", ("psw",)), ("sweep", ())):
         action = next(a for a in sub.choices[command]._actions if a.dest == "gate")
-        assert set(action.choices) == set(gates.GATES) | psw, command
+        assert action.metavar == "{" + ",".join((*gates.GATES, *psw)) + "}", command
+        assert action.choices is None, command
 
 
 def test_sweep_help_lists_the_gate_table_only(capsys):
@@ -543,11 +560,12 @@ def test_a_psw_sweep_exits_1_before_any_computation(capsys, tmp_path, computed, 
 PSW_ARGS = ("gate", "--orientation", "xy", "--theta", "0.3", "--tan-omega", "0.37", "--gate", "psw")
 
 
-def test_psw_rejects_a_tol_flag(capsys):
+def test_psw_fails_its_check_at_tol_0(capsys):
+    """Rounding leaves psw's distance near 1e-31; tol 0 must flag it."""
     code, out, err = _run_in_process(capsys, *PSW_ARGS, "--tol", "0")
-    assert code == 1
-    assert out == ""
-    assert err.startswith("error: tol: ") and "psw" in err
+    assert code == 2
+    assert out.endswith("target: SWAP.(D x D)\ntolerance: 0.0\n")
+    assert err.startswith("error: gate distance ") and err.count("\n") == 1
 
 
 @pytest.mark.parametrize("name, text", [
@@ -555,13 +573,30 @@ def test_psw_rejects_a_tol_flag(capsys):
     ("run.json", json.dumps({"orientation": "xy", "theta": 0.3, "tan_omega": 0.37,
                              "gate": "psw", "tol": 1e-3})),
 ], ids=["flat", "json"])
-def test_psw_rejects_a_tol_in_a_config_file(capsys, tmp_path, name, text):
+def test_psw_uses_a_tol_from_a_config_file(capsys, tmp_path, name, text):
     cfg = tmp_path / name
     cfg.write_text(text)
-    code, out, err = _run_in_process(capsys, "gate", "--config", str(cfg))
-    assert code == 1
-    assert out == ""
-    assert err.startswith("error: tol: ") and "psw" in err
+    code, out, err = _run_in_process(capsys, "gate", "--config", str(cfg), "--format", "json")
+    assert (code, err) == (0, "")
+    assert json.loads(out)["tolerance"] == 1e-3
+
+
+@pytest.mark.parametrize("key, args, value", [
+    ("orientation", ("transform", "--tan-omega", "0.1"), "q"),
+    ("gate", ("gate", *XY_ARGS), "nope"),
+    ("gate", ("sweep", *XY_ARGS), "psw"),
+    ("mode", ("sweep", *XY_ARGS), "x"),
+    ("format", ("transform", *XY_ARGS), "xml"),
+], ids=["orientation", "gate", "sweep gate", "mode", "format"])
+def test_a_bad_choice_prints_one_line_from_a_flag_or_a_file(capsys, tmp_path, key, args, value):
+    """The option row refuses a bad choice, from a flag or from a config file, with one
+    message."""
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(f"{key} = {value}\n")
+    want = _run_in_process(capsys, *args, "--config", str(cfg))
+    assert want == (1, "", want[2]) and want[2].startswith(f"error: {key}: must be one of ")
+    assert want[2].endswith(f", got {value!r}\n")
+    assert _run_in_process(capsys, *args, "--" + key, value) == want
 
 
 def test_parser_built_once_gives_each_call_its_own_result(capsys):
@@ -619,9 +654,8 @@ def computed(monkeypatch):
     (SWEEP_TOL_ARGS, ("--tol", "1"), "tol: sweep has no tolerance check; omit tol"),
     (SWEEP_TOL_ARGS, "tol = 1\n", "tol: sweep has no tolerance check; omit tol"),
     (("gate", "--gate", "cnot", *XY_ARGS), ("--format", "csv"), "gate has no csv form"),
-    (PSW_ARGS, ("--tol", "1e-3"), "tol: gate psw has no tolerance check; omit tol"),
     (("transform", *XY_ARGS), ("--format", "csv"), "transform has no csv form"),
-], ids=["sweep tol flag", "sweep tol config", "gate csv", "psw tol", "transform csv"])
+], ids=["sweep tol flag", "sweep tol config", "gate csv", "transform csv"])
 def test_a_usage_error_exits_1_before_any_computation(capsys, tmp_path, computed, args, fault,
                                                       message):
     if isinstance(fault, str):  # a config file holding the fault
@@ -961,9 +995,10 @@ def test_console_module_reads_a_negative_theta():
 
 JSON_COMMANDS = TEXT_COMMANDS + [("sweep", "--delta-omega-ratios", "0,0.1", "--delta-theta-ratios",
                                   "0.01")]
-# The default tolerance of each checked report; psw and sweep check nothing.
+# The default tolerance of each checked report; the sweep checks nothing.
 DEFAULT_TOL = {"transform": 1e-12, "decompose": 1e-12, "fields": 1e-12, "thermal": 1e-12,
-               "gate swap": 1e-12, "gate sqrt_swap": 1e-12, "gate cnot": 1e-10}
+               "gate swap": 1e-12, "gate sqrt_swap": 1e-12, "gate cnot": 1e-10,
+               "gate psw": 1e-12}
 
 
 @pytest.mark.parametrize("command", JSON_COMMANDS, ids=" ".join)
@@ -976,7 +1011,7 @@ def test_every_json_document_starts_with_its_parameters(capsys, command):
                                  "b/J=0.0050000000000000001 omega=0.0049999583339583225")
 
 
-@pytest.mark.parametrize("command", [c for c in TEXT_COMMANDS if c[-1] != "psw"], ids=" ".join)
+@pytest.mark.parametrize("command", TEXT_COMMANDS, ids=" ".join)
 @pytest.mark.parametrize("tol", [None, "0.25"])
 def test_every_checked_report_ends_with_its_tolerance(capsys, command, tol):
     want = DEFAULT_TOL[" ".join(command).replace("--gate ", "")] if tol is None else float(tol)
@@ -993,7 +1028,7 @@ def test_every_checked_report_ends_with_its_tolerance(capsys, command, tol):
     assert tail[0] == f"tolerance: {json.dumps(want)}" and tail[1].startswith("stamp: ")
 
 
-@pytest.mark.parametrize("command", [("gate", "--gate", "psw"), JSON_COMMANDS[-1]], ids=" ".join)
+@pytest.mark.parametrize("command", [JSON_COMMANDS[-1]], ids=" ".join)
 def test_unchecked_reports_have_no_tolerance(capsys, command):
     code, out, _ = _run_in_process(capsys, *command, *XY_ARGS, "--format", "json")
     assert code == 0 and "tolerance" not in json.loads(out)

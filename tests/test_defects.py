@@ -8,7 +8,11 @@ frozen below.  Two blind spots are rows of it, not failures:
   the flip-flop part S1xS2x + S1yS2y and so cancels it, so `gate cnot` cannot see
   a symmetric term that in the frame only changes the flip-flop coefficient;
 - `thermal` compares concurrences, which local unitaries leave alone, so it sees
-  no defect of T, nor the Dzyaloshinskii-Moriya sign flip (H conjugated by SWAP).
+  no defect of T, nor the Dzyaloshinskii-Moriya sign flip (H conjugated by SWAP);
+- `gate psw` runs at B = 0.5 J: at an odd B/J, the default B = J among them, its
+  target SWAP.(D x D) has D = Rz(-pi B/J) proportional to sigma_z, and a T whose
+  qubit-1 factor is still the sigma_z-conjugate of its qubit-2 factor, as both T
+  defects below leave it, maps that target onto itself, so psw sees neither.
 """
 
 import dataclasses
@@ -31,6 +35,7 @@ CHECKS = {
     "gate swap": ("gate", "--gate", "swap"),
     "gate sqrt_swap": ("gate", "--gate", "sqrt_swap"),
     "gate cnot": ("gate", "--gate", "cnot"),
+    "gate psw": ("gate", "--gate", "psw", "--B", "0.5"),
     "fields": ("fields",),
     "thermal": ("thermal",),
 }
@@ -86,13 +91,14 @@ def fields_swapped(monkeypatch):
 # defect -> the checks that catch it; every other check misses it.
 CAUGHT = {
     t_at_omega_over_2: {"transform", "decompose", "gate swap", "gate sqrt_swap", "gate cnot",
-                        "fields"},
+                        "gate psw", "fields"},
     t_with_theta_flipped: {"transform", "decompose", "gate swap", "gate sqrt_swap", "gate cnot",
-                           "fields"},
-    dm_sign_flipped: {"transform", "gate swap", "gate sqrt_swap", "gate cnot"},
-    symmetric_term_10_percent_large: {"transform", "gate swap", "gate sqrt_swap", "thermal"},
+                           "gate psw", "fields"},
+    dm_sign_flipped: {"transform", "gate swap", "gate sqrt_swap", "gate cnot", "gate psw"},
+    symmetric_term_10_percent_large: {"transform", "gate swap", "gate sqrt_swap", "gate psw",
+                                      "thermal"},
     plan_qubits_swapped: {"decompose"},
-    fields_swapped: {"fields"},
+    fields_swapped: {"gate psw", "fields"},
 }
 
 
@@ -123,3 +129,20 @@ def test_each_defect_is_caught_by_the_frozen_checks(capsys, monkeypatch, defect)
 
 def test_each_check_catches_a_defect():
     assert set().union(*CAUGHT.values()) == set(CHECKS)
+
+
+@pytest.mark.parametrize("defect", [t_at_omega_over_2, t_with_theta_flipped],
+                         ids=lambda d: d.__name__)
+def test_psw_at_B_equal_to_J_misses_a_T_that_keeps_its_sigma_z_symmetry(capsys, monkeypatch,
+                                                                        defect):
+    """The psw blind spot: each T defect keeps qubit 1's factor the sigma_z-conjugate of
+    qubit 2's, so at B = J, where D is proportional to sigma_z, psw passes; at 0.5 it fails."""
+    p = model.ExchangeParams(1.0, "xy", 0.37, theta=0.3)
+    z = np.diag([1.0, -1.0])
+    with monkeypatch.context() as patch:
+        defect(patch)
+        u1, u2 = frame._local_rotation(p, -p.omega), frame._local_rotation(p, p.omega)
+        assert abs(np.vdot(z @ u2 @ z, u1)) == pytest.approx(2.0, abs=1e-12)
+        codes = [cli.main(["gate", "--gate", "psw", "--B", B, *POINT]) for B in ("1", "0.5")]
+    capsys.readouterr()
+    assert codes == [0, 2]

@@ -110,11 +110,12 @@ def test_phase_shifted_swap_zero_field_is_swap():
 def test_phase_shifted_swap_closed_form(B):
     """Swap followed by equal and opposite z phases on both outputs."""
     p = REFERENCE
-    u = phase_shifted_swap(p, B).matrix
+    report = phase_shifted_swap(p, B)
     half = B * math.pi / (2 * p.J)
     d = np.diag([np.exp(-1j * half), np.exp(1j * half)])
     target = SWAP @ np.kron(d, d)
-    assert phase_distance(u, target) < 1e-12
+    assert phase_distance(report.matrix, target) < 1e-12
+    assert report.target_label == "SWAP.(D x D)" and report.phase_distance_to_target < 1e-12
 
 
 def test_phase_shifted_swap_still_swaps_populations():

@@ -12,7 +12,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
@@ -176,6 +176,21 @@ def test_phase_distance_of_phase_shifted_swaps(p, B, phase):
     check_phase_distance(u, SWAP)
     check_phase_distance(u, np.exp(1j * phase) * u)
     assert phase_distance(u, np.exp(1j * phase) * u) <= 1e-24
+
+
+PSW_B_OVER_J = math.nextafter(2**19 / math.pi, 0.0)  # the largest |B/J| psw builds
+
+
+@PROPERTY
+@given(exchange_params(thetas=WIDE_THETA), st.floats(-PSW_B_OVER_J, PSW_B_OVER_J))
+def test_phase_shifted_swap_is_its_closed_form(p, b):
+    """psw is SWAP.(D x D), D = diag(e^{-i b pi/2}, e^{+i b pi/2}) at b = B/J, and the
+    distance it reports is to that form."""
+    assume(b * p.J / p.J == b)  # B/J as the gate computes it is the drawn b
+    report = phase_shifted_swap(p, b * p.J)
+    d = np.diag([np.exp(-0.5j * math.pi * b), np.exp(0.5j * math.pi * b)])
+    assert phase_distance(report.matrix, SWAP @ np.kron(d, d)) <= 1e-16
+    assert report.phase_distance_to_target <= 1e-16
 
 
 @PROPERTY
