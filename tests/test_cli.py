@@ -593,10 +593,10 @@ def test_a_bad_choice_prints_one_line_from_a_flag_or_a_file(capsys, tmp_path, ke
     message."""
     cfg = tmp_path / "run.cfg"
     cfg.write_text(f"{key} = {value}\n")
-    want = _run_in_process(capsys, *args, "--config", str(cfg))
-    assert want == (1, "", want[2]) and want[2].startswith(f"error: {key}: must be one of ")
-    assert want[2].endswith(f", got {value!r}\n")
-    assert _run_in_process(capsys, *args, "--" + key, value) == want
+    code, out, err = from_file = _run_in_process(capsys, *args, "--config", str(cfg))
+    assert (code, out) == (1, "")
+    assert err.startswith(f"error: {key}: must be one of ") and err.endswith(f", got {value!r}\n")
+    assert _run_in_process(capsys, *args, "--" + key, value) == from_file
 
 
 def test_parser_built_once_gives_each_call_its_own_result(capsys):
