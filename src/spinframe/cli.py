@@ -58,7 +58,7 @@ def load_config(path: str) -> dict:
     """Read a JSON object or a flat key = value file ('#' starts a comment).  A file whose
     first non-blank character is { or [ is JSON."""
     try:
-        with open(path, "r", encoding="utf-8") as fh:
+        with open(path, "r", encoding="utf-8-sig") as fh:
             text = fh.read()
     except UnicodeDecodeError as exc:  # from read: open errors stay OSError, exit 3
         raise ValueError(f"config {path} is not UTF-8: {exc.reason} at byte {exc.start}") from None
@@ -153,8 +153,8 @@ class RunConfig:
     theta: float | None = _option(None, parse_angle, "axis azimuth: radians or Npi/M, e.g. 5pi/6")
     tan_omega: float | None = _option(None, _finite_nonnegative,
                                       "anisotropy strength b/J, as tan(omega)")
-    gate: str | None = _option(None, _Choice((*gates.GATES, "psw")),
-                               "gate to build, or to sweep (default swap)", ("gate", "sweep"))
+    gate: str = _option("swap", _Choice((*gates.GATES, "psw")),
+                        "gate to build, or to sweep (default swap)", ("gate", "sweep"))
     B: float = _option(1.0, _number, "field magnitude (default 1.0)", ("gate", "fields"))
     beta: tuple[float, ...] = _option((0.1, 1.0, 10.0), _parse_series,
                                       "inverse temperatures (default 0.1,1,10)", ("thermal",))
@@ -168,8 +168,8 @@ class RunConfig:
                         "which pulse variants to evaluate (default both)", ("sweep",))
     out: str | None = _option(None, str, "write the report to this file")
     format: str | None = _option(None, _Choice(("csv", "json")), "output document format")
-    tol: float | None = _option(None, _finite_nonnegative,
-                                "verification tolerance, finite and >= 0")
+    tol: float | None = _option(None, _finite_nonnegative, "verification tolerance, finite "
+                                "and >= 0 (default 1e-12; the sweep has none)")
     stamp: bool = _option(False, _strict_bool, "include a UTC timestamp in the output metadata")
 
 
@@ -186,8 +186,8 @@ def _parse(key: str, command: str):
 
 
 def _resolve(args: argparse.Namespace) -> RunConfig:
-    """The run's settings, each report decision made before a command computes: the gate,
-    the tolerance (none for the sweep) and the written form."""
+    """The run's settings, each report decision made before a command computes: the
+    tolerance (none for the sweep) and the written form."""
     raw = load_config(args.config) if args.config else {}
     unknown = set(raw) - _OPTIONS.keys()
     if unknown:
@@ -203,16 +203,12 @@ def _resolve(args: argparse.Namespace) -> RunConfig:
         raise ValueError("orientation is required (xy or z)")
     if "tan_omega" not in values:
         raise ValueError("tan_omega is required")
-    command, gate = args.command, values.get("gate")
+    command = args.command
     if command == "sweep":  # the one unchecked report
-        values.setdefault("gate", "swap")
         if "tol" in values:
             raise ValueError("tol: sweep has no tolerance check; omit tol")
-    elif command == "gate" and gate is None:
-        raise ValueError(f"gate name required: {', '.join(gates.GATES)}, or psw")
-    else:  # a gate's default tol is its GATES row's; psw's, like every other report's, 1e-12
-        row = gates.GATES.get(gate) if command == "gate" else None
-        values.setdefault("tol", row.tol if row else 1e-12)
+    else:  # every other report, psw included, is checked at 1e-12 unless tol is given
+        values.setdefault("tol", 1e-12)
     values["format"] = form = values.get("format") or (
         "csv" if command == "sweep" else "json" if values.get("out") else "text")
     if form == "csv" and command not in ("sweep", "thermal"):

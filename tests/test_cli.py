@@ -89,8 +89,8 @@ def test_gate_json_schema_is_exact():
     doc = json.loads(r.stdout)
     assert list(doc) == ["parameters", "label", "matrix", "phase_distance", "target", "tolerance"]
     assert doc["target"] == "CNOT"
-    assert doc["tolerance"] == 1e-10
-    assert doc["phase_distance"] < 1e-10
+    assert doc["tolerance"] == 1e-12
+    assert doc["phase_distance"] <= 1e-12
     u = [[complex(re, im) for re, im in row] for row in doc["matrix"]]
     # CNOT column action survives the round trip
     assert abs(u[3][2]) == pytest.approx(1.0, abs=1e-8)
@@ -139,7 +139,6 @@ def test_tolerance_failure_exits_2():
         ("transform", "--orientation", "xy", "--tan-omega", "0.1"),  # no theta
         ("transform", "--orientation", "z", "--theta", "1.0", "--tan-omega", "0.1"),
         ("transform", "--orientation", "xy", "--theta", "0.1"),  # no coupling
-        ("gate", *XY_ARGS),  # no gate name
         ("sweep", "--orientation", "z", "--tan-omega", "0.1"),
         ("transform", *XY_ARGS, "--format", "csv"),  # no csv form
         ("nonsense",),
@@ -179,12 +178,30 @@ def test_a_config_file_opening_with_a_bracket_is_json(capsys, tmp_path):
     assert (code, out, err) == (1, "", "error: JSON config must be an object\n")
 
 
-def test_a_config_file_that_is_not_utf8_is_named(capsys, tmp_path):
+@pytest.mark.parametrize("data, at", [
+    (b"orientation = xy\xff\n", 16),
+    ("orientation = xy\ntan_omega = 0.37\n".encode("utf-16"), 0),
+], ids=["stray byte", "utf-16"])
+def test_a_config_file_that_is_not_utf8_is_named(capsys, tmp_path, data, at):
     cfg = tmp_path / "run.cfg"
-    cfg.write_bytes(b"orientation = xy\xff\n")
+    cfg.write_bytes(data)
     code, out, err = _run_in_process(capsys, "transform", "--config", str(cfg))
     assert (code, out) == (1, "")
-    assert err == f"error: config {cfg} is not UTF-8: invalid start byte at byte 16\n"
+    assert err == f"error: config {cfg} is not UTF-8: invalid start byte at byte {at}\n"
+
+
+@pytest.mark.parametrize("name, text", [
+    ("run.cfg", "orientation = xy\ntheta = 0.3\ntan_omega = 0.37\n"),
+    ("run.json", json.dumps({"orientation": "xy", "theta": 0.3, "tan_omega": 0.37})),
+], ids=["flat", "json"])
+def test_a_config_file_with_a_byte_order_mark_reads_as_without(capsys, tmp_path, name, text):
+    """Windows editors such as Notepad open a UTF-8 file with the mark U+FEFF."""
+    plain, marked = tmp_path / name, tmp_path / ("bom-" + name)
+    plain.write_bytes(text.encode("utf-8"))
+    marked.write_bytes(text.encode("utf-8-sig"))
+    want = _run_in_process(capsys, "transform", "--config", str(plain))
+    assert want[0] == 0
+    assert _run_in_process(capsys, "transform", "--config", str(marked)) == want
 
 
 SWEEP_ARGS = (
@@ -560,6 +577,34 @@ def test_a_psw_sweep_exits_1_before_any_computation(capsys, tmp_path, computed, 
 PSW_ARGS = ("gate", "--orientation", "xy", "--theta", "0.3", "--tan-omega", "0.37", "--gate", "psw")
 
 
+@pytest.mark.parametrize("form", [(), ("--format", "json")], ids=["text", "json"])
+def test_the_gate_defaults_to_swap(capsys, form):
+    want = _run_in_process(capsys, "gate", "--gate", "swap", *XY_ARGS, *form)
+    assert want[0] == 0
+    assert _run_in_process(capsys, "gate", *XY_ARGS, *form) == want
+
+
+def test_a_config_gate_beats_the_default_and_a_flag_beats_the_file(capsys, tmp_path):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("gate = cnot\n")
+    for flag, want in (((), "cnot"), (("--gate", "sqrt_swap"), "sqrt_swap")):
+        from_file = _run_in_process(capsys, "gate", "--config", str(cfg), *XY_ARGS, *flag)
+        assert from_file == _run_in_process(capsys, "gate", "--gate", want, *XY_ARGS)
+        assert from_file[0] == 0 and f"label: {want}" in from_file[1]
+
+
+@pytest.mark.parametrize("gate", ["swap", "sqrt_swap", "cnot", "psw"])
+def test_every_gate_fails_a_distance_of_1e_11_at_the_default_tol(capsys, monkeypatch, gate):
+    """Every gate, cnot included, is checked at 1e-12, so a distance of 1e-11 exits 2."""
+    from spinframe import gates
+
+    monkeypatch.setattr(gates, "phase_distance", lambda u, target: 1e-11)
+    code, out, err = _run_in_process(capsys, "gate", "--gate", gate, *XY_ARGS)
+    assert code == 2
+    assert "\nphase_distance: 1e-11\n" in out and out.endswith("\ntolerance: 1e-12\n")
+    assert err == "error: gate distance 1.000000e-11 exceeds tolerance 1.000000e-12\n"
+
+
 def test_psw_fails_its_check_at_tol_0(capsys):
     """Rounding leaves psw's distance near 1e-31; tol 0 must flag it."""
     code, out, err = _run_in_process(capsys, *PSW_ARGS, "--tol", "0")
@@ -882,7 +927,7 @@ GOLDEN_TEXT = {
         "  0.      +0.j      ]]\n"
         "phase_distance: 2.071538963152543e-31\n"
         "target: CNOT\n"
-        "tolerance: 1e-10\n"
+        "tolerance: 1e-12\n"
     ),
     ("fields",): (
         "parameters: J=1 orientation=xy theta=2.6179938779914944 b/J=0.10000000000000001 omega=0.099668652491162038\n"
@@ -995,10 +1040,8 @@ def test_console_module_reads_a_negative_theta():
 
 JSON_COMMANDS = TEXT_COMMANDS + [("sweep", "--delta-omega-ratios", "0,0.1", "--delta-theta-ratios",
                                   "0.01")]
-# The default tolerance of each checked report; the sweep checks nothing.
-DEFAULT_TOL = {"transform": 1e-12, "decompose": 1e-12, "fields": 1e-12, "thermal": 1e-12,
-               "gate swap": 1e-12, "gate sqrt_swap": 1e-12, "gate cnot": 1e-10,
-               "gate psw": 1e-12}
+# The default tolerance of every checked report; the sweep checks nothing.
+DEFAULT_TOL = 1e-12
 
 
 @pytest.mark.parametrize("command", JSON_COMMANDS, ids=" ".join)
@@ -1014,7 +1057,7 @@ def test_every_json_document_starts_with_its_parameters(capsys, command):
 @pytest.mark.parametrize("command", TEXT_COMMANDS, ids=" ".join)
 @pytest.mark.parametrize("tol", [None, "0.25"])
 def test_every_checked_report_ends_with_its_tolerance(capsys, command, tol):
-    want = DEFAULT_TOL[" ".join(command).replace("--gate ", "")] if tol is None else float(tol)
+    want = DEFAULT_TOL if tol is None else float(tol)
     flag = () if tol is None else ("--tol", tol)
     code, out, _ = _run_in_process(capsys, *command, *XY_ARGS, *flag, "--format", "json")
     assert code == 0

@@ -1,6 +1,7 @@
 """Property tests over the parameter domain the API accepts.
 
-Draws J in [1e-2, 1e2], b/J in {0} u [1e-6, 1e3] (1e6 where named), theta in
+Draws J in [1e-2, 1e2] (log-uniform from the smallest normal float to 1e308 where
+named CLI_J), b/J in {0} u [1e-6, 1e3] (1e6 or 1e16 where named), theta in
 [0, 2 pi) (in [-1e8, 1e8] where named WIDE_THETA) and both orientations, and
 JSON documents of the shapes the CLI writes.  derandomize keeps each run on the
 same examples.
@@ -8,6 +9,7 @@ same examples.
 
 import json
 import math
+import sys
 from dataclasses import replace
 
 import numpy as np
@@ -46,11 +48,15 @@ from spinframe.model import (
 
 THETA = st.floats(0.0, 2 * math.pi, exclude_max=True)
 WIDE_THETA = st.floats(-1e8, 1e8)
+# Every J the CLI accepts, log-uniform: 10^e rounds just below the smallest normal float
+# at the low end, so it is clamped there.
+CLI_J = st.floats(math.log10(sys.float_info.min), 308.0).map(
+    lambda e: max(10.0 ** e, sys.float_info.min))
 
 
 @st.composite
-def exchange_params(draw, max_b_over_J=1e3, thetas=THETA):
-    J = draw(st.floats(1e-2, 1e2))
+def exchange_params(draw, max_b_over_J=1e3, thetas=THETA, Js=st.floats(1e-2, 1e2)):
+    J = draw(Js)
     b_over_J = draw(st.one_of(st.just(0.0), st.floats(1e-6, max_b_over_J)))
     if draw(st.sampled_from(["xy", "z"])) == "z":
         return ExchangeParams(J, "z", b_over_J)
@@ -60,12 +66,23 @@ def exchange_params(draw, max_b_over_J=1e3, thetas=THETA):
 PROPERTY = settings(derandomize=True, deadline=None)
 
 
+def assert_table_gates_hit_their_targets(p):
+    """Each GATES row in the frame within the CLI's default tolerance of its target."""
+    frame = rotation_matrix(p)
+    for name, spec in GATES.items():
+        assert phase_distance(realize(name, p, frame), spec.target) <= 1e-12, name
+
+
 @PROPERTY
 @given(exchange_params())
 def test_every_table_gate_in_the_frame_hits_its_target(p):
-    frame = rotation_matrix(p)
-    for name, spec in GATES.items():
-        assert phase_distance(realize(name, p, frame), spec.target) <= spec.tol, name
+    assert_table_gates_hit_their_targets(p)
+
+
+@PROPERTY
+@given(exchange_params(max_b_over_J=1e16, thetas=WIDE_THETA, Js=CLI_J))
+def test_every_table_gate_hits_its_target_at_the_cli_extremes(p):
+    assert_table_gates_hit_their_targets(p)
 
 
 @PROPERTY
