@@ -94,6 +94,14 @@ def _finite_nonnegative(value) -> float:
     return x
 
 
+def _finite(value) -> float:
+    """A finite number, as B must be; NaN and inf are refused."""
+    x = _number(value)
+    if not math.isfinite(x):
+        raise ValueError(f"must be finite, got {value!r}")
+    return x
+
+
 def _strict_bool(value) -> bool:
     """A JSON true/false; a string such as "false" or "off" is an error."""
     if not isinstance(value, bool):
@@ -155,7 +163,7 @@ class RunConfig:
                                       "anisotropy strength b/J, as tan(omega)")
     gate: str = _option("swap", _Choice((*gates.GATES, "psw")),
                         "gate to build, or to sweep (default swap)", ("gate", "sweep"))
-    B: float = _option(1.0, _number, "field magnitude (default 1.0)", ("gate", "fields"))
+    B: float = _option(1.0, _finite, "field magnitude (default 1.0)", ("gate", "fields"))
     beta: tuple[float, ...] = _option((0.1, 1.0, 10.0), _parse_series,
                                       "inverse temperatures (default 0.1,1,10)", ("thermal",))
     delta_omega_ratios: tuple[float, ...] = _option(
@@ -168,8 +176,8 @@ class RunConfig:
                         "which pulse variants to evaluate (default both)", ("sweep",))
     out: str | None = _option(None, str, "write the report to this file")
     format: str | None = _option(None, _Choice(("csv", "json")), "output document format")
-    tol: float | None = _option(None, _finite_nonnegative, "verification tolerance, finite "
-                                "and >= 0 (default 1e-12; the sweep has none)")
+    tol: float = _option(1e-12, _finite_nonnegative,
+                         "verification tolerance, finite and >= 0 (default 1e-12)")
     stamp: bool = _option(False, _strict_bool, "include a UTC timestamp in the output metadata")
 
 
@@ -186,8 +194,7 @@ def _parse(key: str, command: str):
 
 
 def _resolve(args: argparse.Namespace) -> RunConfig:
-    """The run's settings, each report decision made before a command computes: the
-    tolerance (none for the sweep) and the written form."""
+    """The run's settings, the written form decided before a command computes."""
     raw = load_config(args.config) if args.config else {}
     unknown = set(raw) - _OPTIONS.keys()
     if unknown:
@@ -204,11 +211,6 @@ def _resolve(args: argparse.Namespace) -> RunConfig:
     if "tan_omega" not in values:
         raise ValueError("tan_omega is required")
     command = args.command
-    if command == "sweep":  # the one unchecked report
-        if "tol" in values:
-            raise ValueError("tol: sweep has no tolerance check; omit tol")
-    else:  # every other report, psw included, is checked at 1e-12 unless tol is given
-        values.setdefault("tol", 1e-12)
     values["format"] = form = values.get("format") or (
         "csv" if command == "sweep" else "json" if values.get("out") else "text")
     if form == "csv" and command not in ("sweep", "thermal"):
@@ -278,13 +280,11 @@ def _text(doc: dict) -> list[str]:
     return lines
 
 
-def _report(cfg: RunConfig, p: model.ExchangeParams, body: dict, check: tuple = ()) -> int:
+def _report(cfg: RunConfig, p: model.ExchangeParams, body: dict, check: tuple) -> int:
     """Frame and write one report in cfg.format: parameters, the command's body (matrices as
-    arrays, a table as the _Table under "rows"), tolerance when checked, stamp with --stamp.
+    arrays, a table as the _Table under "rows"), tolerance, stamp with --stamp.
     check = (what, value): exit code 2 unless value <= cfg.tol (a NaN fails)."""
-    doc = {"parameters": _params_line(p), **body}
-    if cfg.tol is not None:
-        doc["tolerance"] = cfg.tol
+    doc = {"parameters": _params_line(p), **body, "tolerance": cfg.tol}
     if cfg.stamp:
         doc["stamp"] = datetime.now(timezone.utc).isoformat(timespec="seconds")
     if cfg.format == "text":
@@ -302,7 +302,7 @@ def _report(cfg: RunConfig, p: model.ExchangeParams, body: dict, check: tuple = 
         sys.stdout.write(data)
         # A closed pipe must raise here, inside main, not at interpreter exit.
         sys.stdout.flush()
-    if cfg.tol is not None and not check[1] <= cfg.tol:
+    if not check[1] <= cfg.tol:
         print(f"error: {check[0]} {check[1]:.6e} exceeds tolerance {cfg.tol:.6e}", file=sys.stderr)
         return 2
     return 0
@@ -356,10 +356,13 @@ def cmd_sweep(cfg: RunConfig, p: model.ExchangeParams) -> int:
     """gate error over parameter misestimation ratios"""
     rows = analysis.gate_error_sweep(p, cfg.delta_omega_ratios, cfg.delta_theta_ratios,
                                      cfg.gate, cfg.mode)
+    residual = frame.verify_isotropization(p)  # after the rows: a z sweep is refused first
     config = {"gate": cfg.gate, "tan_omega0": p.b_over_J, "theta0": p.theta,
               "delta_omega_ratios": list(cfg.delta_omega_ratios),
               "delta_theta_ratios": list(cfg.delta_theta_ratios), "mode": cfg.mode}
-    return _report(cfg, p, {"config": config, "rows": _Table(analysis.SweepRow._fields, rows)})
+    body = {"config": config, "rows": _Table(analysis.SweepRow._fields, rows),
+            "residual": residual}
+    return _report(cfg, p, body, ("isotropization residual", residual))
 
 
 def cmd_thermal(cfg: RunConfig, p: model.ExchangeParams) -> int:

@@ -662,20 +662,72 @@ SWEEP_TOL_ARGS = ("sweep", "--orientation", "xy", "--theta", "0.3", "--tan-omega
                   "--delta-omega-ratios", "0.1", "--delta-theta-ratios", "0.1")
 
 
-def test_sweep_rejects_a_tol_flag(capsys):
+@pytest.mark.parametrize("point", [SWEEP_TOL_ARGS[1:7], XY_ARGS], ids=["theta 0.3", "5pi/6"])
+def test_the_sweep_residual_is_the_transform_residual(capsys, point):
+    """The sweep checks the isotropization residual of its reference point, bit for bit the
+    one transform reports there."""
+    code, out, err = _run_in_process(capsys, "sweep", *point, "--delta-omega-ratios", "0",
+                                     "--delta-theta-ratios", "0", "--format", "json")
+    assert (code, err) == (0, "")
+    sweep = json.loads(out)
+    code, out, _ = _run_in_process(capsys, "transform", *point, "--format", "json")
+    assert code == 0 and 0 < sweep["residual"] == json.loads(out)["residual"]
+
+
+def test_a_sweep_at_tol_0_writes_its_csv_and_exits_2(capsys):
+    """Rounding leaves the reference point's residual near 1e-16; tol 0 must flag it, after
+    the same CSV as the default run."""
     code, out, err = _run_in_process(capsys, *SWEEP_TOL_ARGS, "--tol", "0")
-    assert (code, out, err) == (1, "", "error: tol: sweep has no tolerance check; omit tol\n")
+    assert code == 2 and err.count("\n") == 1
+    want = r"error: isotropization residual \S+ exceeds tolerance 0\.000000e\+00\n"
+    assert re.fullmatch(want, err)
+    assert (0, out, "") == _run_in_process(capsys, *SWEEP_TOL_ARGS)
 
 
 @pytest.mark.parametrize("name, text", [
-    ("run.cfg", "orientation = xy\ntheta = 0.3\ntan_omega = 0.37\ntol = 0\n"),
-    ("run.json", json.dumps({"orientation": "xy", "theta": 0.3, "tan_omega": 0.37, "tol": 1e-3})),
+    ("run.cfg", "orientation = xy\ntheta = 0.3\ntan_omega = 0.37\ntol = 0.25\n"),
+    ("run.json", json.dumps({"orientation": "xy", "theta": 0.3, "tan_omega": 0.37, "tol": 0.25})),
 ], ids=["flat", "json"])
-def test_sweep_rejects_a_tol_in_a_config_file(capsys, tmp_path, name, text):
+def test_the_sweep_reads_a_tol_from_a_config_file(capsys, tmp_path, name, text):
     cfg = tmp_path / name
     cfg.write_text(text)
-    code, out, err = _run_in_process(capsys, "sweep", "--config", str(cfg))
-    assert (code, out, err) == (1, "", "error: tol: sweep has no tolerance check; omit tol\n")
+    code, out, err = _run_in_process(capsys, "sweep", "--config", str(cfg), "--format", "json")
+    assert (code, err) == (0, "") and json.loads(out)["tolerance"] == 0.25
+
+
+def test_a_nan_residual_fails_the_sweep_check(capsys, monkeypatch):
+    """A CSV sweep writes its rows, then exits 2 on a NaN residual, as transform does."""
+    from spinframe import frame
+
+    want = _run_in_process(capsys, *SWEEP_TOL_ARGS)[1]
+    monkeypatch.setattr(frame, "verify_isotropization", lambda p: math.nan)
+    code, out, err = _run_in_process(capsys, *SWEEP_TOL_ARGS)
+    assert (code, out, err) == (2, want, "error: isotropization residual nan exceeds tolerance "
+                                         "1.000000e-12\n")
+
+
+@pytest.mark.parametrize("point", [
+    ("--theta", "0.3", "--tan-omega", "0.37", "--J", repr(sys.float_info.min)),
+    ("--theta", "0.3", "--tan-omega", "0.37", "--J", "1e308"),
+    ("--theta", "1e8", "--tan-omega", "0.37"),
+    ("--theta", "-1e8", "--tan-omega", "0.37"),
+    ("--theta", "0.3", "--tan-omega", "1e16", "--delta-omega-ratios", "-0.1,-0.01"),
+], ids=["smallest J", "J 1e308", "theta 1e8", "theta -1e8", "b/J 1e16"])
+def test_the_sweep_check_passes_at_the_extremes(capsys, point):
+    code, out, err = _run_in_process(capsys, "sweep", "--gate", "cnot", "--orientation", "xy",
+                                     *point, "--format", "json")
+    assert (code, err) == (0, "")
+    assert 0 <= json.loads(out)["residual"] <= 1e-15
+
+
+def test_a_z_sweep_is_refused_before_its_check(capsys, tmp_path):
+    """The rows come first: a z sweep exits 1 on its orientation, not 2 on a tol of 0, and
+    writes nothing."""
+    dest = tmp_path / "rows.csv"
+    code, out, err = _run_in_process(capsys, "sweep", "--orientation", "z", "--tan-omega", "0.1",
+                                     "--tol", "0", "--out", str(dest))
+    assert (code, out, err) == (1, "", "error: sweep requires orientation xy\n")
+    assert not dest.exists()
 
 
 @pytest.fixture
@@ -696,11 +748,9 @@ def computed(monkeypatch):
 
 
 @pytest.mark.parametrize("args, fault, message", [
-    (SWEEP_TOL_ARGS, ("--tol", "1"), "tol: sweep has no tolerance check; omit tol"),
-    (SWEEP_TOL_ARGS, "tol = 1\n", "tol: sweep has no tolerance check; omit tol"),
     (("gate", "--gate", "cnot", *XY_ARGS), ("--format", "csv"), "gate has no csv form"),
     (("transform", *XY_ARGS), ("--format", "csv"), "transform has no csv form"),
-], ids=["sweep tol flag", "sweep tol config", "gate csv", "transform csv"])
+], ids=["gate csv", "transform csv"])
 def test_a_usage_error_exits_1_before_any_computation(capsys, tmp_path, computed, args, fault,
                                                       message):
     if isinstance(fault, str):  # a config file holding the fault
@@ -1040,7 +1090,7 @@ def test_console_module_reads_a_negative_theta():
 
 JSON_COMMANDS = TEXT_COMMANDS + [("sweep", "--delta-omega-ratios", "0,0.1", "--delta-theta-ratios",
                                   "0.01")]
-# The default tolerance of every checked report; the sweep checks nothing.
+# The default tolerance of every report.
 DEFAULT_TOL = 1e-12
 
 
@@ -1054,27 +1104,25 @@ def test_every_json_document_starts_with_its_parameters(capsys, command):
                                  "b/J=0.0050000000000000001 omega=0.0049999583339583225")
 
 
-@pytest.mark.parametrize("command", TEXT_COMMANDS, ids=" ".join)
+@pytest.mark.parametrize("command", JSON_COMMANDS, ids=" ".join)
 @pytest.mark.parametrize("tol", [None, "0.25"])
 def test_every_checked_report_ends_with_its_tolerance(capsys, command, tol):
+    """The sweep, which has no text form, ends its JSON with its residual, then tolerance."""
     want = DEFAULT_TOL if tol is None else float(tol)
     flag = () if tol is None else ("--tol", tol)
     code, out, _ = _run_in_process(capsys, *command, *XY_ARGS, *flag, "--format", "json")
     assert code == 0
     doc = json.loads(out)
     assert list(doc)[-1] == "tolerance" and doc["tolerance"] == want
+    if command[0] == "sweep":
+        assert list(doc)[-2] == "residual"
     code, out, _ = _run_in_process(capsys, *command, *XY_ARGS, *flag, "--stamp", "--format", "json")
     assert list(json.loads(out))[-2:] == ["tolerance", "stamp"]
-    code, out, _ = _run_in_process(capsys, *command, *XY_ARGS, *flag, "--stamp")
-    assert code == 0
-    tail = out.splitlines()[-2:]
-    assert tail[0] == f"tolerance: {json.dumps(want)}" and tail[1].startswith("stamp: ")
-
-
-@pytest.mark.parametrize("command", [JSON_COMMANDS[-1]], ids=" ".join)
-def test_unchecked_reports_have_no_tolerance(capsys, command):
-    code, out, _ = _run_in_process(capsys, *command, *XY_ARGS, "--format", "json")
-    assert code == 0 and "tolerance" not in json.loads(out)
+    if command in TEXT_COMMANDS:
+        code, out, _ = _run_in_process(capsys, *command, *XY_ARGS, *flag, "--stamp")
+        assert code == 0
+        tail = out.splitlines()[-2:]
+        assert tail[0] == f"tolerance: {json.dumps(want)}" and tail[1].startswith("stamp: ")
 
 
 @pytest.mark.parametrize("name, text", [
@@ -1108,6 +1156,35 @@ def test_a_tan_omega_config_value_out_of_range_names_tan_omega(capsys, tmp_path,
     code, out, err = _run_in_process(capsys, "sweep", "--config", str(cfg))
     want = f"error: tan_omega: must be finite and >= 0, got {shown}\n"
     assert (code, out, err) == (1, "", want)
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+@pytest.mark.parametrize("command", [("gate", "--gate", "swap"), ("gate", "--gate", "psw"),
+                                     ("fields",)], ids=" ".join)
+def test_a_non_finite_B_flag_exits_1_naming_B(capsys, command, value):
+    """B is refused by its option row, also where the command does not use it (swap)."""
+    code, out, err = _run_in_process(capsys, *command, "--orientation", "z", "--tan-omega", "0.1",
+                                     "--B", value)
+    assert (code, out, err) == (1, "", f"error: B: must be finite, got {value!r}\n")
+
+
+@pytest.mark.parametrize("name, text, shown", [
+    ("run.cfg", "B = nan", "'nan'"),
+    ("run.cfg", "B = -inf", "'-inf'"),
+    ("run.cfg", "B = Infinity", "inf"),
+    ("run.json", '"B": NaN', "nan"),
+    ("run.json", '"B": Infinity', "inf"),
+    ("run.json", '"B": -Infinity', "-inf"),
+], ids=["flat-nan", "flat-minus-inf", "flat-Infinity", "json-NaN", "json-Infinity",
+        "json-minus-Infinity"])
+@pytest.mark.parametrize("command", ["transform", "gate", "fields"])
+def test_a_non_finite_B_in_a_config_file_exits_1_naming_B(capsys, tmp_path, command, name, text,
+                                                          shown):
+    cfg = tmp_path / name
+    cfg.write_text(f"orientation = z\ntan_omega = 0.1\n{text}\n" if name.endswith(".cfg") else
+                   f'{{"orientation": "z", "tan_omega": 0.1, {text}}}')
+    code, out, err = _run_in_process(capsys, command, "--config", str(cfg))
+    assert (code, out, err) == (1, "", f"error: B: must be finite, got {shown}\n")
 
 
 def test_the_coupling_is_required(capsys):

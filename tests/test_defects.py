@@ -2,7 +2,9 @@
 into the package, against the CLI's checked reports at their default tolerances.
 
 A defect is caught by a check when the check exits 2.  The caught/missed matrix is
-frozen below.  Two blind spots are rows of it, not failures:
+frozen below.  The sweep's check is its reference point's isotropization residual, the
+value `transform` checks, so it catches what `transform` catches.  Three blind spots are
+rows of it, not failures:
 
 - the cnot sequence puts Rz1(pi) between its two pulses, which flips the sign of
   the flip-flop part S1xS2x + S1yS2y and so cancels it, so `gate cnot` cannot see
@@ -38,6 +40,7 @@ CHECKS = {
     "gate psw": ("gate", "--gate", "psw", "--B", "0.5"),
     "fields": ("fields",),
     "thermal": ("thermal",),
+    "sweep": ("sweep", "--delta-omega-ratios", "0", "--delta-theta-ratios", "0"),
 }
 
 _MODULES = (spinframe, analysis, cli, frame, gates, model)
@@ -91,12 +94,13 @@ def fields_swapped(monkeypatch):
 # defect -> the checks that catch it; every other check misses it.
 CAUGHT = {
     t_at_omega_over_2: {"transform", "decompose", "gate swap", "gate sqrt_swap", "gate cnot",
-                        "gate psw", "fields"},
+                        "gate psw", "fields", "sweep"},
     t_with_theta_flipped: {"transform", "decompose", "gate swap", "gate sqrt_swap", "gate cnot",
-                           "gate psw", "fields"},
-    dm_sign_flipped: {"transform", "gate swap", "gate sqrt_swap", "gate cnot", "gate psw"},
+                           "gate psw", "fields", "sweep"},
+    dm_sign_flipped: {"transform", "gate swap", "gate sqrt_swap", "gate cnot", "gate psw",
+                      "sweep"},
     symmetric_term_10_percent_large: {"transform", "gate swap", "gate sqrt_swap", "gate psw",
-                                      "thermal"},
+                                      "thermal", "sweep"},
     plan_qubits_swapped: {"decompose"},
     fields_swapped: {"gate psw", "fields"},
 }
