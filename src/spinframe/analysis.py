@@ -94,40 +94,45 @@ def gate_error_sweep(reference: ExchangeParams, delta_omega_ratios, delta_theta_
     return tuple(rows)
 
 
-def thermal_state(h, beta: float) -> np.ndarray:
-    """Gibbs state exp(-beta h) / tr(exp(-beta h)) for Hermitian h, beta >= 0.
+def thermal_state(h, beta) -> np.ndarray:
+    """Gibbs state exp(-beta h) / tr(exp(-beta h)) for Hermitian h, beta >= 0; for an
+    array of betas, the stack (..., 4, 4) of their states, from one decomposition of h.
 
     The exponent is shifted by the ground energy, so large beta underflows
     toward the ground projector instead of 0/0.
     """
-    if not (math.isfinite(beta) and beta >= 0):
+    beta = np.asarray(beta, dtype=float)
+    if not np.all((beta >= 0) & (beta < math.inf)):
         raise ValueError("beta must be nonnegative and finite")
     w, v = herm_eig(h)
     with np.errstate(over="ignore"):  # a product past the float range is -inf, and exp(-inf) is 0
-        weights = np.exp(-beta * (w - w[0]))
-    return (v * weights) @ v.conj().T / weights.sum()
+        weights = np.exp(-beta[..., None] * (w - w[0]))
+    return (v * weights[..., None, :]) @ v.conj().T / weights.sum(-1)[..., None, None]
 
 
-def concurrence(rho) -> float:
-    """Wootters concurrence of a two-qubit density matrix.
+def concurrence(rho):
+    """Wootters concurrence of a two-qubit density matrix, a float; for a stack
+    (..., 4, 4), the array of each member's concurrence, with the same bits.
 
     Computed as the singular values of sqrt(rho) (sy x sy) conj(sqrt(rho)):
     their squares are the eigenvalues of rho rho~, but the SVD keeps the
     small ones accurate near pure states, where sqrt-of-eigenvalue loses
     half the digits.  The result is clamped to [0, 1], where rounding can leave it.
+    Every member must pass the Hermitian, unit-trace and PSD checks.
     """
     rho = np.asarray(rho, dtype=complex)
-    if rho.shape != (4, 4):
+    if rho.shape[-2:] != (4, 4):
         raise ValueError("density matrix must be 4x4")
-    if not np.abs(rho - rho.conj().T).max() <= 1e-10:
+    if not np.abs(rho - rho.conj().swapaxes(-1, -2)).max(initial=0.0) <= 1e-10:
         raise ValueError("density matrix must be Hermitian")
-    if not abs(np.trace(rho).real - 1.0) <= 1e-10:
+    if not np.all(abs(np.trace(rho, axis1=-2, axis2=-1).real - 1.0) <= 1e-10):
         raise ValueError("density matrix must have unit trace")
     w, v = np.linalg.eigh(rho)
-    if not w[0] >= -1e-10:
+    if not np.all(w[..., 0] >= -1e-10):
         raise ValueError("density matrix must be positive semidefinite")
 
-    root = (v * np.sqrt(np.clip(w, 0.0, None))) @ v.conj().T
+    root = (v * np.sqrt(np.clip(w, 0.0, None))[..., None, :]) @ v.conj().swapaxes(-1, -2)
     yy = 4 * PAIR[1, 1]  # sigma_y x sigma_y = 4 S1^y S2^y
     lam = np.linalg.svd(root @ yy @ root.conj(), compute_uv=False)
-    return min(1.0, max(0.0, float(lam[0] - lam[1] - lam[2] - lam[3])))
+    c = np.minimum(1.0, np.maximum(0.0, lam[..., 0] - lam[..., 1] - lam[..., 2] - lam[..., 3]))
+    return float(c) if rho.ndim == 2 else c

@@ -248,7 +248,7 @@ def _json_plain(o):
         return [{c: v if isinstance(v, bool) or math.isfinite(v) else None
                  for c, v in zip(o.columns, row)} for row in o.rows]
     if isinstance(o, np.ndarray) and o.ndim == 2:
-        return np.stack((o.real, o.imag), axis=-1).tolist()
+        return np.ascontiguousarray(o, complex).view(float).reshape(*o.shape, 2).tolist()
     raise TypeError(f"{type(o).__name__} is not JSON serializable")
 
 
@@ -292,8 +292,9 @@ def _report(cfg: RunConfig, p: model.ExchangeParams, body: dict, check: tuple) -
     elif cfg.format == "csv":
         lines = [f"# stamp: {doc['stamp']}"] if cfg.stamp else []
         lines += _csv_lines(doc["rows"])
-    else:
-        lines = [_json(doc)]
+    else:  # JSON has no NaN: a value that is not finite, as a failed check can give, is null
+        lines = [_json({k: None if isinstance(v, float) and not math.isfinite(v) else v
+                        for k, v in doc.items()})]
     data = "\n".join(lines) + "\n"
     if cfg.out:
         with open(cfg.out, "wb") as fh:
@@ -367,13 +368,10 @@ def cmd_sweep(cfg: RunConfig, p: model.ExchangeParams) -> int:
 
 def cmd_thermal(cfg: RunConfig, p: model.ExchangeParams) -> int:
     """thermal-state concurrence against the isotropic reference"""
-    h = model.build_hamiltonian(p)
-    h0 = model.build_isotropic(p.J)
-    rows = []
-    for beta in cfg.beta:
-        c = analysis.concurrence(analysis.thermal_state(h, beta))
-        c0 = analysis.concurrence(analysis.thermal_state(h0, beta))
-        rows.append((beta, c, c0, abs(c - c0)))
+    states = (analysis.thermal_state(model.build_hamiltonian(p), cfg.beta),
+              analysis.thermal_state(model.build_isotropic(p.J), cfg.beta))
+    c, c0 = analysis.concurrence(np.stack(states)).tolist()
+    rows = [(b, x, x0, abs(x - x0)) for b, x, x0 in zip(cfg.beta, c, c0)]
     columns = ("beta", "concurrence", "concurrence_isotropic", "difference")
     worst = max(d for _, _, _, d in rows)
     return _report(cfg, p, {"rows": _Table(columns, rows)}, ("concurrence difference", worst))
@@ -411,7 +409,20 @@ def _build_parser() -> _Parser:
         for key, row in _OPTIONS.items():
             if command in (row["commands"] or ()):
                 _add_flag(sp, key, command)
+    parser.commands = sub.choices  # argparse's own command name -> subparser map
     return parser
+
+
+def _parse_args(argv: list[str]) -> argparse.Namespace:
+    """The parsed argv, in one argparse pass: a command's own subparser parses what
+    follows the command, as the full parser would after its own pass over all of argv.
+    Anything else (help, no command, an unknown one, a flag first) goes to the full
+    parser, so both routes print the same help and errors."""
+    parser = _build_parser()
+    sub = parser.commands.get(argv[0]) if argv else None
+    if sub is None:
+        return parser.parse_args(argv)
+    return sub.parse_args(argv[1:], argparse.Namespace(command=argv[0]))
 
 
 def _join_dash_values(argv: list[str]) -> list[str]:
@@ -427,7 +438,7 @@ def _join_dash_values(argv: list[str]) -> list[str]:
 
 def main(argv: list[str] | None = None) -> int:
     try:
-        args = _build_parser().parse_args(_join_dash_values(sys.argv[1:] if argv is None else argv))
+        args = _parse_args(_join_dash_values(sys.argv[1:] if argv is None else argv))
         cfg = _resolve(args)
         return _COMMANDS[cfg.command](
             cfg, model.ExchangeParams(cfg.J, cfg.orientation, cfg.tan_omega, theta=cfg.theta))

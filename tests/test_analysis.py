@@ -112,7 +112,7 @@ def test_concurrence_of_a_near_pure_ground_state_is_at_most_1(p, beta):
 
 
 def test_concurrence_validation():
-    for rho in (np.eye(2) / 2, np.eye(3) / 3, np.stack([np.eye(4) / 4] * 2)):
+    for rho in (np.eye(2) / 2, np.eye(3) / 3, np.stack([np.eye(3) / 3] * 2), np.ones(4) / 4):
         with pytest.raises(ValueError, match="density matrix must be 4x4"):
             concurrence(rho)
     with pytest.raises(ValueError):
@@ -124,6 +124,32 @@ def test_concurrence_validation():
     negative = np.diag([0.6, 0.5, 0.0, -0.1]).astype(complex)
     with pytest.raises(ValueError):
         concurrence(negative)
+
+
+
+@pytest.mark.parametrize("bad, message", [
+    (np.eye(4) / 4 + np.triu(np.full((4, 4), 0.1), 1), "Hermitian"),
+    (np.eye(4) / 2, "unit trace"),
+    (np.diag([0.6, 0.5, 0.0, -0.1]), "positive semidefinite"),
+], ids=["hermitian", "trace", "psd"])
+def test_a_stack_with_one_bad_member_is_refused(bad, message):
+    good = thermal_state(build_isotropic(1.0), 1.0)
+    stack = np.stack([good, good, bad, good])
+    with pytest.raises(ValueError, match=f"^density matrix must (be|have) {message}$"):
+        concurrence(stack)
+    with pytest.raises(ValueError, match=f"^density matrix must (be|have) {message}$"):
+        concurrence(bad)
+
+
+def test_an_empty_stack_has_no_concurrences():
+    assert concurrence(np.empty((0, 4, 4))).shape == (0,)
+    assert thermal_state(build_isotropic(1.0), np.empty(0)).shape == (0, 4, 4)
+
+
+def test_thermal_state_refuses_one_bad_beta_of_many():
+    for beta in ([0.1, -1.0], [1.0, math.nan], [math.inf, 1.0]):
+        with pytest.raises(ValueError, match="beta must be nonnegative and finite"):
+            thermal_state(build_isotropic(1.0), np.array(beta))
 
 
 def test_concurrence_refuses_an_all_nan_matrix():

@@ -1254,3 +1254,113 @@ def test_decompose_catches_a_plan_with_its_qubits_swapped(capsys, monkeypatch, o
                         lambda p: frame.RotationPlan(plan(p).qubit2, plan(p).qubit1))
     code, _, err = _run_in_process(capsys, *args)
     assert code == 2 and err.startswith("error: assembly distance ")
+
+
+VALID_ARGV = {
+    "transform": XY_ARGS,
+    "decompose": ("--orientation", "z", "--tan-omega", "0.1", "--tol", "1e-9"),
+    "gate": ("--gate", "psw", *XY_ARGS, "--B", "0.5", "--format", "json"),
+    "fields": (*XY_ARGS, "--B", "0.5", "--stamp"),
+    "sweep": (*XY_ARGS, "--delta-omega-ratios", "-0.1,0", "--mode", "corrected"),
+    "thermal": ("--orientation", "z", "--tan-omega", "0.1", "--beta", "1,2"),
+}
+
+
+def _parse_outcome(parse, argv, capsys):
+    """What parse makes of argv: the Namespace, the refusal's text, or the help exit."""
+    try:
+        return "parsed", parse(argv)
+    except ValueError as exc:
+        return "refused", str(exc)
+    except SystemExit as exc:
+        return "exit", exc.code, capsys.readouterr().out
+
+
+@pytest.mark.parametrize("tail", [
+    (), ("--nope", "1"), ("--thet", "1"), ("--theta",), ("--theta", "-pi/2"),
+    ("--config", "run.cfg"), ("-h",), ("extra",),
+], ids=["valid", "unknown", "abbreviated", "no-value", "minus-pi", "config", "help", "extra"])
+@pytest.mark.parametrize("command", list(VALID_ARGV))
+def test_a_command_argv_parses_as_the_full_parser_parses_it(capsys, command, tail):
+    """main's one pass (the command's subparser alone) gives the full parser's
+    Namespace, refusal or help."""
+    from spinframe import cli
+
+    argv = cli._join_dash_values([command, *VALID_ARGV[command], *tail])
+    got = _parse_outcome(cli._parse_args, argv, capsys)
+    assert got == _parse_outcome(cli._build_parser().parse_args, argv, capsys)
+    assert got[0] == ("parsed" if tail in ((), ("--theta", "-pi/2"), ("--config", "run.cfg"))
+                      else "exit" if tail == ("-h",) else "refused")
+    if got[0] == "parsed":
+        assert got[1].command == command
+
+
+@pytest.mark.parametrize("argv, error", [
+    ([], "the following arguments are required: command"),
+    (["nope"], "argument command: invalid choice: 'nope'"),
+    (["--orientation", "xy", "gate"], "argument command: invalid choice: 'xy'"),
+    (["-h"], None),
+])
+def test_an_argv_without_a_leading_command_goes_to_the_full_parser(capsys, argv, error):
+    from spinframe import cli
+
+    got = _parse_outcome(cli._parse_args, argv, capsys)
+    assert got == _parse_outcome(cli._build_parser().parse_args, argv, capsys)
+    if error is None:
+        assert got[:2] == ("exit", 0) and got[2].startswith("usage: spinframe ")
+    else:
+        assert got[0] == "refused" and got[1].startswith(error)
+        code, out, err = _run_in_process(capsys, *argv)
+        assert (code, out) == (1, "") and err.startswith(f"error: {error}")
+        assert err.count("\n") == 1
+
+
+def test_a_command_argv_skips_the_top_level_parse(capsys, monkeypatch):
+    from spinframe import cli
+
+    parser = cli._build_parser()
+    calls = []
+    parse_known_args = parser.parse_known_args
+    monkeypatch.setattr(parser, "parse_known_args",
+                        lambda *a, **k: calls.append(a) or parse_known_args(*a, **k))
+    for command, argv in VALID_ARGV.items():
+        assert _run_in_process(capsys, command, *argv)[0] == 0
+    assert calls == []
+    assert _run_in_process(capsys, "nope")[0] == 1
+    assert len(calls) == 1
+
+
+@pytest.mark.parametrize("betas", ["1", "0.1,1,10", "0,0.1,1,10,1000"])
+def test_thermal_decomposes_each_hamiltonian_once(capsys, monkeypatch, betas):
+    from spinframe import analysis
+
+    calls = []
+    herm_eig = analysis.herm_eig
+    monkeypatch.setattr(analysis, "herm_eig", lambda h: calls.append(h) or herm_eig(h))
+    args = ("thermal", *XY_ARGS, "--beta", betas, "--format", "json")
+    code, out, err = _run_in_process(capsys, *args)
+    assert (code, err, len(calls)) == (0, "", 2)
+    assert len(json.loads(out)["rows"]) == len(betas.split(","))
+
+
+@pytest.mark.parametrize("args, module, name, key, what", [
+    (("transform", *XY_ARGS), "frame", "verify_isotropization", "residual",
+     "isotropization residual"),
+    (("gate", "--gate", "cnot", *XY_ARGS), "gates", "phase_distance", "phase_distance",
+     "gate distance"),
+    (("sweep", *XY_ARGS, "--delta-omega-ratios", "0,0.1"), "frame", "verify_isotropization",
+     "residual", "isotropization residual"),
+], ids=["transform", "gate", "sweep"])
+def test_a_nan_check_value_is_null_in_json_and_exits_2(capsys, monkeypatch, args, module, name,
+                                                       key, what):
+    """JSON has no NaN: the report is written with the value as null, then the check
+    fails as in the text form."""
+    import importlib
+
+    want = json.loads(_run_in_process(capsys, *args, "--format", "json")[1])
+    monkeypatch.setattr(importlib.import_module(f"spinframe.{module}"), name,
+                        lambda *a: math.nan)
+    code, out, err = _run_in_process(capsys, *args, "--format", "json")
+    assert (code, err) == (2, f"error: {what} nan exceeds tolerance 1.000000e-12\n")
+    assert out.count("\n") == 1
+    assert json.loads(out) == {**want, key: None}

@@ -19,6 +19,10 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from spinframe.frame import (
+    PHI_MINUS,
+    PHI_PLUS,
+    PSI_MINUS,
+    PSI_PLUS,
     _local_rotation,
     assemble,
     eigenstates,
@@ -29,7 +33,7 @@ from spinframe.frame import (
     verify_fields,
     verify_isotropization,
 )
-from spinframe.analysis import gate_error_sweep
+from spinframe.analysis import concurrence, gate_error_sweep, thermal_state
 from spinframe.cli import _json, _Table
 from spinframe.gates import GATES, SWAP, phase_shifted_swap, realize
 from spinframe.linalg import expm_unitary, fidelity, herm_eig, phase_distance
@@ -322,6 +326,34 @@ def test_stacked_exponential_is_the_per_matrix_one_bit_for_bit():
     # Any number of leading dimensions.
     assert_same_bits(expm_unitary(stack.reshape(8, 25, 4, 4), 1.3), u.reshape(8, 25, 4, 4))
 
+
+
+BELL_STATES = [np.outer(s, s.conj()) for s in (PSI_PLUS, PSI_MINUS, PHI_PLUS, PHI_MINUS)]
+
+
+@PROPERTY
+@given(st.lists(exchange_params(thetas=WIDE_THETA), min_size=1, max_size=3),
+       st.lists(st.one_of(st.floats(0.0, 1e3), st.sampled_from([0.0, 50.0, 1e3])),
+                min_size=1, max_size=5))
+def test_stacked_thermal_states_and_concurrences_are_the_per_matrix_ones(params, betas):
+    """thermal_state over an array of betas gives each beta's own state, and concurrence
+    of a stack each member's own float, bit for bit: Gibbs states of xy and z
+    Hamiltonians from infinite temperature to near-pure ground states, and the Bell states."""
+    states = []
+    for p in params:
+        h = build_hamiltonian(p)
+        stacked = thermal_state(h, np.array(betas))
+        for beta, state in zip(betas, stacked):
+            assert_same_bits(state, thermal_state(h, beta))
+        states += list(stacked)
+    states = np.stack(states + BELL_STATES)
+    got = concurrence(states)
+    assert got.shape == (len(states),)
+    want = [concurrence(rho) for rho in states]
+    assert all(type(c) is float for c in want)
+    assert got.tobytes() == np.array(want).tobytes()
+    # Any number of leading dimensions.
+    assert concurrence(states.reshape(1, -1, 4, 4)).tobytes() == got.tobytes()
 
 def tensordot_hamiltonian(p):
     """H as np.tensordot of the coupling tensor K with PAIR."""
