@@ -28,7 +28,7 @@ from .gates import (
     gate_report,
     phase_shifted_swap,
 )
-from .linalg import fidelity, kron, phase_distance
+from .linalg import kron, phase_distance
 from .model import (
     ExchangeParams,
     FieldSpec,
@@ -60,7 +60,6 @@ __all__ = [
     "gate_report",
     "phase_shifted_swap",
     "SweepRow",
-    "fidelity",
     "gate_error_sweep",
     "thermal_state",
     "concurrence",

@@ -7,7 +7,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .linalg import expm_unitary, fidelity, herm_eig
+from .linalg import expm_unitary, herm_eig, require_unitary
 from .model import PAIR, ExchangeParams, build_hamiltonian
 from .frame import rotation_matrix
 from .gates import GATES, dress
@@ -44,8 +44,9 @@ def gate_error_sweep(reference: ExchangeParams, delta_omega_ratios, delta_theta_
     reference rotation T(omega0, theta0), an uncorrected one is the bare pulse;
     either way the target is the canonical gate.  The pulses exp(-i H t) of the
     whole grid are one stacked expm_unitary call, dressed (gates.dress) as one
-    stack per block, and each row's fidelity checks its own dressed pulse, so
-    every row is realize(gate, p, T or None) bit for bit.  mode "both" gives the
+    stack per block.  The target is checked unitary once per call, and each row
+    checks its own dressed pulse, the realize(gate, p, T or None) of its point bit
+    for bit, before its fidelity |tr(u^dag target)| / 4.  mode "both" gives the
     uncorrected block, then the corrected one; inside a block rows are sorted by
     (delta_theta_ratio, delta_omega_ratio).  error = max(0, 1 - fidelity), and
     log10_error is its log10 (-inf at 0).  J drops out (only J t enters, and T
@@ -81,13 +82,14 @@ def gate_error_sweep(reference: ExchangeParams, delta_omega_ratios, delta_theta_
                                          theta=theta0 * (1.0 + r_th)))
               for r_th in sorted(grid["delta_theta_ratios"])
               for r_w in sorted(grid["delta_omega_ratios"])]
-    area, target = GATES[gate].area, GATES[gate].target
+    spec = GATES[gate]
+    area, target = spec.area, require_unitary(spec.target, f"target {spec.target_label}")
     pulses = expm_unitary(np.stack([build_hamiltonian(p) for _, _, p in points]), area)
     rows = []
     for corrected in _MODES[mode]:
         sandwich = rotation_matrix(reference) if corrected else None
         for (r_w, r_th, _), u in zip(points, dress(pulses, sandwich, gate)):
-            f = fidelity(u, target)
+            f = float(abs(np.trace(require_unitary(u, "u").conj().T @ target))) / 4.0
             error = max(0.0, 1.0 - f)
             log10_error = math.log10(error) if error > 0 else -math.inf
             rows.append(SweepRow(r_w, r_th, corrected, f, error, log10_error))

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 
-__all__ = ["kron", "herm_eig", "expm_unitary", "fidelity", "phase_distance", "require_unitary"]
+__all__ = ["kron", "herm_eig", "expm_unitary", "phase_distance", "require_unitary"]
 
 # The largest entry of |u^dag u - I| that require_unitary accepts.
 UNITARY_TOL = 1e-10
@@ -59,15 +59,8 @@ def require_unitary(u, name: str = "matrix") -> np.ndarray:
     return u
 
 
-def fidelity(u, u0) -> float:
-    """Phase-insensitive gate fidelity |tr(u^dag u0)| / 4."""
-    u = require_unitary(u, "u")
-    u0 = require_unitary(u0, "u0")
-    return float(abs(np.trace(u.conj().T @ u0))) / 4.0
-
-
 def phase_distance(u, v) -> float:
-    """1 - fidelity(u, v), zero iff the unitaries agree up to a global phase.
+    """1 - |tr(u^dag v)| / 4, zero iff the unitaries agree up to a global phase.
 
     With A = u^dag v and m = tr A / 4, |A - m I|_F^2 / 4 = 1 - |m|^2 for unitary
     A, so the distance is that sum of squares over 1 + |m|: never negative, and

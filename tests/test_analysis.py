@@ -12,7 +12,7 @@ from spinframe.analysis import (
 )
 from spinframe.frame import PSI_MINUS
 from spinframe.gates import GATES, SWAP
-from spinframe.linalg import expm_unitary, fidelity, kron
+from spinframe.linalg import expm_unitary, kron, require_unitary
 from spinframe.model import ExchangeParams, build_hamiltonian, build_isotropic
 
 THETA0 = 5 * math.pi / 6
@@ -26,6 +26,14 @@ def haar_qubit(rng):
 
 def werner(p):
     return p * np.outer(PSI_MINUS, PSI_MINUS.conj()) + (1 - p) * np.eye(4) / 4
+
+
+def fidelity(u, u0):
+    """The sweep's fidelity |tr(u^dag u0)| / 4, each matrix checked unitary: a
+    tests-local oracle, as the package keeps only the sweep's inline copy."""
+    u = require_unitary(u, "u")
+    u0 = require_unitary(u0, "u0")
+    return float(abs(np.trace(u.conj().T @ u0))) / 4.0
 
 
 def test_fidelity_identity_vs_swap():
@@ -324,6 +332,35 @@ def test_sweep_refuses_a_pulse_that_is_not_unitary(monkeypatch, gate):
     reference = ExchangeParams(1.0, "xy", 0.1, theta=THETA0)
     with pytest.raises(ValueError, match="u is not unitary"):
         gate_error_sweep(reference, (0.0,), (0.0,), gate, "corrected")
+
+
+@pytest.mark.parametrize("gate", sorted(GATES))
+@pytest.mark.parametrize("mode", ["both", "uncorrected", "corrected"])
+def test_sweep_checks_the_target_once_and_each_row_once(monkeypatch, gate, mode):
+    from spinframe import analysis
+
+    names = []
+
+    def counted(u, name="matrix"):
+        names.append(name)
+        return require_unitary(u, name)
+
+    monkeypatch.setattr(analysis, "require_unitary", counted)
+    reference = ExchangeParams(1.0, "xy", 0.1, theta=THETA0)
+    rows = gate_error_sweep(reference, (-0.1, 0.0, 0.1), (0.0, 0.2), gate, mode)
+    # N rows make N + 1 checks: the target's, then each row's own gate.
+    assert names == [f"target {GATES[gate].target_label}"] + ["u"] * len(rows)
+
+
+@pytest.mark.parametrize("gate", sorted(GATES))
+def test_sweep_refuses_a_target_that_is_not_unitary(monkeypatch, gate):
+    from spinframe import gates
+
+    spec = GATES[gate]
+    monkeypatch.setitem(gates.GATES, gate, spec._replace(target=1.01 * spec.target))
+    reference = ExchangeParams(1.0, "xy", 0.1, theta=THETA0)
+    with pytest.raises(ValueError, match=f"^target {re.escape(spec.target_label)} is not unitary$"):
+        gate_error_sweep(reference, (0.0,), (0.0,), gate)
 
 
 def test_readme_library_example_runs():

@@ -3,7 +3,6 @@ import pytest
 
 from spinframe.linalg import (
     expm_unitary,
-    fidelity,
     herm_eig,
     kron,
     phase_distance,
@@ -119,7 +118,7 @@ def test_a_nan_matrix_is_not_unitary():
     u = SWAP.copy()
     u[3, 3] = np.nan
     with pytest.raises(ValueError, match="u is not unitary"):
-        fidelity(u, SWAP)
+        require_unitary(u, "u")
 
 
 def test_expm_unitary_zero_time():

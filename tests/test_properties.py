@@ -36,7 +36,7 @@ from spinframe.frame import (
 from spinframe.analysis import concurrence, gate_error_sweep, thermal_state
 from spinframe.cli import _json, _Table
 from spinframe.gates import GATES, SWAP, phase_shifted_swap, realize
-from spinframe.linalg import expm_unitary, fidelity, herm_eig, phase_distance
+from spinframe.linalg import expm_unitary, herm_eig, phase_distance, require_unitary
 from spinframe.model import (
     PAIR,
     S1,
@@ -164,6 +164,14 @@ def unitaries(draw):
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     q, r = np.linalg.qr(rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4)))
     return q * (np.diagonal(r) / np.abs(np.diagonal(r)))
+
+
+def fidelity(u, u0):
+    """The sweep's fidelity |tr(u^dag u0)| / 4, each matrix checked unitary: a
+    tests-local oracle, as the package keeps only the sweep's inline copy."""
+    u = require_unitary(u, "u")
+    u0 = require_unitary(u0, "u0")
+    return float(abs(np.trace(u.conj().T @ u0))) / 4.0
 
 
 def check_phase_distance(u, v):
