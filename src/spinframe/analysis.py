@@ -44,12 +44,12 @@ def gate_error_sweep(reference: ExchangeParams, delta_omega_ratios, delta_theta_
     reference rotation T(omega0, theta0), an uncorrected one is the bare pulse;
     either way the target is the canonical gate.  The pulses exp(-i H t) of the
     whole grid are one stacked expm_unitary call, dressed (gates.dress) as one
-    stack per block.  The target is checked unitary once per call, and each row
-    checks its own dressed pulse, the realize(gate, p, T or None) of its point bit
-    for bit, before its fidelity |tr(u^dag target)| / 4.  mode "both" gives the
-    uncorrected block, then the corrected one; inside a block rows are sorted by
-    (delta_theta_ratio, delta_omega_ratio).  error = max(0, 1 - fidelity), and
-    log10_error is its log10 (-inf at 0).  J drops out (only J t enters, and T
+    stack per block.  The target is checked unitary once per call, and each block's
+    dressed stack once.  A row's gate is the realize(gate, p, T or None) of its
+    point bit for bit, and its fidelity is |tr(u^dag target)| / 4.  mode "both"
+    gives the uncorrected block, then the corrected one; inside a block rows are
+    sorted by (delta_theta_ratio, delta_omega_ratio).  error = max(0, 1 - fidelity),
+    and log10_error is its log10 (-inf at 0).  J drops out (only J t enters, and T
     does not depend on J), so every row is evaluated at J = 1.
     """
     if reference.orientation != "xy":
@@ -88,8 +88,9 @@ def gate_error_sweep(reference: ExchangeParams, delta_omega_ratios, delta_theta_
     rows = []
     for corrected in _MODES[mode]:
         sandwich = rotation_matrix(reference) if corrected else None
-        for (r_w, r_th, _), u in zip(points, dress(pulses, sandwich, gate)):
-            f = float(abs(np.trace(require_unitary(u, "u").conj().T @ target))) / 4.0
+        dressed = require_unitary(dress(pulses, sandwich, gate), "u")
+        for (r_w, r_th, _), u in zip(points, dressed):
+            f = float(abs(np.trace(u.conj().T @ target))) / 4.0
             error = max(0.0, 1.0 - f)
             log10_error = math.log10(error) if error > 0 else -math.inf
             rows.append(SweepRow(r_w, r_th, corrected, f, error, log10_error))

@@ -9,7 +9,8 @@ __all__ = ["kron", "herm_eig", "expm_unitary", "phase_distance", "require_unitar
 # The largest entry of |u^dag u - I| that require_unitary accepts.
 UNITARY_TOL = 1e-10
 
-_IDENTITY_4 = np.eye(4)
+# Complex, so that u^dag u - I runs without a float-to-complex cast (same bits).
+_IDENTITY_4 = np.eye(4, dtype=complex)
 _IDENTITY_4.flags.writeable = False
 
 
@@ -52,9 +53,11 @@ def expm_unitary(h, t: float) -> np.ndarray:
 
 
 def require_unitary(u, name: str = "matrix") -> np.ndarray:
-    """u, if it is a 4x4 matrix within UNITARY_TOL of unitary; a NaN entry fails."""
-    u = _as_matrix(u, (4, 4), name)
-    if not np.abs(u.conj().T @ u - _IDENTITY_4).max() <= UNITARY_TOL:
+    """u, if it is a 4x4 matrix, or a stack (..., 4, 4) of them, whose every member
+    is within UNITARY_TOL of unitary: one check over the whole stack, which a NaN
+    entry in any member fails, and which an empty stack passes."""
+    u = _as_matrix(u, (4, 4), name, stack=True)
+    if not np.abs(u.conj().swapaxes(-1, -2) @ u - _IDENTITY_4).max(initial=0.0) <= UNITARY_TOL:
         raise ValueError(f"{name} is not unitary")
     return u
 
@@ -64,9 +67,12 @@ def phase_distance(u, v) -> float:
 
     With A = u^dag v and m = tr A / 4, |A - m I|_F^2 / 4 = 1 - |m|^2 for unitary
     A, so the distance is that sum of squares over 1 + |m|: never negative, and
-    free of the cancellation in 1 - |m| near zero.
+    free of the cancellation in 1 - |m| near zero.  u and v are single 4x4
+    matrices, not stacks.
     """
-    a = require_unitary(u, "u").conj().T @ require_unitary(v, "v")
+    u = require_unitary(_as_matrix(u, (4, 4), "u"), "u")
+    v = require_unitary(_as_matrix(v, (4, 4), "v"), "v")
+    a = u.conj().T @ v
     m = a.trace() / 4.0
     a.flat[::5] -= m  # the diagonal
     return float(np.vdot(a, a).real) / 4.0 / (1.0 + abs(m))

@@ -10,8 +10,8 @@ from spinframe.analysis import (
     gate_error_sweep,
     thermal_state,
 )
-from spinframe.frame import PSI_MINUS
-from spinframe.gates import GATES, SWAP
+from spinframe.frame import PSI_MINUS, rotation_matrix
+from spinframe.gates import GATES, SWAP, dress, realize
 from spinframe.linalg import expm_unitary, kron, require_unitary
 from spinframe.model import ExchangeParams, build_hamiltonian, build_isotropic
 
@@ -336,20 +336,48 @@ def test_sweep_refuses_a_pulse_that_is_not_unitary(monkeypatch, gate):
 
 @pytest.mark.parametrize("gate", sorted(GATES))
 @pytest.mark.parametrize("mode", ["both", "uncorrected", "corrected"])
-def test_sweep_checks_the_target_once_and_each_row_once(monkeypatch, gate, mode):
+def test_sweep_checks_the_target_once_and_each_block_once(monkeypatch, gate, mode):
     from spinframe import analysis
 
-    names = []
+    checked = []
 
     def counted(u, name="matrix"):
-        names.append(name)
+        checked.append((name, np.array(u)))
         return require_unitary(u, name)
 
     monkeypatch.setattr(analysis, "require_unitary", counted)
     reference = ExchangeParams(1.0, "xy", 0.1, theta=THETA0)
     rows = gate_error_sweep(reference, (-0.1, 0.0, 0.1), (0.0, 0.2), gate, mode)
-    # N rows make N + 1 checks: the target's, then each row's own gate.
-    assert names == [f"target {GATES[gate].target_label}"] + ["u"] * len(rows)
+    blocks = [rows[:6], rows[6:]] if mode == "both" else [rows]
+    # The target's check, then one check per block of a stack that holds its 6 rows'
+    # gates in row order.
+    (name, target), *stacks = checked
+    assert name == f"target {GATES[gate].target_label}"
+    assert np.array_equal(target, GATES[gate].target)
+    assert [name for name, _ in stacks] == ["u"] * len(blocks)
+    for (_, stack), block in zip(stacks, blocks):
+        assert stack.shape == (6, 4, 4)
+        frame = rotation_matrix(reference) if block[0].corrected else None
+        grid = [ExchangeParams(1.0, "xy", math.tan(reference.omega * (1 + row.delta_omega_ratio)),
+                               theta=THETA0 * (1 + row.delta_theta_ratio)) for row in block]
+        want = np.stack([realize(gate, p, frame) for p in grid])
+        np.testing.assert_allclose(stack, want, rtol=0.0, atol=1e-14)
+
+
+@pytest.mark.parametrize("gate", sorted(GATES))
+@pytest.mark.parametrize("mode", ["both", "uncorrected", "corrected"])
+@pytest.mark.parametrize("k", [0, 2, 5])
+def test_sweep_refuses_a_block_whose_row_k_is_not_unitary(monkeypatch, gate, mode, k):
+    """Row k of each block's stack scaled by 1.01: the first, a middle and the last row."""
+    from spinframe import analysis
+
+    scale = np.ones(6)
+    scale[k] = 1.01
+    monkeypatch.setattr(analysis, "dress",
+                        lambda u, frame, gate: dress(u, frame, gate) * scale[:, None, None])
+    reference = ExchangeParams(1.0, "xy", 0.1, theta=THETA0)
+    with pytest.raises(ValueError, match="^u is not unitary$"):
+        gate_error_sweep(reference, (-0.1, 0.0, 0.1), (0.0, 0.2), gate, mode)
 
 
 @pytest.mark.parametrize("gate", sorted(GATES))

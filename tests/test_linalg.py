@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -158,6 +160,16 @@ def test_phase_distance_ignores_global_phase():
 def test_phase_distance_rejects_non_unitary():
     with pytest.raises(ValueError, match="unitary"):
         phase_distance(np.eye(4), 2 * np.eye(4))
+
+
+@pytest.mark.parametrize("name", ["u", "v"])
+def test_phase_distance_refuses_a_stack(name):
+    """A stack of unitaries passes require_unitary, but u^dag v of stacks is not a
+    distance, so each argument must be one 4x4 matrix."""
+    args = {"u": SWAP, "v": SWAP, name: np.stack([SWAP, SWAP])}
+    message = f"{name} must have shape (4, 4), got (2, 4, 4)"
+    with pytest.raises(ValueError, match=re.escape(message)):
+        phase_distance(**args)
 
 
 def test_require_unitary_passes_through():

@@ -9,6 +9,7 @@ same examples.
 
 import json
 import math
+import re
 import sys
 from dataclasses import replace
 
@@ -36,7 +37,8 @@ from spinframe.frame import (
 from spinframe.analysis import concurrence, gate_error_sweep, thermal_state
 from spinframe.cli import _json, _Table
 from spinframe.gates import GATES, SWAP, phase_shifted_swap, realize
-from spinframe.linalg import expm_unitary, herm_eig, phase_distance, require_unitary
+from spinframe.linalg import (UNITARY_TOL, expm_unitary, herm_eig, phase_distance,
+                              require_unitary)
 from spinframe.model import (
     PAIR,
     S1,
@@ -306,6 +308,57 @@ def test_sweep_rows_are_the_per_point_oracle(case):
     assert gate_error_sweep(replace(reference, J=2.5), dws, dths, gate, mode) == rows
     with pytest.raises(ValueError, match="sweep requires orientation xy"):
         gate_error_sweep(ExchangeParams(1.0, "z", reference.b_over_J), dws, dths, gate, mode)
+
+
+@st.composite
+def realized_stacks(draw):
+    """A stack of 1-6 realized gates, bare or in their frame, with 0-3 members
+    perturbed: scaled by 1 +- eps, eps from UNITARY_TOL / 10 to 10 UNITARY_TOL (the
+    check's boundary is near eps = UNITARY_TOL / 2), or given one NaN entry."""
+    members = []
+    for p in draw(st.lists(exchange_params(), min_size=1, max_size=6)):
+        frame = rotation_matrix(p) if draw(st.booleans()) else None
+        members.append(realize(draw(st.sampled_from(sorted(GATES))), p, frame))
+    stack = np.stack(members)
+    for k in draw(st.lists(st.integers(0, len(stack) - 1), max_size=3, unique=True)):
+        if draw(st.booleans()):
+            stack[k, draw(st.integers(0, 3)), draw(st.integers(0, 3))] = np.nan
+        else:
+            eps = draw(st.floats(0.1, 10.0)) * UNITARY_TOL
+            stack[k] *= 1.0 + draw(st.sampled_from([-eps, eps]))
+    return stack
+
+
+def is_unitary(u):
+    """Whether require_unitary passes u; a refusal must be its one message."""
+    try:
+        require_unitary(u, "u")
+    except ValueError as e:
+        assert str(e) == "u is not unitary"
+        return False
+    return True
+
+
+@PROPERTY
+@given(realized_stacks())
+def test_a_stack_is_unitary_exactly_when_every_member_is(stack):
+    every = all(is_unitary(u) for u in stack)
+    assert is_unitary(stack) == every
+    # Any number of leading dimensions.
+    assert is_unitary(stack.reshape(1, len(stack), 1, 4, 4)) == every
+    if every:
+        assert np.array_equal(require_unitary(stack), stack)
+
+
+@PROPERTY
+@given(st.lists(st.integers(0, 3), max_size=3), st.sampled_from(["u", "target SWAP", "matrix"]))
+def test_an_empty_stack_is_unitary_and_a_stack_of_3x3_is_refused(leading, name):
+    empty = np.zeros((*leading, 0, 4, 4))
+    assert require_unitary(empty, name).shape == empty.shape
+    shape = (*leading, 3, 3)
+    message = f"{name} must have shape (..., 4, 4), got {shape}"
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        require_unitary(np.zeros(shape), name)
 
 
 def assert_same_bits(a, b):
