@@ -10,7 +10,7 @@ import numpy as np
 from .linalg import expm_unitary, herm_eig, require_unitary
 from .model import PAIR, ExchangeParams, build_hamiltonian
 from .frame import rotation_matrix
-from .gates import GATES, dress
+from .gates import _gate_spec, dress
 
 __all__ = [
     "SweepRow",
@@ -56,33 +56,27 @@ def gate_error_sweep(reference: ExchangeParams, delta_omega_ratios, delta_theta_
         raise ValueError("sweep requires orientation xy")
     if mode not in _MODES:
         raise ValueError(f"mode must be one of {', '.join(_MODES)}")
-    if gate not in GATES:
-        raise ValueError(f"gate must be one of {sorted(GATES)}")
-    grid = {}
-    for name, ratios in (("delta_omega_ratios", delta_omega_ratios),
-                         ("delta_theta_ratios", delta_theta_ratios)):
-        ratios = tuple(float(r) for r in ratios)
-        if not ratios or not all(math.isfinite(r) for r in ratios):
+    spec = _gate_spec(gate)
+    axes = []
+    for name, ratios, x0 in (("delta_omega_ratios", delta_omega_ratios, reference.omega),
+                             ("delta_theta_ratios", delta_theta_ratios, reference.theta)):
+        pairs = () if isinstance(ratios, (str, bytes)) else tuple(
+            (r, x0 * (1.0 + r)) for r in map(float, ratios))
+        if not pairs or not all(math.isfinite(r) for r, _ in pairs):
             raise ValueError(f"{name} must be a nonempty list of finite ratios")
-        grid[name] = ratios
-    omega0, theta0 = reference.omega, reference.theta
-    for r in grid["delta_omega_ratios"]:
-        omega = omega0 * (1.0 + r)
+        axes.append(pairs)
+    omegas, thetas = axes
+    for r, omega in omegas:
         if not 0.0 <= omega < math.pi / 2:
             raise ValueError(f"delta_omega_ratios value {r!r} puts omega0 (1 + r) = {omega!r} "
-                             f"outside [0, pi/2), with omega0 = atan(b/J) = {omega0!r} at "
+                             f"outside [0, pi/2), with omega0 = atan(b/J) = {reference.omega!r} at "
                              f"b/J = {reference.b_over_J!r}")
-    for r in grid["delta_theta_ratios"]:
-        if not math.isfinite(theta0 * (1.0 + r)):
-            raise ValueError(
-                f"delta_theta_ratios value {r!r} puts theta0 (1 + r) past the float range"
-            )
-
-    points = [(r_w, r_th, ExchangeParams(1.0, "xy", math.tan(omega0 * (1.0 + r_w)),
-                                         theta=theta0 * (1.0 + r_th)))
-              for r_th in sorted(grid["delta_theta_ratios"])
-              for r_w in sorted(grid["delta_omega_ratios"])]
-    spec = GATES[gate]
+    for r, theta in thetas:
+        if not math.isfinite(theta):
+            raise ValueError(f"delta_theta_ratios value {r!r} puts theta0 (1 + r) past the "
+                             "float range")
+    points = [(r_w, r_th, ExchangeParams(1.0, "xy", math.tan(omega), theta=theta))
+              for r_th, theta in sorted(thetas) for r_w, omega in sorted(omegas)]
     area, target = spec.area, require_unitary(spec.target, f"target {spec.target_label}")
     pulses = expm_unitary(np.stack([build_hamiltonian(p) for _, _, p in points]), area)
     rows = []

@@ -18,7 +18,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .linalg import UNITARY_TOL, expm_unitary, kron, phase_distance
-from .model import IDENTITY_2, ExchangeParams, build_hamiltonian, build_zeeman, compensating_fields
+from .model import (IDENTITY_2, SIGMA_Z, ExchangeParams, build_hamiltonian, build_zeeman,
+                    compensating_fields)
 from .frame import rotation_matrix, rz
 
 __all__ = [
@@ -50,7 +51,6 @@ CNOT = np.array(
 )
 
 _HADAMARD = np.array([[1, 1], [1, -1]], dtype=complex) / math.sqrt(2.0)
-_Z_FLIP = np.diag([1.0, -1.0]).astype(complex)
 # The constant factors of _cnot_from_w: left . w . middle . w . right.
 _CNOT_LEFT = (
     kron(IDENTITY_2, _HADAMARD)
@@ -58,9 +58,8 @@ _CNOT_LEFT = (
     @ kron(IDENTITY_2, rz(-math.pi / 2))
 )
 _CNOT_MIDDLE = kron(rz(math.pi), IDENTITY_2)
-_CNOT_RIGHT = kron(_Z_FLIP, _Z_FLIP @ _HADAMARD)
-for _constant in (SWAP, SQRT_SWAP, CNOT, _HADAMARD, _Z_FLIP,
-                  _CNOT_LEFT, _CNOT_MIDDLE, _CNOT_RIGHT):
+_CNOT_RIGHT = kron(SIGMA_Z, SIGMA_Z @ _HADAMARD)
+for _constant in (SWAP, SQRT_SWAP, CNOT, _HADAMARD, _CNOT_LEFT, _CNOT_MIDDLE, _CNOT_RIGHT):
     _constant.flags.writeable = False
 
 
@@ -100,15 +99,22 @@ GATES = {
 }
 
 
+def _gate_spec(gate: str) -> GateSpec:
+    """GATES[gate]; a gate not in the table is a ValueError that names the table's gates."""
+    if gate not in GATES:
+        raise ValueError(f"gate must be one of {sorted(GATES)}")
+    return GATES[gate]
+
+
 def realize(gate: str, p: ExchangeParams, frame: np.ndarray | None = None) -> np.ndarray:
     """GATES[gate] as its exchange pulse on H(p) produces it, in frame (None: bare).
     The pulse exponentiates H/J over the area J t, so no time area/J can overflow."""
-    return dress(expm_unitary(build_hamiltonian(p) / p.J, GATES[gate].area), frame, gate)
+    return dress(expm_unitary(build_hamiltonian(p) / p.J, _gate_spec(gate).area), frame, gate)
 
 
 def gate_report(gate: str, p: ExchangeParams) -> GateReport:
     """GATES[gate] realized in the isotropizing frame T(p), with its distance to target."""
-    spec = GATES[gate]
+    spec = _gate_spec(gate)
     u = realize(gate, p, rotation_matrix(p))
     return GateReport(u, spec.label, phase_distance(u, spec.target), spec.target_label)
 

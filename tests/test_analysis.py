@@ -250,6 +250,40 @@ def test_sweep_config_rejects_a_theta_ratio_past_the_float_range(theta0, ratio):
         gate_error_sweep(reference, (0.0,), (0.0, ratio))
 
 
+@pytest.mark.parametrize("text", ["10", "0.1", b"1"])
+@pytest.mark.parametrize("axis", ["delta_omega_ratios", "delta_theta_ratios"])
+def test_sweep_refuses_a_string_ratio_list(axis, text):
+    """A string is iterable, but its characters are not the ratios: "10" would sweep
+    0.0 and 1.0, and b"1" the ratio 49.0."""
+    ratios = {"delta_omega_ratios": (0.0,), "delta_theta_ratios": (0.0,), axis: text}
+    with pytest.raises(ValueError) as info:
+        gate_error_sweep(REFERENCE, **ratios)
+    assert str(info.value) == f"{axis} must be a nonempty list of finite ratios"
+
+
+def test_sweep_refuses_a_bad_gate_then_both_ratio_lists_then_each_range():
+    """The refusal order: the gate before any ratio, both lists' finiteness before
+    either range, the omega range before the theta range."""
+    bad_gate = re.escape("gate must be one of ['cnot', 'sqrt_swap', 'swap']")
+    with pytest.raises(ValueError, match=bad_gate):
+        gate_error_sweep(REFERENCE, "x", (), gate="psw")
+    with pytest.raises(ValueError, match="^delta_theta_ratios must be a nonempty list"):
+        gate_error_sweep(REFERENCE, (0.0, -2.0), (0.0, math.nan))
+    far = ExchangeParams(1.0, "xy", 5e-3, theta=1e308)
+    with pytest.raises(ValueError, match="^delta_omega_ratios value -2.0 "):
+        gate_error_sweep(far, (0.0, -2.0), (0.0, 1.0))
+
+
+@pytest.mark.parametrize("first, second", [(-1.5, -2.0), (-2.0, -1.5)])
+def test_sweep_names_the_first_bad_ratio_given(first, second):
+    """Each range check reads its ratios in input order, not in the rows' sorted order."""
+    with pytest.raises(ValueError, match=re.escape(f"delta_omega_ratios value {first!r} ")):
+        gate_error_sweep(REFERENCE, (0.0, first, second), (0.0,))
+    far = ExchangeParams(1.0, "xy", 0.1, theta=1e308)
+    with pytest.raises(ValueError, match=re.escape(f"delta_theta_ratios value {-first!r} ")):
+        gate_error_sweep(far, (0.0,), (0.0, -first, -second))
+
+
 def test_sweep_error_gives_b_over_J_and_omega0_when_atan_rounds_to_a_quarter_turn():
     """At b/J = 2e16, atan(b/J) rounds to pi/2 and the ratio 0 is refused: the message
     shows that the reference is at fault.  Negative ratios still give rows there."""

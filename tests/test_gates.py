@@ -5,13 +5,14 @@ import sys
 import numpy as np
 import pytest
 
-from spinframe.analysis import concurrence
+from spinframe.analysis import concurrence, gate_error_sweep
 from spinframe.gates import (
     CNOT,
     SQRT_SWAP,
     SWAP,
     gate_report,
     phase_shifted_swap,
+    realize,
 )
 from spinframe.gates import _cnot_from_w
 from spinframe.linalg import expm_unitary, phase_distance
@@ -154,3 +155,14 @@ def test_phase_shifted_swap_refuses_a_field_phase_without_digits_at_1e_10(J, sig
         named = re.escape(f"B/J = {b_over_J!r} for B = {b_over_J * J!r} ")
         with pytest.raises(ValueError, match=named):
             phase_shifted_swap(p, b_over_J * J)
+
+
+@pytest.mark.parametrize("call", [
+    lambda p: gate_report("psw", p),
+    lambda p: realize("bogus", p),
+    lambda p: gate_error_sweep(p, (0.0,), (0.0,), gate="psw"),
+], ids=["gate_report", "realize", "gate_error_sweep"])
+def test_every_gate_entry_point_refuses_an_unknown_gate_alike(call):
+    with pytest.raises(ValueError) as info:
+        call(REFERENCE)
+    assert str(info.value) == "gate must be one of ['cnot', 'sqrt_swap', 'swap']"

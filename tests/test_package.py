@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import spinframe as sf
-from spinframe import frame, gates, linalg
+from spinframe import frame, gates, linalg, model
 
 PUBLIC = [
     "ExchangeParams",
@@ -52,13 +52,13 @@ def test_linalg_helpers_live_in_their_modules_only():
 
 
 @pytest.mark.parametrize("name", [
-    "sf.SWAP", "gates.SQRT_SWAP", "gates.CNOT", "gates._HADAMARD", "gates._Z_FLIP",
+    "sf.SWAP", "gates.SQRT_SWAP", "gates.CNOT", "gates._HADAMARD", "model.SIGMA_Z",
     "gates._CNOT_LEFT", "gates._CNOT_MIDDLE", "gates._CNOT_RIGHT",
     "frame.PSI_PLUS", "frame.PSI_MINUS", "frame.PHI_PLUS", "frame.PHI_MINUS",
 ])
 def test_module_constants_refuse_an_in_place_write(name):
     module, attr = name.split(".")
-    constant = getattr({"sf": sf, "gates": gates, "frame": frame}[module], attr)
+    constant = getattr({"sf": sf, "gates": gates, "frame": frame, "model": model}[module], attr)
     before = constant.copy()
     with pytest.raises(ValueError, match="read-only"):
         constant[(0,) * constant.ndim] = 0

@@ -310,6 +310,15 @@ def test_sweep_rows_are_the_per_point_oracle(case):
         gate_error_sweep(ExchangeParams(1.0, "z", reference.b_over_J), dws, dths, gate, mode)
 
 
+@PROPERTY
+@given(sweep_cases(), st.data())
+def test_permuting_either_ratio_list_gives_the_same_rows(case, data):
+    reference, dws, dths, gate, mode = case
+    rows = gate_error_sweep(reference, dws, dths, gate, mode)
+    assert gate_error_sweep(reference, data.draw(st.permutations(dws)), dths, gate, mode) == rows
+    assert gate_error_sweep(reference, dws, data.draw(st.permutations(dths)), gate, mode) == rows
+
+
 @st.composite
 def realized_stacks(draw):
     """A stack of 1-6 realized gates, bare or in their frame, with 0-3 members
