@@ -72,8 +72,10 @@ class GateReport:
 
 
 def dress(u: np.ndarray, frame: np.ndarray | None = None, gate: str | None = None) -> np.ndarray:
-    """A bare pulse u = exp(-i H t) as a gate: frame u frame^dag (u itself when frame
-    is None), then _cnot_from_w of that for gate "cnot".  u may be a stack (..., 4, 4)."""
+    """A bare pulse u = exp(-i H t), or a stack of them, as a gate: frame u frame^dag (u when
+    frame is None), then _cnot_from_w for "cnot".  gate is None or a GATES name, else refused."""
+    if gate is not None:
+        _gate_spec(gate)
     if frame is not None:
         u = frame @ u @ frame.conj().T
     return _cnot_from_w(u) if gate == "cnot" else u

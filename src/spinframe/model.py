@@ -9,9 +9,9 @@ where w = arctan(b/J) in [0, pi/2) measures the antisymmetric
 (Dzyaloshinskii-Moriya) coupling strength b >= 0 against J, and the unit
 axis n is either (cos(theta), sin(theta), 0) for the "xy" orientation or
 (0, 0, 1) for "z".  The cross product uses the standard orientation,
-(S1 x S2)^a = eps_abc S1^b S2^c.  build_hamiltonian writes H as one
-contraction with a 3x3 coupling tensor K, of isotropic, symmetric and
-antisymmetric parts:
+(S1 x S2)^a = eps_abc S1^b S2^c.  build_hamiltonian computes the nine entries
+of a coupling tensor K, of isotropic, symmetric and antisymmetric parts, in
+float arithmetic, then contracts them once with the two-spin basis:
 
     H = sum_ab K_ab S1^a S2^b,
     K = J [cos(w) 1 + 2 sin^2(w/2) n n^T + sin(w) [n]],  [n]_ab = eps_abc n_c.
@@ -139,12 +139,14 @@ def _combine(coeffs, rows: np.ndarray) -> np.ndarray:
 
 def build_hamiltonian(p: ExchangeParams) -> np.ndarray:
     """Full anisotropic exchange Hamiltonian, in the {00,01,10,11} basis."""
-    n, w = p.axis(), p.omega
-    x, y, z = n
-    cross = np.array([[0.0, z, -y], [-z, 0.0, x], [y, -x, 0.0]])  # [n]_ab = eps_abc n_c
-    k = (math.cos(w) * _IDENTITY_3 + 2.0 * math.sin(w / 2) ** 2 * np.outer(n, n)
-         + math.sin(w) * cross)
-    return _combine(p.J * k, _PAIR_ROWS)
+    (x, y, z), w, J = p.axis().tolist(), p.omega, p.J
+    c, t, s = math.cos(w), 2.0 * math.sin(w / 2) ** 2, math.sin(w)
+    txy, txz, tyz = t * (x * y), t * (x * z), t * (y * z)
+    # J K by rows, each entry summed as (c 1 + t n n^T) + s [n], with c 1's 0.0 off the diagonal.
+    return _combine((J * (c + t * (x * x)), J * (0.0 + txy + s * z), J * (0.0 + txz - s * y),
+                     J * (0.0 + txy - s * z), J * (c + t * (y * y)), J * (0.0 + tyz + s * x),
+                     J * (0.0 + txz + s * y), J * (0.0 + tyz - s * x), J * (c + t * (z * z))),
+                    _PAIR_ROWS)
 
 
 def build_isotropic(J: float) -> np.ndarray:

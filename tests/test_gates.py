@@ -10,10 +10,12 @@ from spinframe.gates import (
     CNOT,
     SQRT_SWAP,
     SWAP,
+    dress,
     gate_report,
     phase_shifted_swap,
     realize,
 )
+from spinframe.frame import rotation_matrix
 from spinframe.gates import _cnot_from_w
 from spinframe.linalg import expm_unitary, phase_distance
 from spinframe.model import ExchangeParams, build_hamiltonian
@@ -166,3 +168,22 @@ def test_every_gate_entry_point_refuses_an_unknown_gate_alike(call):
     with pytest.raises(ValueError) as info:
         call(REFERENCE)
     assert str(info.value) == "gate must be one of ['cnot', 'sqrt_swap', 'swap']"
+
+
+@pytest.mark.parametrize("gate", ["CNOT", "psw", ""])
+def test_dress_refuses_an_unknown_gate_as_realize_does(gate):
+    u = realize("sqrt_swap", REFERENCE)
+    for frame in (None, rotation_matrix(REFERENCE)):
+        with pytest.raises(ValueError) as info:
+            dress(u, frame, gate)
+        assert str(info.value) == "gate must be one of ['cnot', 'sqrt_swap', 'swap']"
+
+
+def test_dress_applies_the_cnot_sequence_for_cnot_alone():
+    u = realize("sqrt_swap", REFERENCE)
+    t = rotation_matrix(REFERENCE)
+    for gate in (None, "swap", "sqrt_swap"):
+        assert np.array_equal(dress(u, None, gate), u)
+        assert np.array_equal(dress(u, t, gate), t @ u @ t.conj().T)
+    assert np.array_equal(dress(u, None, "cnot"), _cnot_from_w(u))
+    assert np.array_equal(dress(u, t, "cnot"), _cnot_from_w(t @ u @ t.conj().T))

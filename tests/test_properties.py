@@ -15,7 +15,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
@@ -434,9 +434,23 @@ def tensordot_hamiltonian(p):
     return np.tensordot(p.J * k, PAIR, axes=2)
 
 
+# The kernel's corners: w = 0 and w = pi/4 on the axes where n has zeros of either sign,
+# and at the README's theta, where every entry of n n^T is rounded.
+KERNEL_CORNERS = [ExchangeParams(1.0, "z", b_over_J) for b_over_J in (0.0, 1.0)] + [
+    ExchangeParams(1.0, "xy", b_over_J, theta=theta) for b_over_J in (0.0, 1.0)
+    for theta in (0.0, -0.0, math.pi / 2, -math.pi / 2, 4 * math.pi, 5 * math.pi / 6)]
+
+
+def with_kernel_corners(test):
+    for p in KERNEL_CORNERS:
+        test = example(p, [0.0, -0.0, 1.0, -0.0, 0.0, -1.0])(test)
+    return test
+
+
 @PROPERTY
-@given(exchange_params(max_b_over_J=1e6, thetas=WIDE_THETA),
+@given(exchange_params(max_b_over_J=1e16, thetas=WIDE_THETA, Js=CLI_J),
        st.lists(st.floats(-100.0, 100.0), min_size=6, max_size=6))
+@with_kernel_corners
 def test_operator_builds_are_bit_for_bit_their_tensordot_forms(p, b):
     f = FieldSpec(tuple(b[:3]), tuple(b[3:]))
     assert_same_bits(build_hamiltonian(p), tensordot_hamiltonian(p))

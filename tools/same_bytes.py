@@ -14,10 +14,11 @@ is how a change that must keep its outputs is checked against its parent.  Two f
 runs of one checkout must print the same digest: output is byte-deterministic for
 identical input (no ``--stamp``).
 
-The corpus: the README's command lines; each verification command at both
-orientations in each of its formats; every sweep gate x mode x format at three seeded
-reference points, with signed ratio lists; and refusals of the sweep's ratios and gate,
-a z sweep, a psw sweep and a ``--tol 0`` sweep.
+The corpus: the README's command lines; the Hamiltonian's corners (theta -0, +-pi/2
+and 4 pi, tan omega 0 and 1e16, J 1e308 and the smallest normal float); each
+verification command at both orientations in each of its formats; every sweep gate x
+mode x format at three seeded reference points, with signed ratio lists; and refusals
+of the sweep's ratios and gate, a z sweep, a psw sweep and a ``--tol 0`` sweep.
 """
 
 from __future__ import annotations
@@ -50,6 +51,16 @@ def corpus() -> list[tuple[str, ...]]:
         ("transform", "--orientation", "xy", "--theta", "-pi/2", "--tan-omega", "0.1"),
         ("sweep", "--orientation", "xy", "--theta", "0.3", "--tan-omega", "0.1",
          "--delta-omega-ratios", "-0.1,0,0.05"),
+        # The Hamiltonian's corners: signed zeros of the axis, w = 0 and w near pi/2,
+        # J at both ends of the float range.
+        ("transform", "--orientation", "xy", "--theta", "-0", "--tan-omega", "0"),
+        ("transform", "--orientation", "xy", "--theta", "pi/2", "--tan-omega", "1e16"),
+        ("transform", "--orientation", "z", "--tan-omega", "0", "--J", "1e308"),
+        ("gate", "--gate", "cnot", "--orientation", "xy", "--theta", "-pi/2", "--tan-omega", "0",
+         "--J", "1e308"),
+        ("gate", "--gate", "swap", "--orientation", "xy", "--theta", "4pi", "--tan-omega", "1e16",
+         "--J", "2.2250738585072014e-308"),
+        ("thermal", "--orientation", "xy", "--theta", "-0", "--tan-omega", "1e16", "--beta", "1"),
     ]
     commands = [("transform",), ("decompose",), ("fields", "--B", "0.5"),
                 *(("gate", "--gate", gate) for gate in ("swap", "sqrt_swap", "cnot")),
