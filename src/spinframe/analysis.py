@@ -8,7 +8,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .linalg import expm_unitary, herm_eig, require_unitary
-from .model import PAIR, ExchangeParams, build_hamiltonian
+from .model import PAIR, ExchangeParams, _xy_hamiltonians
 from .frame import rotation_matrix
 from .gates import _gate_spec, dress
 
@@ -42,15 +42,17 @@ def gate_error_sweep(reference: ExchangeParams, delta_omega_ratios, delta_theta_
     Ratios are relative deviations: a row is evaluated at omega = omega0 (1 + r_w)
     and theta = theta0 (1 + r_th).  A corrected row sandwiches the pulse by the
     reference rotation T(omega0, theta0), an uncorrected one is the bare pulse;
-    either way the target is the canonical gate.  The pulses exp(-i H t) of the
-    whole grid are one stacked expm_unitary call, dressed (gates.dress) as one
-    stack per block.  The target is checked unitary once per call, and each block's
-    dressed stack once.  A row's gate is the realize(gate, p, T or None) of its
-    point bit for bit, and its fidelity is |tr(u^dag target)| / 4.  mode "both"
-    gives the uncorrected block, then the corrected one; inside a block rows are
-    sorted by (delta_theta_ratio, delta_omega_ratio).  error = max(0, 1 - fidelity),
-    and log10_error is its log10 (-inf at 0).  J drops out (only J t enters, and T
-    does not depend on J), so every row is evaluated at J = 1.
+    either way the target is the canonical gate.  The grid's Hamiltonians are one
+    stack built from their coupling entries (model._xy_hamiltonians, no ExchangeParams
+    per point), their pulses exp(-i H t) one stacked expm_unitary call, dressed
+    (gates.dress) as one stack per block.  The target is checked unitary once per
+    call, and each block's dressed stack once.  A row's gate is the
+    realize(gate, p, T or None) of its point bit for bit, and its fidelity is
+    |tr(u^dag target)| / 4.  mode "both" gives the uncorrected block, then the
+    corrected one; inside a block rows are sorted by (delta_theta_ratio,
+    delta_omega_ratio).  error = max(0, 1 - fidelity), and log10_error is its
+    log10 (-inf at 0).  J drops out (only J t enters, and T does not depend on J),
+    so every row is evaluated at J = 1.
     """
     if reference.orientation != "xy":
         raise ValueError("sweep requires orientation xy")
@@ -75,15 +77,15 @@ def gate_error_sweep(reference: ExchangeParams, delta_omega_ratios, delta_theta_
         if not math.isfinite(theta):
             raise ValueError(f"delta_theta_ratios value {r!r} puts theta0 (1 + r) past the "
                              "float range")
-    points = [(r_w, r_th, ExchangeParams(1.0, "xy", math.tan(omega), theta=theta))
-              for r_th, theta in sorted(thetas) for r_w, omega in sorted(omegas)]
+    grid = [(r_w, r_th, omega, theta)
+            for r_th, theta in sorted(thetas) for r_w, omega in sorted(omegas)]
     area, target = spec.area, require_unitary(spec.target, f"target {spec.target_label}")
-    pulses = expm_unitary(np.stack([build_hamiltonian(p) for _, _, p in points]), area)
+    pulses = expm_unitary(_xy_hamiltonians([(w, th) for _, _, w, th in grid]), area)
     rows = []
     for corrected in _MODES[mode]:
         sandwich = rotation_matrix(reference) if corrected else None
         dressed = require_unitary(dress(pulses, sandwich, gate), "u")
-        for (r_w, r_th, _), u in zip(points, dressed):
+        for (r_w, r_th, _, _), u in zip(grid, dressed):
             f = float(abs(np.trace(u.conj().T @ target))) / 4.0
             error = max(0.0, 1.0 - f)
             log10_error = math.log10(error) if error > 0 else -math.inf

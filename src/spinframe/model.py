@@ -9,9 +9,10 @@ where w = arctan(b/J) in [0, pi/2) measures the antisymmetric
 (Dzyaloshinskii-Moriya) coupling strength b >= 0 against J, and the unit
 axis n is either (cos(theta), sin(theta), 0) for the "xy" orientation or
 (0, 0, 1) for "z".  The cross product uses the standard orientation,
-(S1 x S2)^a = eps_abc S1^b S2^c.  build_hamiltonian computes the nine entries
-of a coupling tensor K, of isotropic, symmetric and antisymmetric parts, in
-float arithmetic, then contracts them once with the two-spin basis:
+(S1 x S2)^a = eps_abc S1^b S2^c.  One formula, _coupling, computes the nine
+entries of a coupling tensor K, of isotropic, symmetric and antisymmetric parts,
+in float arithmetic; build_hamiltonian contracts them once with the two-spin
+basis, and _xy_hamiltonians contracts the rows of a whole sweep grid in one product:
 
     H = sum_ab K_ab S1^a S2^b,
     K = J [cos(w) 1 + 2 sin^2(w/2) n n^T + sin(w) [n]],  [n]_ab = eps_abc n_c.
@@ -137,16 +138,31 @@ def _combine(coeffs, rows: np.ndarray) -> np.ndarray:
     return np.dot(coeffs.reshape(1, coeffs.size), rows).reshape(4, 4)
 
 
-def build_hamiltonian(p: ExchangeParams) -> np.ndarray:
-    """Full anisotropic exchange Hamiltonian, in the {00,01,10,11} basis."""
-    (x, y, z), w, J = p.axis().tolist(), p.omega, p.J
+def _coupling(J: float, w: float, x: float, y: float, z: float) -> tuple[float, ...]:
+    """The nine entries of J K by rows, at anisotropy angle w and unit axis (x, y, z),
+    each summed as (c 1 + t n n^T) + s [n], with c 1's 0.0 off the diagonal."""
     c, t, s = math.cos(w), 2.0 * math.sin(w / 2) ** 2, math.sin(w)
     txy, txz, tyz = t * (x * y), t * (x * z), t * (y * z)
-    # J K by rows, each entry summed as (c 1 + t n n^T) + s [n], with c 1's 0.0 off the diagonal.
-    return _combine((J * (c + t * (x * x)), J * (0.0 + txy + s * z), J * (0.0 + txz - s * y),
-                     J * (0.0 + txy - s * z), J * (c + t * (y * y)), J * (0.0 + tyz + s * x),
-                     J * (0.0 + txz + s * y), J * (0.0 + tyz - s * x), J * (c + t * (z * z))),
-                    _PAIR_ROWS)
+    return (J * (c + t * (x * x)), J * (0.0 + txy + s * z), J * (0.0 + txz - s * y),
+            J * (0.0 + txy - s * z), J * (c + t * (y * y)), J * (0.0 + tyz + s * x),
+            J * (0.0 + txz + s * y), J * (0.0 + tyz - s * x), J * (c + t * (z * z)))
+
+
+def build_hamiltonian(p: ExchangeParams) -> np.ndarray:
+    """Full anisotropic exchange Hamiltonian, in the {00,01,10,11} basis."""
+    return _combine(_coupling(p.J, p.omega, *p.axis().tolist()), _PAIR_ROWS)
+
+
+def _xy_hamiltonians(angles) -> np.ndarray:
+    """The stack (N, 4, 4) of H at J = 1 and orientation xy for N pairs (omega, theta),
+    omega in [0, pi/2) and theta finite: each member is
+    build_hamiltonian(ExchangeParams(1.0, "xy", tan(omega), theta=theta)) bit for bit,
+    so it is evaluated at atan(tan(omega)), that point's omega, with no dataclass."""
+    k = []
+    for omega, theta in angles:
+        theta = math.fmod(theta, 4 * math.pi)
+        k.append(_coupling(1.0, math.atan(math.tan(omega)), math.cos(theta), math.sin(theta), 0.0))
+    return (np.array(k) @ _PAIR_ROWS).reshape(-1, 4, 4)
 
 
 def build_isotropic(J: float) -> np.ndarray:

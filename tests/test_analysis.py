@@ -349,13 +349,31 @@ def test_sweep_exponentiates_each_grid_point_once(monkeypatch, gate, mode):
 
 
 def test_sweep_refuses_a_hamiltonian_that_is_not_hermitian(monkeypatch):
-    from spinframe import analysis
+    from spinframe import analysis, model
 
     skew = 1e-6j * np.diag([1.0, -1.0, 0.0, 0.0])
-    monkeypatch.setattr(analysis, "build_hamiltonian", lambda p: build_hamiltonian(p) + skew)
+    monkeypatch.setattr(analysis, "_xy_hamiltonians",
+                        lambda angles: model._xy_hamiltonians(angles) + skew)
     reference = ExchangeParams(1.0, "xy", 0.1, theta=THETA0)
     with pytest.raises(ValueError, match="matrix is not Hermitian"):
         gate_error_sweep(reference, (0.0,), (0.0,))
+
+
+def test_sweep_builds_no_exchange_params_per_grid_point(monkeypatch):
+    """A 5 x 5 sweep in both modes constructs no ExchangeParams: its grid's
+    Hamiltonians come from their coupling rows, not from one dataclass a point."""
+    reference = ExchangeParams(1.0, "xy", 0.1, theta=THETA0)
+    built = []
+    check = ExchangeParams.__post_init__
+
+    def counted(self):
+        built.append(self)
+        check(self)
+
+    monkeypatch.setattr(ExchangeParams, "__post_init__", counted)
+    ratios = (-0.2, -0.1, 0.0, 0.1, 0.2)
+    assert len(gate_error_sweep(reference, ratios, ratios)) == 50
+    assert built == []
 
 
 @pytest.mark.parametrize("gate", ["swap", "cnot"])

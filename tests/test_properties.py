@@ -1,8 +1,8 @@
 """Property tests over the parameter domain the API accepts.
 
 Draws J in [1e-2, 1e2] (log-uniform from the smallest normal float to 1e308 where
-named CLI_J), b/J in {0} u [1e-6, 1e3] (1e6 or 1e16 where named), theta in
-[0, 2 pi) (in [-1e8, 1e8] where named WIDE_THETA) and both orientations, and
+named CLI_J), b/J = tan(w) with w over [0, atan(1e3)) (1e6 or 1e16 where named),
+theta in [0, 2 pi) (in [-1e8, 1e8] where named WIDE_THETA) and both orientations, and
 JSON documents of the shapes the CLI writes.  derandomize keeps each run on the
 same examples.
 """
@@ -45,6 +45,7 @@ from spinframe.model import (
     S2,
     ExchangeParams,
     FieldSpec,
+    _xy_hamiltonians,
     build_hamiltonian,
     build_isotropic,
     build_zeeman,
@@ -63,7 +64,9 @@ CLI_J = st.floats(math.log10(sys.float_info.min), 308.0).map(
 @st.composite
 def exchange_params(draw, max_b_over_J=1e3, thetas=THETA, Js=st.floats(1e-2, 1e2)):
     J = draw(Js)
-    b_over_J = draw(st.one_of(st.just(0.0), st.floats(1e-6, max_b_over_J)))
+    # Drawn as w, not as b/J, which hypothesis would put at the ends of its range:
+    # w spreads over [0, pi/2) up to atan(max_b_over_J).
+    b_over_J = math.tan(draw(st.floats(0.0, math.atan(max_b_over_J), exclude_max=True)))
     if draw(st.sampled_from(["xy", "z"])) == "z":
         return ExchangeParams(J, "z", b_over_J)
     return ExchangeParams(J, "xy", b_over_J, theta=draw(thetas))
@@ -457,6 +460,26 @@ def test_operator_builds_are_bit_for_bit_their_tensordot_forms(p, b):
     assert_same_bits(build_isotropic(p.J), np.tensordot(p.J * np.eye(3), PAIR, axes=2))
     assert_same_bits(build_zeeman(f),
                      np.tensordot(f.b1, S1, axes=1) + np.tensordot(f.b2, S2, axes=1))
+
+
+# The sweep's corners: b/J 0, 5e-324 and 1e16 (whose atan rounds to the float pi/2, just
+# past the sweep's range, so the largest w below it as well) at each kernel-corner theta.
+SWEEP_CORNERS = [(w, theta) for w in (0.0, 5e-324, math.atan(1e16), math.nextafter(math.pi / 2, 0))
+                 for theta in (0.0, -0.0, math.pi / 2, -math.pi / 2, 4 * math.pi, 5 * math.pi / 6)]
+
+
+@PROPERTY
+@given(st.lists(st.tuples(st.floats(0.0, math.pi / 2, exclude_max=True), WIDE_THETA),
+                min_size=1, max_size=8))
+@example(SWEEP_CORNERS)
+@example(SWEEP_CORNERS[-1:])
+def test_stacked_xy_hamiltonians_are_build_hamiltonian_bit_for_bit(angles):
+    """The sweep's stack of H at J = 1 holds each (w, theta)'s own H, built through
+    ExchangeParams(1.0, "xy", tan(w), theta=theta), bit for bit: a one-point stack too."""
+    stack = _xy_hamiltonians(angles)
+    assert stack.shape == (len(angles), 4, 4)
+    for (w, theta), h in zip(angles, stack):
+        assert_same_bits(h, build_hamiltonian(ExchangeParams(1.0, "xy", math.tan(w), theta=theta)))
 
 
 def json_default_oracle(o):
