@@ -86,7 +86,7 @@ def gate_error_sweep(reference: ExchangeParams, delta_omega_ratios, delta_theta_
         sandwich = rotation_matrix(reference) if corrected else None
         dressed = require_unitary(dress(pulses, sandwich, gate), "u")
         for (r_w, r_th, _, _), u in zip(grid, dressed):
-            f = float(abs(np.trace(u.conj().T @ target))) / 4.0
+            f = float(abs((u.conj().T @ target).trace())) / 4.0  # np.trace's method, undispatched
             error = max(0.0, 1.0 - f)
             log10_error = math.log10(error) if error > 0 else -math.inf
             rows.append(SweepRow(r_w, r_th, corrected, f, error, log10_error))

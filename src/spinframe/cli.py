@@ -237,15 +237,11 @@ class _Table:
     rows: Sequence[tuple]
 
 
-def _csv_line(row: tuple) -> str:
-    return ",".join(str(v).lower() if isinstance(v, bool) else format(v, ".17g") for v in row)
-
-
 def _json_plain(o):
     """json.dumps' hook: a matrix as rows of [re, im] pairs, a _Table as a list of row
     objects (a non-finite cell as null)."""
     if isinstance(o, _Table):
-        return [{c: v if isinstance(v, bool) or math.isfinite(v) else None
+        return [{c: v if math.isfinite(v) else None  # a bool is finite
                  for c, v in zip(o.columns, row)} for row in o.rows]
     if isinstance(o, np.ndarray) and o.ndim == 2:
         return np.ascontiguousarray(o, complex).view(float).reshape(*o.shape, 2).tolist()
@@ -258,7 +254,11 @@ def _json(doc) -> str:
 
 
 def _csv_lines(table: _Table) -> list[str]:
-    return [",".join(table.columns), *map(_csv_line, table.rows)]
+    """The header, then each row by one %-format built from the first row's types:
+    %.17g (format(v, ".17g")'s bytes) for a number, %s for a bool, the line then
+    lowercased so a bool reads true/false (%.17g writes no capital)."""
+    line = ",".join("%s" if isinstance(v, bool) else "%.17g" for v in next(iter(table.rows), ()))
+    return [",".join(table.columns), *[(line % row).lower() for row in table.rows]]
 
 
 def _text(doc: dict) -> list[str]:

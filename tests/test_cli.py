@@ -9,8 +9,10 @@ import warnings
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from spinframe.cli import main, parse_angle
+from spinframe.cli import _csv_lines, _Table, main, parse_angle
 
 
 def run_cli(*args):
@@ -846,25 +848,58 @@ def test_a_table_builds_only_the_written_form(capsys, monkeypatch):
     from spinframe import cli
 
     built = {"csv": 0, "json": 0}
-    csv_line, write_json = cli._csv_line, cli._json
+    csv_lines, write_json = cli._csv_lines, cli._json
 
-    def count_csv(row):
+    def count_csv(table):
         built["csv"] += 1
-        return csv_line(row)
+        return csv_lines(table)
 
     def count_json(doc):
         built["json"] += 1
         return write_json(doc)
 
-    monkeypatch.setattr(cli, "_csv_line", count_csv)
+    monkeypatch.setattr(cli, "_csv_lines", count_csv)
     monkeypatch.setattr(cli, "_json", count_json)
     args = ("sweep", *XY_ARGS, "--delta-omega-ratios", "0:0.1:5", "--delta-theta-ratios", "0.01")
     code, out, _ = _run_in_process(capsys, *args, "--format", "csv")
     assert code == 0 and len(out.splitlines()) == 11
-    assert built == {"csv": 10, "json": 0}
+    assert built == {"csv": 1, "json": 0}
     code, out, _ = _run_in_process(capsys, *args, "--format", "json")
     assert code == 0 and len(json.loads(out)["rows"]) == 10
-    assert built == {"csv": 10, "json": 1}
+    assert built == {"csv": 1, "json": 1}
+
+
+def _csv_lines_per_value(table):
+    """The CSV writer's bytes, one value at a time: format(v, ".17g") for a number,
+    str(v).lower() for a bool."""
+    def line(row):
+        return ",".join(str(v).lower() if isinstance(v, bool) else format(v, ".17g")
+                        for v in row)
+    return [",".join(table.columns), *map(line, table.rows)]
+
+
+CSV_CORNERS = (0.0, -0.0, math.inf, -math.inf, math.nan, 5e-324, 1e308)
+
+
+@st.composite
+def csv_tables(draw):
+    """A table of 1-4 columns: numbers (any float, its corners often), and in any
+    position or none one column of bools; zero rows or more."""
+    width = draw(st.integers(1, 4))
+    bools = draw(st.sampled_from((None, *range(width))))
+    number = st.one_of(st.sampled_from(CSV_CORNERS), st.floats())
+    cells = [st.booleans() if i == bools else number for i in range(width)]
+    rows = draw(st.lists(st.tuples(*cells), max_size=6))
+    return _Table(tuple(f"c{i}" for i in range(width)), rows)
+
+
+@settings(derandomize=True, deadline=None, max_examples=300)
+@given(csv_tables())
+@example(_Table(("beta", "concurrence"), []))
+@example(_Table(("x", "flag", "y"), [(v, v > 0, -v) for v in CSV_CORNERS]))
+def test_csv_lines_write_each_values_own_format(table):
+    """One %-format per line writes the bytes of one format() per value."""
+    assert _csv_lines(table) == _csv_lines_per_value(table)
 
 
 ONE_OF_EACH = (

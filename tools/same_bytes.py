@@ -15,10 +15,11 @@ runs of one checkout must print the same digest: output is byte-deterministic fo
 identical input (no ``--stamp``).
 
 The corpus: the README's command lines; the Hamiltonian's corners (theta -0, +-pi/2
-and 4 pi, tan omega 0 and 1e16, J 1e308 and the smallest normal float); each
-verification command at both orientations in each of its formats; every sweep gate x
-mode x format at three seeded reference points, with signed ratio lists; and refusals
-of the sweep's ratios and gate, a z sweep, a psw sweep and a ``--tol 0`` sweep.
+and 4 pi, tan omega 0 and 1e16, J 1e308 and the smallest normal float); CSV cells
+of -0, -inf, 0, a subnormal and 1e+308; each verification command at both orientations
+in each of its formats; every sweep gate x mode x format at three seeded reference
+points, with signed ratio lists; and refusals of the sweep's ratios and gate, a z
+sweep, a psw sweep and a ``--tol 0`` sweep.
 """
 
 from __future__ import annotations
@@ -61,6 +62,11 @@ def corpus() -> list[tuple[str, ...]]:
         ("gate", "--gate", "swap", "--orientation", "xy", "--theta", "4pi", "--tan-omega", "1e16",
          "--J", "2.2250738585072014e-308"),
         ("thermal", "--orientation", "xy", "--theta", "-0", "--tan-omega", "1e16", "--beta", "1"),
+        # The CSV cells' corners: -0 and -inf, then 0, a subnormal and 1e+308.
+        ("sweep", "--orientation", "xy", "--theta", "0.3", "--tan-omega", "0.1",
+         "--delta-omega-ratios", "-0,0.05", "--delta-theta-ratios", "-0", "--format", "csv"),
+        ("thermal", "--orientation", "z", "--tan-omega", "0", "--beta", "0,5e-324,1e308",
+         "--format", "csv"),
     ]
     commands = [("transform",), ("decompose",), ("fields", "--B", "0.5"),
                 *(("gate", "--gate", gate) for gate in ("swap", "sqrt_swap", "cnot")),
