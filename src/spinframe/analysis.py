@@ -34,6 +34,12 @@ class SweepRow(NamedTuple):
 _MODES = {"both": (False, True), "uncorrected": (False,), "corrected": (True,)}
 
 
+def _overlaps(dressed: np.ndarray, target: np.ndarray) -> np.ndarray:
+    """u^dag target for each member u of a stack (..., 4, 4), as one stacked product:
+    each member has the bits of its own u.conj().T @ target."""
+    return dressed.conj().swapaxes(-1, -2) @ target
+
+
 def gate_error_sweep(reference: ExchangeParams, delta_omega_ratios, delta_theta_ratios,
                      gate: str = "swap", mode: str = "both") -> tuple[SweepRow, ...]:
     """Fidelity of the realized gate against the canonical target on a grid of
@@ -46,10 +52,11 @@ def gate_error_sweep(reference: ExchangeParams, delta_omega_ratios, delta_theta_
     stack built from their coupling entries (model._xy_hamiltonians, no ExchangeParams
     per point), their pulses exp(-i H t) one stacked expm_unitary call, dressed
     (gates.dress) as one stack per block.  The target is checked unitary once per
-    call, and each block's dressed stack once.  A row's gate is the
-    realize(gate, p, T or None) of its point bit for bit, and its fidelity is
-    |tr(u^dag target)| / 4.  mode "both" gives the uncorrected block, then the
-    corrected one; inside a block rows are sorted by (delta_theta_ratio,
+    call, and each block's dressed stack once; each block's overlaps u^dag target
+    are one stacked product (_overlaps), and a row does only scalar work on its own.
+    A row's gate is the realize(gate, p, T or None) of its point bit for bit, and
+    its fidelity is |tr(u^dag target)| / 4.  mode "both" gives the uncorrected
+    block, then the corrected one; inside a block rows are sorted by (delta_theta_ratio,
     delta_omega_ratio).  error = max(0, 1 - fidelity), and log10_error is its
     log10 (-inf at 0).  J drops out (only J t enters, and T does not depend on J),
     so every row is evaluated at J = 1.
@@ -85,8 +92,8 @@ def gate_error_sweep(reference: ExchangeParams, delta_omega_ratios, delta_theta_
     for corrected in _MODES[mode]:
         sandwich = rotation_matrix(reference) if corrected else None
         dressed = require_unitary(dress(pulses, sandwich, gate), "u")
-        for (r_w, r_th, _, _), u in zip(grid, dressed):
-            f = float(abs((u.conj().T @ target).trace())) / 4.0  # np.trace's method, undispatched
+        for (r_w, r_th, _, _), m in zip(grid, _overlaps(dressed, target)):
+            f = float(abs(m.trace())) / 4.0  # np.trace's method, undispatched
             error = max(0.0, 1.0 - f)
             log10_error = math.log10(error) if error > 0 else -math.inf
             rows.append(SweepRow(r_w, r_th, corrected, f, error, log10_error))

@@ -12,7 +12,8 @@ axis n is either (cos(theta), sin(theta), 0) for the "xy" orientation or
 (S1 x S2)^a = eps_abc S1^b S2^c.  One formula, _coupling, computes the nine
 entries of a coupling tensor K, of isotropic, symmetric and antisymmetric parts,
 in float arithmetic; build_hamiltonian contracts them once with the two-spin
-basis, and _xy_hamiltonians contracts the rows of a whole sweep grid in one product:
+basis, and _xy_hamiltonians runs the formula on arrays over a whole sweep grid and
+contracts its rows in one product:
 
     H = sum_ab K_ab S1^a S2^b,
     K = J [cos(w) 1 + 2 sin^2(w/2) n n^T + sin(w) [n]],  [n]_ab = eps_abc n_c.
@@ -138,10 +139,17 @@ def _combine(coeffs, rows: np.ndarray) -> np.ndarray:
     return np.dot(coeffs.reshape(1, coeffs.size), rows).reshape(4, 4)
 
 
-def _coupling(J: float, w: float, x: float, y: float, z: float) -> tuple[float, ...]:
-    """The nine entries of J K by rows, at anisotropy angle w and unit axis (x, y, z),
-    each summed as (c 1 + t n n^T) + s [n], with c 1's 0.0 off the diagonal."""
-    c, t, s = math.cos(w), 2.0 * math.sin(w / 2) ** 2, math.sin(w)
+def _angle_terms(w: float) -> tuple[float, float, float]:
+    """c, t, s = cos w, 2 sin^2(w/2), sin w, the three weights of K at anisotropy angle w."""
+    return math.cos(w), 2.0 * math.sin(w / 2) ** 2, math.sin(w)
+
+
+def _coupling(J, c, t, s, x, y, z) -> tuple:
+    """The nine entries of J K by rows, from c, t, s (_angle_terms) and the unit axis
+    (x, y, z), each summed as (c 1 + t n n^T) + s [n], with c 1's 0.0 off the diagonal.
+    Floats give floats; float64 arrays give arrays whose members have the floats' bits
+    (IEEE + and * elementwise); exact polynomials give the formula itself, which
+    tests/test_symbolic.py certifies."""
     txy, txz, tyz = t * (x * y), t * (x * z), t * (y * z)
     return (J * (c + t * (x * x)), J * (0.0 + txy + s * z), J * (0.0 + txz - s * y),
             J * (0.0 + txy - s * z), J * (c + t * (y * y)), J * (0.0 + tyz + s * x),
@@ -150,19 +158,23 @@ def _coupling(J: float, w: float, x: float, y: float, z: float) -> tuple[float, 
 
 def build_hamiltonian(p: ExchangeParams) -> np.ndarray:
     """Full anisotropic exchange Hamiltonian, in the {00,01,10,11} basis."""
-    return _combine(_coupling(p.J, p.omega, *p.axis().tolist()), _PAIR_ROWS)
+    return _combine(_coupling(p.J, *_angle_terms(p.omega), *p.axis().tolist()), _PAIR_ROWS)
 
 
 def _xy_hamiltonians(angles) -> np.ndarray:
     """The stack (N, 4, 4) of H at J = 1 and orientation xy for N pairs (omega, theta),
     omega in [0, pi/2) and theta finite: each member is
     build_hamiltonian(ExchangeParams(1.0, "xy", tan(omega), theta=theta)) bit for bit,
-    so it is evaluated at atan(tan(omega)), that point's omega, with no dataclass."""
-    k = []
+    so it is evaluated at atan(tan(omega)), that point's omega, with no dataclass.
+    The trigonometry is per point, by math; the nine entries are array arithmetic over
+    the points, and the stack one (N, 9) @ (9, 16) product."""
+    terms = []
     for omega, theta in angles:
         theta = math.fmod(theta, 4 * math.pi)
-        k.append(_coupling(1.0, math.atan(math.tan(omega)), math.cos(theta), math.sin(theta), 0.0))
-    return (np.array(k) @ _PAIR_ROWS).reshape(-1, 4, 4)
+        terms.append((*_angle_terms(math.atan(math.tan(omega))), math.cos(theta), math.sin(theta)))
+    c, t, s, x, y = np.array(terms).T
+    k = np.stack(_coupling(1.0, c, t, s, x, y, 0.0), axis=-1)
+    return (k @ _PAIR_ROWS).reshape(-1, 4, 4)
 
 
 def build_isotropic(J: float) -> np.ndarray:

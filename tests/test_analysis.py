@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from spinframe.analysis import (
+    _overlaps,
     concurrence,
     gate_error_sweep,
     thermal_state,
@@ -13,7 +14,7 @@ from spinframe.analysis import (
 from spinframe.frame import PSI_MINUS, rotation_matrix
 from spinframe.gates import GATES, SWAP, dress, realize
 from spinframe.linalg import expm_unitary, kron, require_unitary
-from spinframe.model import ExchangeParams, build_hamiltonian, build_isotropic
+from spinframe.model import ExchangeParams, _xy_hamiltonians, build_hamiltonian, build_isotropic
 
 THETA0 = 5 * math.pi / 6
 
@@ -374,6 +375,34 @@ def test_sweep_builds_no_exchange_params_per_grid_point(monkeypatch):
     ratios = (-0.2, -0.1, 0.0, 0.1, 0.2)
     assert len(gate_error_sweep(reference, ratios, ratios)) == 50
     assert built == []
+
+
+@pytest.fixture(scope="module")
+def seeded_pulses():
+    """Each gate's pulses at 20,402 seeded points (the rows of a 101 x 101 sweep in
+    both modes), and the frame of a seeded reference point."""
+    rng = np.random.default_rng(11)
+    angles = zip(rng.uniform(0.0, math.pi / 2, 20402).tolist(),
+                 rng.uniform(-7.0, 7.0, 20402).tolist())
+    h = _xy_hamiltonians(list(angles))
+    frame = rotation_matrix(ExchangeParams(1.0, "xy", 0.37, theta=-2.1))
+    return {gate: expm_unitary(h, spec.area) for gate, spec in GATES.items()}, frame
+
+
+@pytest.mark.parametrize("size", [1, 2, 441, 20402])
+@pytest.mark.parametrize("framed", [False, True])
+@pytest.mark.parametrize("gate", sorted(GATES))
+def test_stacked_overlaps_are_each_members_own_product_bit_for_bit(seeded_pulses, gate,
+                                                                   framed, size):
+    """The sweep's one overlap product per block gives each member u the bytes of
+    u.conj().T @ target, at every stack size a sweep makes, bare or in a frame."""
+    pulses, frame = seeded_pulses
+    dressed = dress(pulses[gate][:size], frame if framed else None, gate)
+    target = GATES[gate].target
+    stacked = _overlaps(dressed, target)
+    assert stacked.shape == (size, 4, 4)
+    each = np.stack([u.conj().T @ target for u in dressed])
+    assert stacked.tobytes() == each.tobytes()
 
 
 @pytest.mark.parametrize("gate", ["swap", "cnot"])

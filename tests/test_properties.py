@@ -9,6 +9,7 @@ same examples.
 
 import json
 import math
+import random
 import re
 import sys
 from dataclasses import replace
@@ -468,14 +469,27 @@ SWEEP_CORNERS = [(w, theta) for w in (0.0, 5e-324, math.atan(1e16), math.nextaft
                  for theta in (0.0, -0.0, math.pi / 2, -math.pi / 2, 4 * math.pi, 5 * math.pi / 6)]
 
 
+def map_grid(seed):
+    """The (omega, theta) pairs of a 21 x 21 map sweep, ratios -0.1:0.1:21 on both axes,
+    in row order, around a reference point drawn as the benchmark's map workload draws
+    one: tan(omega0) log-uniform in [1e-3, 0.3], theta0 uniform in [0, 2 pi)."""
+    rng = random.Random(seed)
+    p = ExchangeParams(1.0, "xy", 10 ** rng.uniform(-3.0, math.log10(0.3)),
+                       theta=rng.uniform(0.0, 2 * math.pi))
+    ratios = np.linspace(-0.1, 0.1, 21).tolist()
+    return [(p.omega * (1.0 + r_w), p.theta * (1.0 + r_th)) for r_th in ratios for r_w in ratios]
+
+
 @PROPERTY
 @given(st.lists(st.tuples(st.floats(0.0, math.pi / 2, exclude_max=True), WIDE_THETA),
                 min_size=1, max_size=8))
 @example(SWEEP_CORNERS)
 @example(SWEEP_CORNERS[-1:])
+@example(map_grid(7))
 def test_stacked_xy_hamiltonians_are_build_hamiltonian_bit_for_bit(angles):
     """The sweep's stack of H at J = 1 holds each (w, theta)'s own H, built through
-    ExchangeParams(1.0, "xy", tan(w), theta=theta), bit for bit: a one-point stack too."""
+    ExchangeParams(1.0, "xy", tan(w), theta=theta), bit for bit: a one-point stack too,
+    and a map sweep's 441 points."""
     stack = _xy_hamiltonians(angles)
     assert stack.shape == (len(angles), 4, 4)
     for (w, theta), h in zip(angles, stack):

@@ -1,0 +1,144 @@
+"""Symbolic certificates: closed forms proved for symbolic angles, not sampled.
+
+Each angle enters through a unit-modulus exponential, so every matrix entry is a
+Laurent polynomial with rational coefficients in
+
+    a = e^{i pi/8},  z = e^{i omega/4},  q = e^{i theta/2},  and J,
+
+with i = a^4 and cos, sin written through e^{+-i phase}.  Each generator has its
+inverse beside it in the ring, so the complex conjugate of an entry swaps every
+generator with its inverse.  An identity holds when every coefficient of the
+difference vanishes once a^8 = -1 (the minimal polynomial of a) is applied: that is
+exact arithmetic over the rationals, a proof for all omega, theta and J.
+
+A certificate proves a formula as the source writes it, so the source's own
+functions are called where they take ring elements (model._coupling), and
+transcribed where they use math or cmath (frame._local_rotation).  A seeded numeric
+check then ties each source function to the certified expression, lambdified, to
+1e-14, so a drift in either fails here.
+"""
+
+import cmath
+import math
+import random
+
+import numpy as np
+import sympy as sp
+from sympy import QQ
+from sympy.polys.rings import ring
+
+from spinframe.frame import _local_rotation
+from spinframe.model import PAIR, ExchangeParams, _angle_terms, _coupling, build_hamiltonian
+
+R, a, ai, z, zi, q, qi, J = ring("a ai z zi q qi J", QQ)
+I = a**4
+# Phases are linear in pi/8, omega/4 and theta/2, which cis turns into exponents.
+P, W, Q = sp.symbols("P W Q")
+PI, OMEGA, THETA = 8 * P, 4 * W, 2 * Q
+
+
+def cis(phase):
+    """e^{i phase} as a ring monomial."""
+    phase = sp.expand(phase)
+    monomial = R(1)
+    for unit, g, g_inv in ((P, a, ai), (W, z, zi), (Q, q, qi)):
+        n = int(phase.coeff(unit))
+        monomial *= g**n if n >= 0 else g_inv**-n
+    return monomial
+
+
+def cos(phase):
+    return (cis(phase) + cis(-phase)) * QQ(1, 2)
+
+
+def sin(phase):
+    return (cis(phase) - cis(-phase)) * QQ(1, 2) * ai**4  # 1/(2i), i = a^4
+
+
+def conj(p):
+    """The complex conjugate for real omega, theta and J: each generator to its inverse."""
+    return R({(m[1], m[0], m[3], m[2], m[5], m[4], m[6]): c for m, c in p.terms()})
+
+
+def vanishes(p) -> bool:
+    """p = 0 once each g g^-1 = 1 and a^8 = -1."""
+    reduced = {}
+    for m, c in p.terms():
+        n = m[0] - m[1]
+        key = (n % 8, m[2] - m[3], m[4] - m[5], m[6])
+        reduced[key] = reduced.get(key, 0) + (-c if n // 8 % 2 else c)
+    return not any(reduced.values())
+
+
+def matmul(A, B):
+    return [[sum((A[i][k] * B[k][j] for k in range(len(B))), R(0)) for j in range(len(B[0]))]
+            for i in range(len(A))]
+
+
+def local_rotation(omega):
+    """frame._local_rotation's closed form at orientation xy, transcribed."""
+    c, s = cos(omega / 4), sin(omega / 4)
+    x, y = cis((THETA - PI / 4) / 2), cis((3 * PI / 4 - THETA) / 2)
+    return [[c * x, s * y], [-s * conj(y), c * conj(x)]]
+
+
+def pair_sum(coefficients):
+    """sum_ab K_ab S1^a S2^b as a 4x4 of ring elements, from model.PAIR's exact entries."""
+    basis = [R(QQ(*v.real.as_integer_ratio())) + QQ(*v.imag.as_integer_ratio()) * I
+             for v in PAIR.reshape(-1)]
+    flat = [sum((k * basis[16 * i + e] for i, k in enumerate(coefficients)), R(0))
+            for e in range(16)]
+    return [flat[4 * r:4 * r + 4] for r in range(4)]
+
+
+U_MINUS, U_PLUS = local_rotation(-OMEGA), local_rotation(OMEGA)
+T = [[U_MINUS[i // 2][j // 2] * U_PLUS[i % 2][j % 2] for j in range(4)] for i in range(4)]
+# model._coupling itself, on c, t, s = cos w, 2 sin^2(w/2), sin w and the axis (cos, sin, 0).
+COUPLING = _coupling(J, cos(OMEGA), 2 * sin(OMEGA / 2) ** 2, sin(OMEGA),
+                     cos(THETA), sin(THETA), 0)
+H = pair_sum(COUPLING)
+
+
+def test_the_xy_frame_isotropizes_the_coupling_for_every_omega_and_theta():
+    """T H T^dag = J S1.S2 exactly, with T = U(-omega) (x) U(omega) and H from
+    model._coupling's nine entries."""
+    t_dag = [[conj(T[j][i]) for j in range(4)] for i in range(4)]
+    rotated = matmul(matmul(T, H), t_dag)
+    isotropic = pair_sum([J, 0, 0, 0, J, 0, 0, 0, J])
+    assert all(vanishes(rotated[i][j] - isotropic[i][j]) for i in range(4) for j in range(4))
+    # The certificate can fail: the same T leaves H at theta flipped anisotropic.
+    flipped = pair_sum(_coupling(J, cos(OMEGA), 2 * sin(OMEGA / 2) ** 2, sin(OMEGA),
+                                 cos(-THETA), sin(-THETA), 0))
+    rotated = matmul(matmul(T, flipped), t_dag)
+    assert not all(vanishes(rotated[i][j] - isotropic[i][j]) for i in range(4) for j in range(4))
+
+
+def lambdified(entries):
+    """Each ring element as a numpy function of (omega, theta, J)."""
+    functions = [sp.lambdify(R.symbols, e.as_expr()) for e in entries]
+
+    def evaluate(omega, theta, j):
+        a_, z_, q_ = cmath.exp(1j * math.pi / 8), cmath.exp(0.25j * omega), cmath.exp(0.5j * theta)
+        values = (a_, 1 / a_, z_, 1 / z_, q_, 1 / q_, j)
+        return np.array([complex(f(*values)) for f in functions])
+
+    return evaluate
+
+
+def test_the_source_is_the_certified_expression_at_seeded_points():
+    rotation = {sign: lambdified([e for row in u for e in row])
+                for sign, u in ((-1, U_MINUS), (1, U_PLUS))}
+    coupling, hamiltonian = lambdified(COUPLING), lambdified([e for row in H for e in row])
+    rng = random.Random(5)
+    for _ in range(50):
+        j = 10 ** rng.uniform(-1.0, 1.0)
+        p = ExchangeParams(j, "xy", math.tan(rng.uniform(0.0, math.pi / 2)),
+                           theta=rng.uniform(-2 * math.pi, 2 * math.pi))
+        w, th = p.omega, p.reduced_theta
+        for sign in (-1, 1):
+            np.testing.assert_allclose(_local_rotation(p, sign * w).reshape(-1),
+                                       rotation[sign](w, th, j), rtol=0, atol=1e-14)
+        k = _coupling(j, *_angle_terms(w), math.cos(th), math.sin(th), 0.0)
+        np.testing.assert_allclose(k, coupling(w, th, j), rtol=0, atol=1e-14 * j)
+        np.testing.assert_allclose(build_hamiltonian(p).reshape(-1), hamiltonian(w, th, j),
+                                   rtol=0, atol=1e-14 * j)

@@ -18,8 +18,9 @@ The corpus: the README's command lines; the Hamiltonian's corners (theta -0, +-p
 and 4 pi, tan omega 0 and 1e16, J 1e308 and the smallest normal float); CSV cells
 of -0, -inf, 0, a subnormal and 1e+308; each verification command at both orientations
 in each of its formats; every sweep gate x mode x format at three seeded reference
-points, with signed ratio lists; and refusals of the sweep's ratios and gate, a z
-sweep, a psw sweep and a ``--tol 0`` sweep.
+points, with signed ratio lists; each gate's 21 x 21 map sweep (ratios -0.1:0.1:21 on
+both axes, both modes, CSV) at a fourth; and refusals of the sweep's ratios and gate,
+a z sweep, a psw sweep and a ``--tol 0`` sweep.
 """
 
 from __future__ import annotations
@@ -27,6 +28,7 @@ from __future__ import annotations
 import contextlib
 import hashlib
 import io
+import math
 import random
 import sys
 import tempfile
@@ -89,6 +91,13 @@ def corpus() -> list[tuple[str, ...]]:
                     argvs.append(("sweep", *reference, "--gate", gate, "--mode", mode,
                                   "--format", fmt, "--delta-omega-ratios", omega_ratios,
                                   "--delta-theta-ratios", theta_ratios))
+    # The benchmark's map shape: a signed 21 x 21 grid in both modes, as CSV.
+    rng = random.Random(4)
+    tan_omega, theta = 10 ** rng.uniform(-3.0, math.log10(0.3)), rng.uniform(0.0, 2 * math.pi)
+    for gate in ("swap", "sqrt_swap", "cnot"):
+        argvs.append(("sweep", "--orientation", "xy", "--theta", repr(theta), "--tan-omega",
+                      repr(tan_omega), "--gate", gate, "--mode", "both", "--format", "csv",
+                      "--delta-omega-ratios=-0.1:0.1:21", "--delta-theta-ratios=-0.1:0.1:21"))
     far = ("--orientation", "xy", "--theta", "1e308", "--tan-omega", "0.1")
     argvs += [
         # An omega ratio out of range and a theta ratio that is not finite: theta is named.
