@@ -48,18 +48,20 @@ def gate_error_sweep(reference: ExchangeParams, delta_omega_ratios, delta_theta_
     Ratios are relative deviations: a row is evaluated at omega = omega0 (1 + r_w)
     and theta = theta0 (1 + r_th).  A corrected row sandwiches the pulse by the
     reference rotation T(omega0, theta0), an uncorrected one is the bare pulse;
-    either way the target is the canonical gate.  The grid's Hamiltonians are one
-    stack built from their coupling entries (model._xy_hamiltonians, no ExchangeParams
-    per point), their pulses exp(-i H t) one stacked expm_unitary call, dressed
+    either way the target is the canonical gate.  Each axis is sorted once, and the
+    grid's Hamiltonians are one stack built from the two axes' values
+    (model._xy_hamiltonians: trigonometry once per value, no ExchangeParams per
+    point), their pulses exp(-i H t) one stacked expm_unitary call, dressed
     (gates.dress) as one stack per block.  The target is checked unitary once per
     call, and each block's dressed stack once; each block's overlaps u^dag target
-    are one stacked product (_overlaps), and a row does only scalar work on its own.
-    A row's gate is the realize(gate, p, T or None) of its point bit for bit, and
-    its fidelity is |tr(u^dag target)| / 4.  mode "both" gives the uncorrected
-    block, then the corrected one; inside a block rows are sorted by (delta_theta_ratio,
-    delta_omega_ratio).  error = max(0, 1 - fidelity), and log10_error is its
-    log10 (-inf at 0).  J drops out (only J t enters, and T does not depend on J),
-    so every row is evaluated at J = 1.
+    are one stacked product (_overlaps), and a row does only its trace and scalar
+    work, built by SweepRow._make.  A row's gate is the realize(gate, p, T or None)
+    of its point bit for bit, and its fidelity is |tr(u^dag target)| / 4.  mode
+    "both" gives the uncorrected block, then the corrected one; inside a block rows
+    are sorted by (delta_theta_ratio, delta_omega_ratio).  error = 1 - fidelity
+    below fidelity 1 and 0 otherwise, which is max(0, 1 - fidelity) for every float,
+    and log10_error is its log10 (-inf at 0).  J drops out (only J t enters, and T
+    does not depend on J), so every row is evaluated at J = 1.
     """
     if reference.orientation != "xy":
         raise ValueError("sweep requires orientation xy")
@@ -74,29 +76,28 @@ def gate_error_sweep(reference: ExchangeParams, delta_omega_ratios, delta_theta_
         if not pairs or not all(math.isfinite(r) for r, _ in pairs):
             raise ValueError(f"{name} must be a nonempty list of finite ratios")
         axes.append(pairs)
-    omegas, thetas = axes
-    for r, omega in omegas:
+    for r, omega in axes[0]:
         if not 0.0 <= omega < math.pi / 2:
             raise ValueError(f"delta_omega_ratios value {r!r} puts omega0 (1 + r) = {omega!r} "
                              f"outside [0, pi/2), with omega0 = atan(b/J) = {reference.omega!r} at "
                              f"b/J = {reference.b_over_J!r}")
-    for r, theta in thetas:
+    for r, theta in axes[1]:
         if not math.isfinite(theta):
             raise ValueError(f"delta_theta_ratios value {r!r} puts theta0 (1 + r) past the "
                              "float range")
-    grid = [(r_w, r_th, omega, theta)
-            for r_th, theta in sorted(thetas) for r_w, omega in sorted(omegas)]
+    (r_ws, omegas), (r_ths, thetas) = (zip(*sorted(pairs)) for pairs in axes)
+    points = [(r_w, r_th) for r_th in r_ths for r_w in r_ws]
     area, target = spec.area, require_unitary(spec.target, f"target {spec.target_label}")
-    pulses = expm_unitary(_xy_hamiltonians([(w, th) for _, _, w, th in grid]), area)
+    pulses = expm_unitary(_xy_hamiltonians(omegas, thetas), area)
     rows = []
     for corrected in _MODES[mode]:
         sandwich = rotation_matrix(reference) if corrected else None
         dressed = require_unitary(dress(pulses, sandwich, gate), "u")
-        for (r_w, r_th, _, _), m in zip(grid, _overlaps(dressed, target)):
+        for (r_w, r_th), m in zip(points, _overlaps(dressed, target)):
             f = float(abs(m.trace())) / 4.0  # np.trace's method, undispatched
-            error = max(0.0, 1.0 - f)
+            error = 1.0 - f if f < 1.0 else 0.0  # max(0.0, 1.0 - f), nan included
             log10_error = math.log10(error) if error > 0 else -math.inf
-            rows.append(SweepRow(r_w, r_th, corrected, f, error, log10_error))
+            rows.append(SweepRow._make((r_w, r_th, corrected, f, error, log10_error)))
     return tuple(rows)
 
 

@@ -12,8 +12,9 @@ axis n is either (cos(theta), sin(theta), 0) for the "xy" orientation or
 (S1 x S2)^a = eps_abc S1^b S2^c.  One formula, _coupling, computes the nine
 entries of a coupling tensor K, of isotropic, symmetric and antisymmetric parts,
 in float arithmetic; build_hamiltonian contracts them once with the two-spin
-basis, and _xy_hamiltonians runs the formula on arrays over a whole sweep grid and
-contracts its rows in one product:
+basis, and _xy_hamiltonians runs the formula on arrays over a whole sweep grid, from the
+trigonometry of its omega and theta axes taken once per value, and contracts its rows
+in one product:
 
     H = sum_ab K_ab S1^a S2^b,
     K = J [cos(w) 1 + 2 sin^2(w/2) n n^T + sin(w) [n]],  [n]_ab = eps_abc n_c.
@@ -161,18 +162,20 @@ def build_hamiltonian(p: ExchangeParams) -> np.ndarray:
     return _combine(_coupling(p.J, *_angle_terms(p.omega), *p.axis().tolist()), _PAIR_ROWS)
 
 
-def _xy_hamiltonians(angles) -> np.ndarray:
-    """The stack (N, 4, 4) of H at J = 1 and orientation xy for N pairs (omega, theta),
-    omega in [0, pi/2) and theta finite: each member is
-    build_hamiltonian(ExchangeParams(1.0, "xy", tan(omega), theta=theta)) bit for bit,
-    so it is evaluated at atan(tan(omega)), that point's omega, with no dataclass.
-    The trigonometry is per point, by math; the nine entries are array arithmetic over
-    the points, and the stack one (N, 9) @ (9, 16) product."""
-    terms = []
-    for omega, theta in angles:
-        theta = math.fmod(theta, 4 * math.pi)
-        terms.append((*_angle_terms(math.atan(math.tan(omega))), math.cos(theta), math.sin(theta)))
-    c, t, s, x, y = np.array(terms).T
+def _xy_hamiltonians(omegas, thetas) -> np.ndarray:
+    """The stack (N, 4, 4) of H at J = 1 and orientation xy over the grid of an omega
+    axis (each in [0, pi/2)) and a theta axis (each finite), theta outer, omega inner:
+    member i * len(omegas) + j is
+    build_hamiltonian(ExchangeParams(1.0, "xy", tan(omegas[j]), theta=thetas[i])) bit for
+    bit, so it is evaluated at atan(tan(omega)), that point's omega, with no dataclass.
+    The trigonometry is by math, once per axis value; the values are laid out over the
+    grid (np.tile for omega, np.repeat for theta), the nine entries are array arithmetic
+    over its points, and the stack one (N, 9) @ (9, 16) product."""
+    weights = np.array([_angle_terms(math.atan(math.tan(w))) for w in omegas])
+    reduced = [math.fmod(theta, 4 * math.pi) for theta in thetas]
+    axes = np.array([(math.cos(th), math.sin(th)) for th in reduced])
+    c, t, s = np.tile(weights, (len(axes), 1)).T
+    x, y = np.repeat(axes, len(weights), axis=0).T
     k = np.stack(_coupling(1.0, c, t, s, x, y, 0.0), axis=-1)
     return (k @ _PAIR_ROWS).reshape(-1, 4, 4)
 

@@ -354,7 +354,7 @@ def test_sweep_refuses_a_hamiltonian_that_is_not_hermitian(monkeypatch):
 
     skew = 1e-6j * np.diag([1.0, -1.0, 0.0, 0.0])
     monkeypatch.setattr(analysis, "_xy_hamiltonians",
-                        lambda angles: model._xy_hamiltonians(angles) + skew)
+                        lambda omegas, thetas: model._xy_hamiltonians(omegas, thetas) + skew)
     reference = ExchangeParams(1.0, "xy", 0.1, theta=THETA0)
     with pytest.raises(ValueError, match="matrix is not Hermitian"):
         gate_error_sweep(reference, (0.0,), (0.0,))
@@ -379,12 +379,12 @@ def test_sweep_builds_no_exchange_params_per_grid_point(monkeypatch):
 
 @pytest.fixture(scope="module")
 def seeded_pulses():
-    """Each gate's pulses at 20,402 seeded points (the rows of a 101 x 101 sweep in
-    both modes), and the frame of a seeded reference point."""
+    """Each gate's pulses at 20,402 seeded points (a 101 x 202 grid of seeded omega and
+    theta axes, as many as the rows of a 101 x 101 sweep in both modes), and the frame
+    of a seeded reference point."""
     rng = np.random.default_rng(11)
-    angles = zip(rng.uniform(0.0, math.pi / 2, 20402).tolist(),
-                 rng.uniform(-7.0, 7.0, 20402).tolist())
-    h = _xy_hamiltonians(list(angles))
+    h = _xy_hamiltonians(rng.uniform(0.0, math.pi / 2, 101).tolist(),
+                         rng.uniform(-7.0, 7.0, 202).tolist())
     frame = rotation_matrix(ExchangeParams(1.0, "xy", 0.37, theta=-2.1))
     return {gate: expm_unitary(h, spec.area) for gate, spec in GATES.items()}, frame
 

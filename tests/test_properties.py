@@ -292,8 +292,25 @@ def sweep_cases(draw):
     return reference, *ratios, gate, mode
 
 
+def reference_above_one():
+    """A reference point drawn by random.Random(0) as sweep_cases draws one, whose
+    corrected zero-misestimation swap row rounds to a fidelity above 1."""
+    rng = random.Random(0)
+    return ExchangeParams(1.0, "xy", rng.uniform(1e-3, 2.0), theta=rng.uniform(0.0, 2 * math.pi))
+
+
+ABOVE_ONE = (reference_above_one(), [0.05, 0.0], [0.0, -0.0], "swap", "both")
+
+
+def test_the_above_one_example_has_a_fidelity_above_one():
+    fidelities = [row.fidelity for row in gate_error_sweep(*ABOVE_ONE)
+                  if row.corrected and row.delta_omega_ratio == 0.0]
+    assert len(fidelities) == 2 and min(fidelities) > 1.0
+
+
 @PROPERTY
 @given(sweep_cases())
+@example(ABOVE_ONE)
 def test_sweep_rows_are_the_per_point_oracle(case):
     reference, dws, dths, gate, mode = case
     rows = gate_error_sweep(reference, dws, dths, gate, mode)
@@ -309,6 +326,8 @@ def test_sweep_rows_are_the_per_point_oracle(case):
     assert [row[:5] for row in rows] == expected
     for row in rows:
         assert row.log10_error == (math.log10(row.error) if row.error > 0 else -math.inf)
+        if row.fidelity >= 1.0:
+            assert (row.error, row.log10_error) == (0.0, -math.inf)
     assert gate_error_sweep(replace(reference, J=2.5), dws, dths, gate, mode) == rows
     with pytest.raises(ValueError, match="sweep requires orientation xy"):
         gate_error_sweep(ExchangeParams(1.0, "z", reference.b_over_J), dws, dths, gate, mode)
@@ -463,36 +482,46 @@ def test_operator_builds_are_bit_for_bit_their_tensordot_forms(p, b):
                      np.tensordot(f.b1, S1, axes=1) + np.tensordot(f.b2, S2, axes=1))
 
 
-# The sweep's corners: b/J 0, 5e-324 and 1e16 (whose atan rounds to the float pi/2, just
-# past the sweep's range, so the largest w below it as well) at each kernel-corner theta.
-SWEEP_CORNERS = [(w, theta) for w in (0.0, 5e-324, math.atan(1e16), math.nextafter(math.pi / 2, 0))
-                 for theta in (0.0, -0.0, math.pi / 2, -math.pi / 2, 4 * math.pi, 5 * math.pi / 6)]
+# The sweep's corners, as its two axes: b/J 0, 5e-324 and 1e16 (whose atan rounds to the
+# float pi/2, just past the sweep's range, so the largest w below it as well) and each
+# kernel-corner theta.
+SWEEP_CORNERS = ([0.0, 5e-324, math.atan(1e16), math.nextafter(math.pi / 2, 0)],
+                 [0.0, -0.0, math.pi / 2, -math.pi / 2, 4 * math.pi, 5 * math.pi / 6])
 
 
 def map_grid(seed):
-    """The (omega, theta) pairs of a 21 x 21 map sweep, ratios -0.1:0.1:21 on both axes,
-    in row order, around a reference point drawn as the benchmark's map workload draws
-    one: tan(omega0) log-uniform in [1e-3, 0.3], theta0 uniform in [0, 2 pi)."""
+    """The omega and theta axes of a 21 x 21 map sweep, ratios -0.1:0.1:21 on both, around
+    a reference point drawn as the benchmark's map workload draws one: tan(omega0)
+    log-uniform in [1e-3, 0.3], theta0 uniform in [0, 2 pi)."""
     rng = random.Random(seed)
     p = ExchangeParams(1.0, "xy", 10 ** rng.uniform(-3.0, math.log10(0.3)),
                        theta=rng.uniform(0.0, 2 * math.pi))
     ratios = np.linspace(-0.1, 0.1, 21).tolist()
-    return [(p.omega * (1.0 + r_w), p.theta * (1.0 + r_th)) for r_th in ratios for r_w in ratios]
+    return [p.omega * (1.0 + r) for r in ratios], [p.theta * (1.0 + r) for r in ratios]
+
+
+def axis(values):
+    """An axis of 1-8 values: 1-6 draws from values, then up to 2 repeats of them."""
+    return st.lists(values, min_size=1, max_size=6).flatmap(
+        lambda drawn: st.lists(st.sampled_from(drawn), max_size=2).map(lambda extra: drawn + extra))
 
 
 @PROPERTY
-@given(st.lists(st.tuples(st.floats(0.0, math.pi / 2, exclude_max=True), WIDE_THETA),
-                min_size=1, max_size=8))
-@example(SWEEP_CORNERS)
-@example(SWEEP_CORNERS[-1:])
-@example(map_grid(7))
-def test_stacked_xy_hamiltonians_are_build_hamiltonian_bit_for_bit(angles):
-    """The sweep's stack of H at J = 1 holds each (w, theta)'s own H, built through
+@given(axis(st.floats(0.0, math.pi / 2, exclude_max=True)),
+       axis(st.one_of(WIDE_THETA, st.sampled_from([0.0, -0.0, 4 * math.pi, -4 * math.pi,
+                                                   40.3, -1e8]))))
+@example(*SWEEP_CORNERS)
+@example(SWEEP_CORNERS[0][-1:], SWEEP_CORNERS[1][-1:])
+@example(*map_grid(7))
+def test_stacked_xy_hamiltonians_are_build_hamiltonian_bit_for_bit(omegas, thetas):
+    """The sweep's stack of H at J = 1 over an omega axis and a theta axis holds, theta
+    outer and omega inner, each point's own H, built through
     ExchangeParams(1.0, "xy", tan(w), theta=theta), bit for bit: a one-point stack too,
     and a map sweep's 441 points."""
-    stack = _xy_hamiltonians(angles)
-    assert stack.shape == (len(angles), 4, 4)
-    for (w, theta), h in zip(angles, stack):
+    stack = _xy_hamiltonians(omegas, thetas)
+    assert stack.shape == (len(omegas) * len(thetas), 4, 4)
+    points = [(w, theta) for theta in thetas for w in omegas]
+    for (w, theta), h in zip(points, stack):
         assert_same_bits(h, build_hamiltonian(ExchangeParams(1.0, "xy", math.tan(w), theta=theta)))
 
 

@@ -27,7 +27,7 @@ import sympy as sp
 from sympy import QQ
 from sympy.polys.rings import ring
 
-from spinframe.frame import _local_rotation
+from spinframe.frame import _local_rotation, rotation_matrix
 from spinframe.model import PAIR, ExchangeParams, _angle_terms, _coupling, build_hamiltonian
 
 R, a, ai, z, zi, q, qi, J = ring("a ai z zi q qi J", QQ)
@@ -82,6 +82,16 @@ def local_rotation(omega):
     return [[c * x, s * y], [-s * conj(y), c * conj(x)]]
 
 
+def z_rotation(omega):
+    """frame._local_rotation's z form, Rz(omega/2) = diag(e^{i omega/4}, e^{-i omega/4}),
+    transcribed."""
+    return [[cis(omega / 4), R(0)], [R(0), cis(-omega / 4)]]
+
+
+def kron(A, B):
+    return [[A[i // 2][j // 2] * B[i % 2][j % 2] for j in range(4)] for i in range(4)]
+
+
 def pair_sum(coefficients):
     """sum_ab K_ab S1^a S2^b as a 4x4 of ring elements, from model.PAIR's exact entries."""
     basis = [R(QQ(*v.real.as_integer_ratio())) + QQ(*v.imag.as_integer_ratio()) * I
@@ -91,26 +101,44 @@ def pair_sum(coefficients):
     return [flat[4 * r:4 * r + 4] for r in range(4)]
 
 
+def coupling(x, y, z):
+    """model._coupling itself, on c, t, s = cos w, 2 sin^2(w/2), sin w and the axis."""
+    return _coupling(J, cos(OMEGA), 2 * sin(OMEGA / 2) ** 2, sin(OMEGA), x, y, z)
+
+
+ISOTROPIC = pair_sum([J, 0, 0, 0, J, 0, 0, 0, J])
+
+
+def isotropizes(t, h) -> bool:
+    """t h t^dag = J S1.S2, entry by entry."""
+    t_dag = [[conj(t[j][i]) for j in range(4)] for i in range(4)]
+    rotated = matmul(matmul(t, h), t_dag)
+    return all(vanishes(rotated[i][j] - ISOTROPIC[i][j]) for i in range(4) for j in range(4))
+
+
 U_MINUS, U_PLUS = local_rotation(-OMEGA), local_rotation(OMEGA)
-T = [[U_MINUS[i // 2][j // 2] * U_PLUS[i % 2][j % 2] for j in range(4)] for i in range(4)]
-# model._coupling itself, on c, t, s = cos w, 2 sin^2(w/2), sin w and the axis (cos, sin, 0).
-COUPLING = _coupling(J, cos(OMEGA), 2 * sin(OMEGA / 2) ** 2, sin(OMEGA),
-                     cos(THETA), sin(THETA), 0)
+T = kron(U_MINUS, U_PLUS)
+COUPLING = coupling(cos(THETA), sin(THETA), 0)
 H = pair_sum(COUPLING)
+Z_MINUS, Z_PLUS = z_rotation(-OMEGA), z_rotation(OMEGA)
+T_Z = kron(Z_MINUS, Z_PLUS)
+H_Z = pair_sum(coupling(0, 0, 1))
 
 
 def test_the_xy_frame_isotropizes_the_coupling_for_every_omega_and_theta():
     """T H T^dag = J S1.S2 exactly, with T = U(-omega) (x) U(omega) and H from
     model._coupling's nine entries."""
-    t_dag = [[conj(T[j][i]) for j in range(4)] for i in range(4)]
-    rotated = matmul(matmul(T, H), t_dag)
-    isotropic = pair_sum([J, 0, 0, 0, J, 0, 0, 0, J])
-    assert all(vanishes(rotated[i][j] - isotropic[i][j]) for i in range(4) for j in range(4))
+    assert isotropizes(T, H)
     # The certificate can fail: the same T leaves H at theta flipped anisotropic.
-    flipped = pair_sum(_coupling(J, cos(OMEGA), 2 * sin(OMEGA / 2) ** 2, sin(OMEGA),
-                                 cos(-THETA), sin(-THETA), 0))
-    rotated = matmul(matmul(T, flipped), t_dag)
-    assert not all(vanishes(rotated[i][j] - isotropic[i][j]) for i in range(4) for j in range(4))
+    assert not isotropizes(T, pair_sum(coupling(cos(-THETA), sin(-THETA), 0)))
+
+
+def test_the_z_frame_isotropizes_the_coupling_for_every_omega():
+    """T H T^dag = J S1.S2 exactly at axis (0, 0, 1), with T = Rz(-omega/2) (x) Rz(omega/2)
+    and H from model._coupling's nine entries."""
+    assert isotropizes(T_Z, H_Z)
+    # The certificate can fail: Rz(omega/2) on both qubits commutes with H_Z.
+    assert not isotropizes(kron(Z_PLUS, Z_PLUS), H_Z)
 
 
 def lambdified(entries):
@@ -125,10 +153,15 @@ def lambdified(entries):
     return evaluate
 
 
+def flat(matrix):
+    return [e for row in matrix for e in row]
+
+
 def test_the_source_is_the_certified_expression_at_seeded_points():
-    rotation = {sign: lambdified([e for row in u for e in row])
-                for sign, u in ((-1, U_MINUS), (1, U_PLUS))}
-    coupling, hamiltonian = lambdified(COUPLING), lambdified([e for row in H for e in row])
+    rotation = {sign: lambdified(flat(u)) for sign, u in ((-1, U_MINUS), (1, U_PLUS))}
+    z_rotations = {sign: lambdified(flat(u)) for sign, u in ((-1, Z_MINUS), (1, Z_PLUS))}
+    entries, hamiltonian = lambdified(COUPLING), lambdified(flat(H))
+    frame_z, hamiltonian_z = lambdified(flat(T_Z)), lambdified(flat(H_Z))
     rng = random.Random(5)
     for _ in range(50):
         j = 10 ** rng.uniform(-1.0, 1.0)
@@ -139,6 +172,15 @@ def test_the_source_is_the_certified_expression_at_seeded_points():
             np.testing.assert_allclose(_local_rotation(p, sign * w).reshape(-1),
                                        rotation[sign](w, th, j), rtol=0, atol=1e-14)
         k = _coupling(j, *_angle_terms(w), math.cos(th), math.sin(th), 0.0)
-        np.testing.assert_allclose(k, coupling(w, th, j), rtol=0, atol=1e-14 * j)
+        np.testing.assert_allclose(k, entries(w, th, j), rtol=0, atol=1e-14 * j)
         np.testing.assert_allclose(build_hamiltonian(p).reshape(-1), hamiltonian(w, th, j),
+                                   rtol=0, atol=1e-14 * j)
+        # Orientation z at the same omega and J; theta does not enter.
+        pz = ExchangeParams(j, "z", p.b_over_J)
+        for sign in (-1, 1):
+            np.testing.assert_allclose(_local_rotation(pz, sign * w).reshape(-1),
+                                       z_rotations[sign](w, 0.0, j), rtol=0, atol=1e-14)
+        np.testing.assert_allclose(rotation_matrix(pz).reshape(-1), frame_z(w, 0.0, j),
+                                   rtol=0, atol=1e-14)
+        np.testing.assert_allclose(build_hamiltonian(pz).reshape(-1), hamiltonian_z(w, 0.0, j),
                                    rtol=0, atol=1e-14 * j)

@@ -19,7 +19,8 @@ and 4 pi, tan omega 0 and 1e16, J 1e308 and the smallest normal float); CSV cell
 of -0, -inf, 0, a subnormal and 1e+308; each verification command at both orientations
 in each of its formats; every sweep gate x mode x format at three seeded reference
 points, with signed ratio lists; each gate's 21 x 21 map sweep (ratios -0.1:0.1:21 on
-both axes, both modes, CSV) at a fourth; and refusals of the sweep's ratios and gate,
+both axes, both modes, CSV) at a fourth; a CSV and a JSON sweep whose axes hold
+duplicates and signed zeros at theta 40.3; and refusals of the sweep's ratios and gate,
 a z sweep, a psw sweep and a ``--tol 0`` sweep.
 """
 
@@ -98,6 +99,13 @@ def corpus() -> list[tuple[str, ...]]:
         argvs.append(("sweep", "--orientation", "xy", "--theta", repr(theta), "--tan-omega",
                       repr(tan_omega), "--gate", gate, "--mode", "both", "--format", "csv",
                       "--delta-omega-ratios=-0.1:0.1:21", "--delta-theta-ratios=-0.1:0.1:21"))
+    # The axes' corners: duplicate values and a signed zero on each axis, at a theta past
+    # 4 pi, where each axis value is reduced by fmod before its cos and sin.
+    for gate, fmt in (("cnot", "csv"), ("swap", "json")):
+        argvs.append(("sweep", "--orientation", "xy", "--theta", "40.3", "--tan-omega", "0.37",
+                      "--gate", gate, "--format", fmt,
+                      "--delta-omega-ratios=-0.05,-0,0,0.05,0.05",
+                      "--delta-theta-ratios=0.1,-0,0,-0.1,0.1"))
     far = ("--orientation", "xy", "--theta", "1e308", "--tan-omega", "0.1")
     argvs += [
         # An omega ratio out of range and a theta ratio that is not finite: theta is named.
