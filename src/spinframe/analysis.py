@@ -30,8 +30,8 @@ class SweepRow(NamedTuple):
     log10_error: float
 
 
-# The blocks of each mode, in order: whether the pulse is sandwiched by T(reference).
-_MODES = {"both": (False, True), "uncorrected": (False,), "corrected": (True,)}
+# The CLI's --mode choices in order, each with its blocks: is the pulse sandwiched by T?
+_MODES = {"both": (False, True), "corrected": (True,), "uncorrected": (False,)}
 
 
 def _overlaps(dressed: np.ndarray, target: np.ndarray) -> np.ndarray:
@@ -55,13 +55,13 @@ def gate_error_sweep(reference: ExchangeParams, delta_omega_ratios, delta_theta_
     (gates.dress) as one stack per block.  The target is checked unitary once per
     call, and each block's dressed stack once; each block's overlaps u^dag target
     are one stacked product (_overlaps), and a row does only its trace and scalar
-    work, built by SweepRow._make.  A row's gate is the realize(gate, p, T or None)
-    of its point bit for bit, and its fidelity is |tr(u^dag target)| / 4.  mode
-    "both" gives the uncorrected block, then the corrected one; inside a block rows
-    are sorted by (delta_theta_ratio, delta_omega_ratio).  error = 1 - fidelity
-    below fidelity 1 and 0 otherwise, which is max(0, 1 - fidelity) for every float,
-    and log10_error is its log10 (-inf at 0).  J drops out (only J t enters, and T
-    does not depend on J), so every row is evaluated at J = 1.
+    work, built by SweepRow._make.  A row is evaluated at the omega and theta that its
+    ratios give and that were range-checked: its gate is realize's at that point, bit
+    for bit, and its fidelity |tr(u^dag target)| / 4.  mode "both" gives the uncorrected
+    block, then the corrected one; inside a block rows are sorted by (delta_theta_ratio,
+    delta_omega_ratio).  error = 1 - fidelity below fidelity 1 and 0 otherwise, which
+    is max(0, 1 - fidelity) for every float, and log10_error is its log10 (-inf at 0).
+    J drops out (only J t enters, and T does not depend on J), so rows take J = 1.
     """
     if reference.orientation != "xy":
         raise ValueError("sweep requires orientation xy")

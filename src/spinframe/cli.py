@@ -66,9 +66,9 @@ def load_config(path: str) -> dict:
         try:
             data = json.loads(text)
         except json.JSONDecodeError as exc:
-            raise ValueError(f"bad JSON config: {exc}") from None
+            raise ValueError(f"config {path} is bad JSON: {exc}") from None
         if not isinstance(data, dict):
-            raise ValueError("JSON config must be an object")
+            raise ValueError(f"config {path} must be a JSON object")
         return data
     data = {}
     for lineno, line in enumerate(text.splitlines(), start=1):
@@ -76,7 +76,7 @@ def load_config(path: str) -> dict:
         if not line:
             continue
         if "=" not in line:
-            raise ValueError(f"config line {lineno} is not 'key = value'")
+            raise ValueError(f"config {path} line {lineno} is not 'key = value'")
         key, _, value = line.partition("=")
         value = value.strip()
         try:
@@ -172,7 +172,7 @@ class RunConfig:
     delta_theta_ratios: tuple[float, ...] = _option(
         (0.01, 0.1), _parse_series, "comma list or start:stop:count (default 0.01,0.1)",
         ("sweep",))
-    mode: str = _option("both", _Choice(("both", "corrected", "uncorrected")),
+    mode: str = _option("both", _Choice(analysis._MODES),
                         "which pulse variants to evaluate (default both)", ("sweep",))
     out: str | None = _option(None, str, "write the report to this file")
     format: str | None = _option(None, _Choice(("csv", "json")), "output document format")
@@ -204,7 +204,7 @@ def _resolve(args: argparse.Namespace) -> RunConfig:
     for key, value in raw.items():
         try:
             values[key] = _parse(key, args.command)(value)
-        except (TypeError, ValueError) as exc:
+        except (TypeError, ValueError, MemoryError) as exc:  # MemoryError: a range too long
             raise ValueError(f"{key}: {exc}") from None
     if "orientation" not in values:
         raise ValueError("orientation is required (xy or z)")

@@ -3,10 +3,10 @@
 T exp(-i H t) T^dag equals exp(-i J S1.S2 t) exactly when T is the
 isotropizing rotation, so the swap family comes out at the isotropic pulse
 areas: J t = pi for swap, pi/2 for its square root.  dress() turns a bare
-pulse exp(-i H t) into a gate: the frame sandwich, then the cnot sequence for
-cnot.  realize() and phase_shifted_swap() make every gate through it, and the
-sweep dresses its stack of pulses once per block.  Global phases are tracked
-nowhere; distances are phase insensitive.
+pulse exp(-i H t) into a GATES row's gate: the frame sandwich, then the cnot
+sequence for cnot.  realize() and phase_shifted_swap() (the swap row, fields on)
+make every gate through it, and the sweep dresses its stack of pulses once per
+block.  Global phases are tracked nowhere; distances are phase insensitive.
 """
 
 from __future__ import annotations
@@ -71,11 +71,11 @@ class GateReport:
     target_label: str
 
 
-def dress(u: np.ndarray, frame: np.ndarray | None = None, gate: str | None = None) -> np.ndarray:
-    """A bare pulse u = exp(-i H t), or a stack of them, as a gate: frame u frame^dag (u when
-    frame is None), then _cnot_from_w for "cnot".  gate is None or a GATES name, else refused."""
-    if gate is not None:
-        _gate_spec(gate)
+def dress(u: np.ndarray, frame: np.ndarray | None, gate: str) -> np.ndarray:
+    """A bare pulse u = exp(-i H t), or a stack of them, as the GATES row gate: frame u
+    frame^dag (u when frame is None), then _cnot_from_w for "cnot".  Any other gate,
+    None included, is refused."""
+    _gate_spec(gate)
     if frame is not None:
         u = frame @ u @ frame.conj().T
     return _cnot_from_w(u) if gate == "cnot" else u
@@ -135,13 +135,15 @@ def phase_shifted_swap(p: ExchangeParams, B: float) -> GateReport:
     require_unitary holds every matrix to: an ulp of it above UNITARY_TOL, which
     is |B/J| >= 2^19/pi, is refused.
     """
+    swap = GATES["swap"]
     b = B / p.J
     if not math.isfinite(b):
         raise ValueError(f"B must be finite in units of J; B/J = {b!r} for B = {B!r}")
-    if math.ulp(math.pi * b) > UNITARY_TOL:
+    if math.ulp(swap.area * b) > UNITARY_TOL:  # the field phase B pi/J, D's angle
         raise ValueError(f"B/J = {b!r} for B = {B!r} is too large: an ulp of the field "
                          f"phase B pi/J exceeds {UNITARY_TOL:g}, so |B/J| must be below 2^19/pi")
     h = build_hamiltonian(p) / p.J + build_zeeman(compensating_fields(p, b))
-    u = dress(expm_unitary(h, GATES["swap"].area), rotation_matrix(p))
-    d = rz(-math.pi * b)
-    return GateReport(u, f"psw(B={B!r})", phase_distance(u, SWAP @ kron(d, d)), "SWAP.(D x D)")
+    u = dress(expm_unitary(h, swap.area), rotation_matrix(p), "swap")
+    d = rz(-swap.area * b)
+    return GateReport(u, f"psw(B={B!r})", phase_distance(u, swap.target @ kron(d, d)),
+                      f"{swap.target_label}.(D x D)")

@@ -165,13 +165,13 @@ def build_hamiltonian(p: ExchangeParams) -> np.ndarray:
 def _xy_hamiltonians(omegas, thetas) -> np.ndarray:
     """The stack (N, 4, 4) of H at J = 1 and orientation xy over the grid of an omega
     axis (each in [0, pi/2)) and a theta axis (each finite), theta outer, omega inner:
-    member i * len(omegas) + j is
-    build_hamiltonian(ExchangeParams(1.0, "xy", tan(omegas[j]), theta=thetas[i])) bit for
-    bit, so it is evaluated at atan(tan(omega)), that point's omega, with no dataclass.
+    member i * len(omegas) + j is H at omega = omegas[j], as given, and
+    theta = thetas[i], reduced as ExchangeParams.reduced_theta reduces it, with no
+    dataclass: build_hamiltonian's _coupling and _combine at that point, bit for bit.
     The trigonometry is by math, once per axis value; the values are laid out over the
     grid (np.tile for omega, np.repeat for theta), the nine entries are array arithmetic
     over its points, and the stack one (N, 9) @ (9, 16) product."""
-    weights = np.array([_angle_terms(math.atan(math.tan(w))) for w in omegas])
+    weights = np.array([_angle_terms(w) for w in omegas])
     reduced = [math.fmod(theta, 4 * math.pi) for theta in thetas]
     axes = np.array([(math.cos(th), math.sin(th)) for th in reduced])
     c, t, s = np.tile(weights, (len(axes), 1)).T

@@ -12,9 +12,10 @@ from spinframe.analysis import (
     thermal_state,
 )
 from spinframe.frame import PSI_MINUS, rotation_matrix
-from spinframe.gates import GATES, SWAP, dress, realize
+from spinframe.gates import GATES, SWAP, dress
 from spinframe.linalg import expm_unitary, kron, require_unitary
 from spinframe.model import ExchangeParams, _xy_hamiltonians, build_hamiltonian, build_isotropic
+from sweep_oracle import fidelity, point_gate, point_hamiltonian
 
 THETA0 = 5 * math.pi / 6
 
@@ -27,14 +28,6 @@ def haar_qubit(rng):
 
 def werner(p):
     return p * np.outer(PSI_MINUS, PSI_MINUS.conj()) + (1 - p) * np.eye(4) / 4
-
-
-def fidelity(u, u0):
-    """The sweep's fidelity |tr(u^dag u0)| / 4, each matrix checked unitary: a
-    tests-local oracle, as the package keeps only the sweep's inline copy."""
-    u = require_unitary(u, "u")
-    u0 = require_unitary(u0, "u0")
-    return float(abs(np.trace(u.conj().T @ u0))) / 4.0
 
 
 def test_fidelity_identity_vs_swap():
@@ -317,11 +310,10 @@ def test_every_table_gate_has_its_public_function():
 def test_sweep_at_zero_misestimation_is_the_public_gate(gate, t0):
     from spinframe import gates
 
-    # The point exactly as gate_error_sweep builds it.
-    p = ExchangeParams(1.0, "xy", math.tan(math.atan(t0)), theta=THETA0)
+    # The ratios 0 evaluate the reference point itself.
     target = gates.GATES[gate].target
-    reference = ExchangeParams(1.0, "xy", t0, theta=THETA0)
-    rows = {row.corrected: row for row in gate_error_sweep(reference, (0.0,), (0.0,), gate)}
+    p = ExchangeParams(1.0, "xy", t0, theta=THETA0)
+    rows = {row.corrected: row for row in gate_error_sweep(p, (0.0,), (0.0,), gate)}
     public = gates.gate_report(gate, p)
     assert rows[True].fidelity == fidelity(public.matrix, target)
     assert rows[False].fidelity == fidelity(gates.realize(gate, p), target)
@@ -344,9 +336,9 @@ def test_sweep_exponentiates_each_grid_point_once(monkeypatch, gate, mode):
     assert len(rows) == 6 * (2 if mode == "both" else 1)
     # One call, whose stack holds the Hamiltonian of each of the 6 grid points in row order.
     (stack,) = calls
-    grid = [ExchangeParams(1.0, "xy", math.tan(reference.omega * (1 + row.delta_omega_ratio)),
-                           theta=THETA0 * (1 + row.delta_theta_ratio)) for row in rows[:6]]
-    assert np.array_equal(stack, np.stack([build_hamiltonian(p) for p in grid]))
+    grid = [(reference.omega * (1 + row.delta_omega_ratio), THETA0 * (1 + row.delta_theta_ratio))
+            for row in rows[:6]]
+    assert np.array_equal(stack, np.stack([point_hamiltonian(*point) for point in grid]))
 
 
 def test_sweep_refuses_a_hamiltonian_that_is_not_hermitian(monkeypatch):
@@ -439,9 +431,8 @@ def test_sweep_checks_the_target_once_and_each_block_once(monkeypatch, gate, mod
     for (_, stack), block in zip(stacks, blocks):
         assert stack.shape == (6, 4, 4)
         frame = rotation_matrix(reference) if block[0].corrected else None
-        grid = [ExchangeParams(1.0, "xy", math.tan(reference.omega * (1 + row.delta_omega_ratio)),
-                               theta=THETA0 * (1 + row.delta_theta_ratio)) for row in block]
-        want = np.stack([realize(gate, p, frame) for p in grid])
+        want = np.stack([point_gate(gate, reference.omega * (1 + row.delta_omega_ratio),
+                                    THETA0 * (1 + row.delta_theta_ratio), frame) for row in block])
         np.testing.assert_allclose(stack, want, rtol=0.0, atol=1e-14)
 
 

@@ -177,7 +177,7 @@ def test_a_config_file_opening_with_a_bracket_is_json(capsys, tmp_path):
     cfg = tmp_path / "run.cfg"
     cfg.write_text("  \n[1, 2]\n")
     code, out, err = _run_in_process(capsys, "transform", "--config", str(cfg))
-    assert (code, out, err) == (1, "", "error: JSON config must be an object\n")
+    assert (code, out, err) == (1, "", f"error: config {cfg} must be a JSON object\n")
 
 
 @pytest.mark.parametrize("data, at", [
@@ -190,6 +190,50 @@ def test_a_config_file_that_is_not_utf8_is_named(capsys, tmp_path, data, at):
     code, out, err = _run_in_process(capsys, "transform", "--config", str(cfg))
     assert (code, out) == (1, "")
     assert err == f"error: config {cfg} is not UTF-8: invalid start byte at byte {at}\n"
+
+
+@pytest.mark.parametrize("text, args, want", [
+    ('{"orientation": xy}', (), "config {cfg} is bad JSON: Expecting value: line 1 column 17"
+     " (char 16)"),
+    ("orientation = xy\n\ntheta 0.3\n", (), "config {cfg} line 3 is not 'key = value'"),
+    ("tan_omega = 0.1\n", (), "orientation is required (xy or z)"),
+    (None, ("--delta-omega-ratios", "0:1"), "delta_omega_ratios: range must be start:stop:count"),
+    (None, ("--delta-theta-ratios", "0:1:2:3"),
+     "delta_theta_ratios: range must be start:stop:count"),
+    (None, ("--delta-omega-ratios", "0:1:0"), "delta_omega_ratios: count must be >= 1"),
+    (None, ("--beta", ","), "beta: must not be empty"),
+], ids=["bad json", "line without =", "no orientation", "range of 2", "range of 4", "count 0",
+        "empty list"])
+def test_each_config_and_series_refusal_is_one_line_naming_its_input(capsys, tmp_path, text,
+                                                                     args, want):
+    """Exit 1, nothing on stdout, and one error line that names the file, its line or
+    the option at fault."""
+    cfg = tmp_path / "run.cfg"
+    if text is None:
+        command = "thermal" if args[0] == "--beta" else "sweep"
+        argv = (command, "--orientation", "xy", "--theta", "0.3", "--tan-omega", "0.1", *args)
+    else:
+        cfg.write_text(text)
+        argv = ("sweep", "--config", str(cfg))
+    assert _run_in_process(capsys, *argv) == (1, "", f"error: {want.format(cfg=cfg)}\n")
+
+
+def test_a_flat_config_may_hold_comments_and_blank_lines(capsys, tmp_path):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("# the README's point\n\norientation = xy  # axis in the plane\n"
+                   "   \ntheta = 5pi/6\n# tan_omega = 9\ntan_omega = 0.005\n")
+    want = _run_in_process(capsys, "decompose", *XY_ARGS)
+    assert want[0] == 0
+    assert _run_in_process(capsys, "decompose", "--config", str(cfg)) == want
+
+
+def test_a_range_too_long_for_any_array_exits_1_naming_its_option(capsys):
+    """A count of 1e16 asks numpy for 71 PiB, beyond any address space, so nothing is
+    allocated: the MemoryError is a usage error, not a traceback."""
+    code, out, err = _run_in_process(capsys, "sweep", *XY_ARGS, "--delta-omega-ratios",
+                                     "0:0.1:10000000000000000")
+    assert (code, out) == (1, "")
+    assert err.startswith("error: delta_omega_ratios: ") and err.count("\n") == 1
 
 
 @pytest.mark.parametrize("name, text", [
@@ -406,6 +450,26 @@ def test_closed_stdout_pipe_exits_quietly():
     assert r.stderr == ""
 
 
+def test_a_reader_that_leaves_after_the_header_ends_the_sweep_quietly():
+    """A 41 x 41 sweep in both modes writes about 340 KB, more than a pipe holds: the
+    reader takes the header and closes the pipe while the sweep is still writing.
+    stdout is buffered, as by default: unbuffered (PYTHONUNBUFFERED), the text layer
+    takes the short write that the closed pipe ends with as complete, and no
+    BrokenPipeError is raised at all."""
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "spinframe.cli", "sweep", *XY_ARGS, "--mode", "both",
+         "--delta-omega-ratios=-0.1:0.1:41", "--delta-theta-ratios=-0.1:0.1:41"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True, env=env)
+    header = proc.stdout.readline()
+    proc.stdout.close()
+    code = proc.wait(timeout=60)  # stderr, one line at most, cannot fill its pipe
+    with proc.stderr:
+        err = proc.stderr.read()
+    assert header.startswith("delta_omega_ratio,delta_theta_ratio,")
+    assert (code, err) == (0, "")
+
+
 @pytest.mark.parametrize(
     "args",
     [
@@ -559,6 +623,19 @@ def test_sweep_help_lists_the_gate_table_only(capsys):
         main(["sweep", "--help"])
     out = capsys.readouterr().out
     assert "{swap,sqrt_swap,cnot}" in out and "psw" not in out
+
+
+def test_the_mode_choices_are_the_sweeps_modes_in_their_order(capsys):
+    """The mode row's choices are analysis._MODES' keys: both, corrected, uncorrected,
+    in the metavar and in the refusal of any other mode."""
+    from spinframe import analysis
+
+    assert tuple(analysis._MODES) == ("both", "corrected", "uncorrected")
+    with pytest.raises(SystemExit):
+        main(["sweep", "--help"])
+    assert "--mode {both,corrected,uncorrected}" in capsys.readouterr().out
+    want = "error: mode: must be one of both, corrected, uncorrected, got 'all'\n"
+    assert _run_in_process(capsys, "sweep", *XY_ARGS, "--mode", "all") == (1, "", want)
 
 
 @pytest.mark.parametrize("fault", [("--gate", "psw"), "gate = psw\n", '{"gate": "psw"}'],

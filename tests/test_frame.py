@@ -74,9 +74,10 @@ def test_plan_angles_z():
 
 
 def test_plan_wraps_onto_4pi_circle():
-    plan = RotationPlan(qubit1=(5 * math.pi, 0.0, 0.0), qubit2=(0.0, 0.0, -5 * math.pi))
+    plan = RotationPlan(qubit1=(5 * math.pi, -2 * math.pi, 0.0), qubit2=(0.0, 0.0, -5 * math.pi))
     assert plan.qubit1[0] == pytest.approx(math.pi, abs=1e-12)
     assert plan.qubit2[2] == pytest.approx(-math.pi, abs=1e-12)
+    assert plan.qubit1[1] == 2 * math.pi  # (-2 pi, 2 pi] holds 2 pi, not -2 pi
 
 
 def test_plan_rejects_non_finite_angles():

@@ -170,7 +170,7 @@ def test_every_gate_entry_point_refuses_an_unknown_gate_alike(call):
     assert str(info.value) == "gate must be one of ['cnot', 'sqrt_swap', 'swap']"
 
 
-@pytest.mark.parametrize("gate", ["CNOT", "psw", ""])
+@pytest.mark.parametrize("gate", ["CNOT", "psw", "", None])
 def test_dress_refuses_an_unknown_gate_as_realize_does(gate):
     u = realize("sqrt_swap", REFERENCE)
     for frame in (None, rotation_matrix(REFERENCE)):
@@ -182,7 +182,7 @@ def test_dress_refuses_an_unknown_gate_as_realize_does(gate):
 def test_dress_applies_the_cnot_sequence_for_cnot_alone():
     u = realize("sqrt_swap", REFERENCE)
     t = rotation_matrix(REFERENCE)
-    for gate in (None, "swap", "sqrt_swap"):
+    for gate in ("swap", "sqrt_swap"):
         assert np.array_equal(dress(u, None, gate), u)
         assert np.array_equal(dress(u, t, gate), t @ u @ t.conj().T)
     assert np.array_equal(dress(u, None, "cnot"), _cnot_from_w(u))

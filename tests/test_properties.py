@@ -52,6 +52,7 @@ from spinframe.model import (
     build_zeeman,
     spin_operators,
 )
+from sweep_oracle import fidelity, point_gate, point_hamiltonian
 
 
 THETA = st.floats(0.0, 2 * math.pi, exclude_max=True)
@@ -170,14 +171,6 @@ def unitaries(draw):
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     q, r = np.linalg.qr(rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4)))
     return q * (np.diagonal(r) / np.abs(np.diagonal(r)))
-
-
-def fidelity(u, u0):
-    """The sweep's fidelity |tr(u^dag u0)| / 4, each matrix checked unitary: a
-    tests-local oracle, as the package keeps only the sweep's inline copy."""
-    u = require_unitary(u, "u")
-    u0 = require_unitary(u0, "u0")
-    return float(abs(np.trace(u.conj().T @ u0))) / 4.0
 
 
 def check_phase_distance(u, v):
@@ -300,6 +293,9 @@ def reference_above_one():
 
 
 ABOVE_ONE = (reference_above_one(), [0.05, 0.0], [0.0, -0.0], "swap", "both")
+# omega0 (1 + 0.1) at tan omega0 = 0.23 is a point where atan(tan omega) is an ulp below
+# omega: its rows are evaluated at omega itself.
+ROUND_TRIP_MOVES = (ExchangeParams(1.0, "xy", 0.23, theta=0.3), [0.0, 0.1], [0.0], "swap", "both")
 
 
 def test_the_above_one_example_has_a_fidelity_above_one():
@@ -311,6 +307,7 @@ def test_the_above_one_example_has_a_fidelity_above_one():
 @PROPERTY
 @given(sweep_cases())
 @example(ABOVE_ONE)
+@example(ROUND_TRIP_MOVES)
 def test_sweep_rows_are_the_per_point_oracle(case):
     reference, dws, dths, gate, mode = case
     rows = gate_error_sweep(reference, dws, dths, gate, mode)
@@ -319,9 +316,9 @@ def test_sweep_rows_are_the_per_point_oracle(case):
         frame = rotation_matrix(reference) if corrected else None
         for r_th in sorted(dths):
             for r_w in sorted(dws):
-                p = ExchangeParams(1.0, "xy", math.tan(reference.omega * (1.0 + r_w)),
-                                   theta=reference.theta * (1.0 + r_th))
-                f = fidelity(realize(gate, p, frame), GATES[gate].target)
+                u = point_gate(gate, reference.omega * (1.0 + r_w),
+                               reference.theta * (1.0 + r_th), frame)
+                f = fidelity(u, GATES[gate].target)
                 expected.append((r_w, r_th, corrected, f, max(0.0, 1.0 - f)))
     assert [row[:5] for row in rows] == expected
     for row in rows:
@@ -482,10 +479,11 @@ def test_operator_builds_are_bit_for_bit_their_tensordot_forms(p, b):
                      np.tensordot(f.b1, S1, axes=1) + np.tensordot(f.b2, S2, axes=1))
 
 
-# The sweep's corners, as its two axes: b/J 0, 5e-324 and 1e16 (whose atan rounds to the
-# float pi/2, just past the sweep's range, so the largest w below it as well) and each
-# kernel-corner theta.
-SWEEP_CORNERS = ([0.0, 5e-324, math.atan(1e16), math.nextafter(math.pi / 2, 0)],
+# The sweep's corners, as its two axes: b/J 0, 5e-324, a w that atan(tan(w)) moves down
+# by an ulp, and b/J 1e16 (whose atan rounds to the float pi/2, just past the sweep's
+# range, so the largest w below it as well) and each kernel-corner theta.
+SWEEP_CORNERS = ([0.0, 5e-324, 0.4690491288269313, math.atan(1e16),
+                  math.nextafter(math.pi / 2, 0)],
                  [0.0, -0.0, math.pi / 2, -math.pi / 2, 4 * math.pi, 5 * math.pi / 6])
 
 
@@ -513,16 +511,27 @@ def axis(values):
 @example(*SWEEP_CORNERS)
 @example(SWEEP_CORNERS[0][-1:], SWEEP_CORNERS[1][-1:])
 @example(*map_grid(7))
-def test_stacked_xy_hamiltonians_are_build_hamiltonian_bit_for_bit(omegas, thetas):
+def test_stacked_xy_hamiltonians_are_each_points_own_bit_for_bit(omegas, thetas):
     """The sweep's stack of H at J = 1 over an omega axis and a theta axis holds, theta
-    outer and omega inner, each point's own H, built through
-    ExchangeParams(1.0, "xy", tan(w), theta=theta), bit for bit: a one-point stack too,
-    and a map sweep's 441 points."""
+    outer and omega inner, each point's own H at its own (w, theta), bit for bit: a
+    one-point stack too, and a map sweep's 441 points."""
     stack = _xy_hamiltonians(omegas, thetas)
     assert stack.shape == (len(omegas) * len(thetas), 4, 4)
     points = [(w, theta) for theta in thetas for w in omegas]
     for (w, theta), h in zip(points, stack):
-        assert_same_bits(h, build_hamiltonian(ExchangeParams(1.0, "xy", math.tan(w), theta=theta)))
+        assert_same_bits(h, point_hamiltonian(w, theta))
+
+
+@PROPERTY
+@given(exchange_params(max_b_over_J=1e16, thetas=WIDE_THETA, Js=st.just(1.0)),
+       st.sampled_from(sorted(GATES)), st.sampled_from(["none", "own", "other"]))
+def test_the_per_point_oracle_is_realize_bit_for_bit(p, gate, framed):
+    """At J = 1 and orientation xy, the sweep's per-point oracle at (p.omega, p.theta) is
+    realize(gate, p, frame), bare, in p's own frame or in another point's."""
+    assume(p.orientation == "xy")
+    frame = {"none": None, "own": rotation_matrix(p),
+             "other": rotation_matrix(ExchangeParams(1.0, "xy", 0.37, theta=-2.1))}[framed]
+    assert_same_bits(point_gate(gate, p.omega, p.theta, frame), realize(gate, p, frame))
 
 
 def json_default_oracle(o):

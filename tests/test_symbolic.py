@@ -13,9 +13,9 @@ exact arithmetic over the rationals, a proof for all omega, theta and J.
 
 A certificate proves a formula as the source writes it, so the source's own
 functions are called where they take ring elements (model._coupling), and
-transcribed where they use math or cmath (frame._local_rotation).  A seeded numeric
-check then ties each source function to the certified expression, lambdified, to
-1e-14, so a drift in either fails here.
+transcribed where they use math or cmath (frame._local_rotation,
+model.compensating_fields).  A seeded numeric check then ties each source function
+to the certified expression, lambdified, to 1e-14, so a drift in either fails here.
 """
 
 import cmath
@@ -28,7 +28,8 @@ from sympy import QQ
 from sympy.polys.rings import ring
 
 from spinframe.frame import _local_rotation, rotation_matrix
-from spinframe.model import PAIR, ExchangeParams, _angle_terms, _coupling, build_hamiltonian
+from spinframe.model import (PAIR, S1, S2, ExchangeParams, _angle_terms, _coupling,
+                             build_hamiltonian, compensating_fields)
 
 R, a, ai, z, zi, q, qi, J = ring("a ai z zi q qi J", QQ)
 I = a**4
@@ -92,13 +93,31 @@ def kron(A, B):
     return [[A[i // 2][j // 2] * B[i % 2][j % 2] for j in range(4)] for i in range(4)]
 
 
-def pair_sum(coefficients):
-    """sum_ab K_ab S1^a S2^b as a 4x4 of ring elements, from model.PAIR's exact entries."""
+def operator_sum(coefficients, operators):
+    """sum_i coefficients[i] operators[i] as a 4x4 of ring elements, from the operators'
+    exact entries."""
     basis = [R(QQ(*v.real.as_integer_ratio())) + QQ(*v.imag.as_integer_ratio()) * I
-             for v in PAIR.reshape(-1)]
+             for v in operators.reshape(-1)]
     flat = [sum((k * basis[16 * i + e] for i, k in enumerate(coefficients)), R(0))
             for e in range(16)]
     return [flat[4 * r:4 * r + 4] for r in range(4)]
+
+
+def pair_sum(coefficients):
+    """sum_ab K_ab S1^a S2^b, from model.PAIR."""
+    return operator_sum(coefficients, PAIR)
+
+
+def field_sum(b1, b2):
+    """B1.S1 + B2.S2, from model.S1 and model.S2."""
+    return operator_sum((*b1, *b2), np.concatenate((S1, S2)))
+
+
+def fields():
+    """model.compensating_fields' closed form at orientation xy and B = 1, transcribed:
+    B1 and B2, each as three ring elements."""
+    s, c, st, ct = sin(OMEGA / 2), cos(OMEGA / 2), sin(THETA), cos(THETA)
+    return (-s * st, s * ct, c), (s * st, -s * ct, c)
 
 
 def coupling(x, y, z):
@@ -109,11 +128,19 @@ def coupling(x, y, z):
 ISOTROPIC = pair_sum([J, 0, 0, 0, J, 0, 0, 0, J])
 
 
-def isotropizes(t, h) -> bool:
-    """t h t^dag = J S1.S2, entry by entry."""
+UNIFORM_Z = field_sum((0, 0, 1), (0, 0, 1))  # S1z + S2z
+
+
+def rotates_to(t, h, target) -> bool:
+    """t h t^dag = target, entry by entry."""
     t_dag = [[conj(t[j][i]) for j in range(4)] for i in range(4)]
     rotated = matmul(matmul(t, h), t_dag)
-    return all(vanishes(rotated[i][j] - ISOTROPIC[i][j]) for i in range(4) for j in range(4))
+    return all(vanishes(rotated[i][j] - target[i][j]) for i in range(4) for j in range(4))
+
+
+def isotropizes(t, h) -> bool:
+    """t h t^dag = J S1.S2, entry by entry."""
+    return rotates_to(t, h, ISOTROPIC)
 
 
 U_MINUS, U_PLUS = local_rotation(-OMEGA), local_rotation(OMEGA)
@@ -123,6 +150,7 @@ H = pair_sum(COUPLING)
 Z_MINUS, Z_PLUS = z_rotation(-OMEGA), z_rotation(OMEGA)
 T_Z = kron(Z_MINUS, Z_PLUS)
 H_Z = pair_sum(coupling(0, 0, 1))
+B1, B2 = fields()
 
 
 def test_the_xy_frame_isotropizes_the_coupling_for_every_omega_and_theta():
@@ -139,6 +167,14 @@ def test_the_z_frame_isotropizes_the_coupling_for_every_omega():
     assert isotropizes(T_Z, H_Z)
     # The certificate can fail: Rz(omega/2) on both qubits commutes with H_Z.
     assert not isotropizes(kron(Z_PLUS, Z_PLUS), H_Z)
+
+
+def test_the_xy_frame_maps_the_compensating_fields_onto_a_uniform_z_field():
+    """T (B1.S1 + B2.S2) T^dag = B (S1z + S2z) exactly for every omega and theta, with B1
+    and B2 compensating_fields' closed form; the identity is linear in B, so B = 1."""
+    assert rotates_to(T, field_sum(B1, B2), UNIFORM_Z)
+    # The certificate can fail: B1's x component with its sign flipped.
+    assert not rotates_to(T, field_sum((-B1[0], *B1[1:]), B2), UNIFORM_Z)
 
 
 def lambdified(entries):
@@ -162,6 +198,7 @@ def test_the_source_is_the_certified_expression_at_seeded_points():
     z_rotations = {sign: lambdified(flat(u)) for sign, u in ((-1, Z_MINUS), (1, Z_PLUS))}
     entries, hamiltonian = lambdified(COUPLING), lambdified(flat(H))
     frame_z, hamiltonian_z = lambdified(flat(T_Z)), lambdified(flat(H_Z))
+    field_components = lambdified((*B1, *B2))
     rng = random.Random(5)
     for _ in range(50):
         j = 10 ** rng.uniform(-1.0, 1.0)
@@ -175,6 +212,10 @@ def test_the_source_is_the_certified_expression_at_seeded_points():
         np.testing.assert_allclose(k, entries(w, th, j), rtol=0, atol=1e-14 * j)
         np.testing.assert_allclose(build_hamiltonian(p).reshape(-1), hamiltonian(w, th, j),
                                    rtol=0, atol=1e-14 * j)
+        B = rng.uniform(-3.0, 3.0)
+        f = compensating_fields(p, B)
+        np.testing.assert_allclose((*f.b1, *f.b2), B * field_components(w, th, j),
+                                   rtol=0, atol=1e-14)
         # Orientation z at the same omega and J; theta does not enter.
         pz = ExchangeParams(j, "z", p.b_over_J)
         for sign in (-1, 1):

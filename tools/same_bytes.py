@@ -20,7 +20,8 @@ of -0, -inf, 0, a subnormal and 1e+308; each verification command at both orient
 in each of its formats; every sweep gate x mode x format at three seeded reference
 points, with signed ratio lists; each gate's 21 x 21 map sweep (ratios -0.1:0.1:21 on
 both axes, both modes, CSV) at a fourth; a CSV and a JSON sweep whose axes hold
-duplicates and signed zeros at theta 40.3; and refusals of the sweep's ratios and gate,
+duplicates and signed zeros at theta 40.3; a sweep whose omega0 (1 + 0.1) is a
+point that atan(tan(omega)) would move by an ulp; and refusals of the sweep's ratios and gate,
 a z sweep, a psw sweep and a ``--tol 0`` sweep.
 """
 
@@ -106,6 +107,9 @@ def corpus() -> list[tuple[str, ...]]:
                       "--gate", gate, "--format", fmt,
                       "--delta-omega-ratios=-0.05,-0,0,0.05,0.05",
                       "--delta-theta-ratios=0.1,-0,0,-0.1,0.1"))
+    # A row evaluated at the omega it is range-checked at, which atan(tan(omega)) is not.
+    argvs.append(("sweep", "--orientation", "xy", "--theta", "0.3", "--tan-omega", "0.23",
+                  "--delta-omega-ratios", "0,0.1", "--delta-theta-ratios", "0"))
     far = ("--orientation", "xy", "--theta", "1e308", "--tan-omega", "0.1")
     argvs += [
         # An omega ratio out of range and a theta ratio that is not finite: theta is named.
