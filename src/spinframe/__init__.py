@@ -26,7 +26,6 @@ from .gates import (
     SWAP,
     GateReport,
     gate_report,
-    phase_shifted_swap,
 )
 from .linalg import kron, phase_distance
 from .model import (
@@ -58,7 +57,6 @@ __all__ = [
     "CNOT",
     "GateReport",
     "gate_report",
-    "phase_shifted_swap",
     "SweepRow",
     "gate_error_sweep",
     "thermal_state",

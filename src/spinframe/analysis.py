@@ -10,7 +10,7 @@ import numpy as np
 from .linalg import expm_unitary, herm_eig, require_unitary
 from .model import PAIR, ExchangeParams, _xy_hamiltonians
 from .frame import rotation_matrix
-from .gates import _gate_spec, dress
+from .gates import _row, dress
 
 __all__ = [
     "SweepRow",
@@ -41,33 +41,34 @@ def _overlaps(dressed: np.ndarray, target: np.ndarray) -> np.ndarray:
 
 
 def gate_error_sweep(reference: ExchangeParams, delta_omega_ratios, delta_theta_ratios,
-                     gate: str = "swap", mode: str = "both") -> tuple[SweepRow, ...]:
-    """Fidelity of the realized gate against the canonical target on a grid of
-    misestimations around the reference point (omega0, theta0), orientation xy.
+                     gate: str = "swap", mode: str = "both",
+                     B: float | None = None) -> tuple[SweepRow, ...]:
+    """Fidelity of the realized gate against its target on a grid of misestimations
+    around the reference point (omega0, theta0), orientation xy.
 
-    Ratios are relative deviations: a row is evaluated at omega = omega0 (1 + r_w)
-    and theta = theta0 (1 + r_th).  A corrected row sandwiches the pulse by the
-    reference rotation T(omega0, theta0), an uncorrected one is the bare pulse;
-    either way the target is the canonical gate.  Each axis is sorted once, and the
-    grid's Hamiltonians are one stack built from the two axes' values
-    (model._xy_hamiltonians: trigonometry once per value, no ExchangeParams per
-    point), their pulses exp(-i H t) one stacked expm_unitary call, dressed
-    (gates.dress) as one stack per block.  The target is checked unitary once per
-    call, and each block's dressed stack once; each block's overlaps u^dag target
-    are one stacked product (_overlaps), and a row does only its trace and scalar
-    work, built by SweepRow._make.  A row is evaluated at the omega and theta that its
-    ratios give and that were range-checked: its gate is realize's at that point, bit
-    for bit, and its fidelity |tr(u^dag target)| / 4.  mode "both" gives the uncorrected
-    block, then the corrected one; inside a block rows are sorted by (delta_theta_ratio,
-    delta_omega_ratio).  error = 1 - fidelity below fidelity 1 and 0 otherwise, which
-    is max(0, 1 - fidelity) for every float, and log10_error is its log10 (-inf at 0).
-    J drops out (only J t enters, and T does not depend on J), so rows take J = 1.
+    Ratios are relative deviations: a row is evaluated at omega = omega0 (1 + r_w) and theta =
+    theta0 (1 + r_th).  A corrected row sandwiches the pulse by the reference rotation T(omega0,
+    theta0), an uncorrected one is the bare pulse; either way the target is gates._row's at the
+    reference and field B.  A field row (psw) sets its fields from the estimate: every pulse
+    adds one term, set at the reference (no other row adds one: a zero could flip a signed
+    zero).  Each axis is sorted once, and the grid's Hamiltonians are one stack built from the
+    two axes' values (model._xy_hamiltonians), their pulses exp(-i H t) one stacked expm_unitary
+    call, dressed (gates.dress) as one stack per block.  The target is checked unitary once per
+    call, and each block's dressed stack once; each block's overlaps u^dag target are one
+    stacked product (_overlaps), and a row does only its trace and scalar work, built by
+    SweepRow._make.  A row is evaluated at the omega and theta that its ratios give and that
+    were range-checked: its gate is realize's at that point, bit for bit (fields aside), and its
+    fidelity |tr(u^dag target)| / 4.  mode "both" gives the uncorrected block, then the
+    corrected one; inside a block rows are sorted by (delta_theta_ratio, delta_omega_ratio).
+    error = 1 - fidelity below fidelity 1 and 0 otherwise, which is max(0, 1 - fidelity) for
+    every float, and log10_error is its log10 (-inf at 0).  J drops out (only J t enters, and T
+    does not depend on J), so rows take J = 1, and B enters as B/J at the reference J.
     """
     if reference.orientation != "xy":
         raise ValueError("sweep requires orientation xy")
     if mode not in _MODES:
         raise ValueError(f"mode must be one of {', '.join(_MODES)}")
-    spec = _gate_spec(gate)
+    spec, term, target, _ = _row(gate, reference, B)
     axes = []
     for name, ratios, x0 in (("delta_omega_ratios", delta_omega_ratios, reference.omega),
                              ("delta_theta_ratios", delta_theta_ratios, reference.theta)):
@@ -87,8 +88,9 @@ def gate_error_sweep(reference: ExchangeParams, delta_omega_ratios, delta_theta_
                              "float range")
     (r_ws, omegas), (r_ths, thetas) = (zip(*sorted(pairs)) for pairs in axes)
     points = [(r_w, r_th) for r_th in r_ths for r_w in r_ws]
-    area, target = spec.area, require_unitary(spec.target, f"target {spec.target_label}")
-    pulses = expm_unitary(_xy_hamiltonians(omegas, thetas), area)
+    target = require_unitary(target, f"target {spec.target_label}")
+    h = _xy_hamiltonians(omegas, thetas)
+    pulses = expm_unitary(h if term is None else h + term, spec.area)
     rows = []
     for corrected in _MODES[mode]:
         sandwich = rotation_matrix(reference) if corrected else None

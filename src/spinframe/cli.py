@@ -28,6 +28,8 @@ __all__ = ["main", "parse_angle", "load_config", "RunConfig"]
 
 
 _ANGLE_RE = re.compile(r"^([+-]?)(\d*)pi(?:/(\d+))?$")
+# A flat config line up to its comment; a value that opens as a JSON string keeps its '#'.
+_UNCOMMENTED = re.compile(r'[^#=]*=\s*"(?:[^"\\]|\\.)*"[^#]*|[^#]*')
 
 
 def _number(value) -> float:
@@ -55,8 +57,8 @@ def parse_angle(value) -> float:
 
 
 def load_config(path: str) -> dict:
-    """Read a JSON object or a flat key = value file ('#' starts a comment).  A file whose
-    first non-blank character is { or [ is JSON."""
+    """Read a JSON object (a file that opens with { or [) or a flat key = value file: '#'
+    starts a comment outside a quoted value, and a value opening with '"' is a JSON string."""
     try:
         with open(path, "r", encoding="utf-8-sig") as fh:
             text = fh.read()
@@ -72,17 +74,19 @@ def load_config(path: str) -> dict:
         return data
     data = {}
     for lineno, line in enumerate(text.splitlines(), start=1):
-        line = line.split("#", 1)[0].strip()
+        line = _UNCOMMENTED.match(line).group().strip()
         if not line:
             continue
         if "=" not in line:
             raise ValueError(f"config {path} line {lineno} is not 'key = value'")
         key, _, value = line.partition("=")
-        value = value.strip()
+        key, value = key.strip(), value.strip()
         try:
-            data[key.strip()] = json.loads(value)
+            data[key] = json.loads(value)
         except json.JSONDecodeError:
-            data[key.strip()] = value
+            if value.startswith('"'):  # an unclosed quote would be cut at a '#'
+                raise ValueError(f"config {path} line {lineno}: {key} is not a JSON string")
+            data[key] = value
     return data
 
 
@@ -161,9 +165,9 @@ class RunConfig:
     theta: float | None = _option(None, parse_angle, "axis azimuth: radians or Npi/M, e.g. 5pi/6")
     tan_omega: float | None = _option(None, _finite_nonnegative,
                                       "anisotropy strength b/J, as tan(omega)")
-    gate: str = _option("swap", _Choice((*gates.GATES, "psw")),
+    gate: str = _option("swap", _Choice(gates.GATES),
                         "gate to build, or to sweep (default swap)", ("gate", "sweep"))
-    B: float = _option(1.0, _finite, "field magnitude (default 1.0)", ("gate", "fields"))
+    B: float = _option(1.0, _finite, "field magnitude (default 1.0)", ("gate", "fields", "sweep"))
     beta: tuple[float, ...] = _option((0.1, 1.0, 10.0), _parse_series,
                                       "inverse temperatures (default 0.1,1,10)", ("thermal",))
     delta_omega_ratios: tuple[float, ...] = _option(
@@ -184,14 +188,6 @@ class RunConfig:
 _OPTIONS = {f.name: f.metadata for f in fields(RunConfig) if f.metadata}
 _VALUE_FLAGS = {"--config"} | {"--" + key.replace("_", "-") for key, row in _OPTIONS.items()
                                if row["parse"] is not _strict_bool}
-# A sweep's gate is a row of the gate table: psw is a gate command only.
-_SWEEP_GATE = _Choice(gates.GATES)
-
-
-def _parse(key: str, command: str):
-    """The parser of option key in command."""
-    return _SWEEP_GATE if (command, key) == ("sweep", "gate") else _OPTIONS[key]["parse"]
-
 
 def _resolve(args: argparse.Namespace) -> RunConfig:
     """The run's settings, the written form decided before a command computes."""
@@ -203,7 +199,7 @@ def _resolve(args: argparse.Namespace) -> RunConfig:
     values = {}
     for key, value in raw.items():
         try:
-            values[key] = _parse(key, args.command)(value)
+            values[key] = _OPTIONS[key]["parse"](value)
         except (TypeError, ValueError, MemoryError) as exc:  # MemoryError: a range too long
             raise ValueError(f"{key}: {exc}") from None
     if "orientation" not in values:
@@ -337,8 +333,7 @@ def cmd_decompose(cfg: RunConfig, p: model.ExchangeParams) -> int:
 
 def cmd_gate(cfg: RunConfig, p: model.ExchangeParams) -> int:
     """emit a synthesized gate matrix"""
-    report = (gates.phase_shifted_swap(p, cfg.B) if cfg.gate == "psw"
-              else gates.gate_report(cfg.gate, p))
+    report = gates.gate_report(cfg.gate, p, cfg.B)
     distance = report.phase_distance_to_target
     body = {"label": report.label, "matrix": report.matrix, "phase_distance": distance,
             "target": report.target_label}
@@ -356,11 +351,13 @@ def cmd_fields(cfg: RunConfig, p: model.ExchangeParams) -> int:
 def cmd_sweep(cfg: RunConfig, p: model.ExchangeParams) -> int:
     """gate error over parameter misestimation ratios"""
     rows = analysis.gate_error_sweep(p, cfg.delta_omega_ratios, cfg.delta_theta_ratios,
-                                     cfg.gate, cfg.mode)
+                                     cfg.gate, cfg.mode, cfg.B)
     residual = frame.verify_isotropization(p)  # after the rows: a z sweep is refused first
     config = {"gate": cfg.gate, "tan_omega0": p.b_over_J, "theta0": p.theta,
               "delta_omega_ratios": list(cfg.delta_omega_ratios),
               "delta_theta_ratios": list(cfg.delta_theta_ratios), "mode": cfg.mode}
+    if gates.GATES[cfg.gate].fields:  # B is echoed where it enters the rows
+        config["B"] = cfg.B
     body = {"config": config, "rows": _Table(analysis.SweepRow._fields, rows),
             "residual": residual}
     return _report(cfg, p, body, ("isotropization residual", residual))
@@ -386,8 +383,8 @@ class _Parser(argparse.ArgumentParser):
         raise ValueError(message)
 
 
-def _add_flag(parser: argparse.ArgumentParser, key: str, command: str | None = None) -> None:
-    parse = _parse(key, command)
+def _add_flag(parser: argparse.ArgumentParser, key: str) -> None:
+    parse = _OPTIONS[key]["parse"]
     flag = ({"action": "store_true", "default": None} if parse is _strict_bool
             else {"metavar": "{" + ",".join(parse) + "}"} if isinstance(parse, _Choice) else {})
     parser.add_argument("--" + key.replace("_", "-"), dest=key, help=_OPTIONS[key]["help"], **flag)
@@ -408,7 +405,7 @@ def _build_parser() -> _Parser:
         sp = sub.add_parser(command, parents=[common], help=func.__doc__, allow_abbrev=False)
         for key, row in _OPTIONS.items():
             if command in (row["commands"] or ()):
-                _add_flag(sp, key, command)
+                _add_flag(sp, key)
     parser.commands = sub.choices  # argparse's own command name -> subparser map
     return parser
 

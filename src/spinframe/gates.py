@@ -4,9 +4,9 @@ T exp(-i H t) T^dag equals exp(-i J S1.S2 t) exactly when T is the
 isotropizing rotation, so the swap family comes out at the isotropic pulse
 areas: J t = pi for swap, pi/2 for its square root.  dress() turns a bare
 pulse exp(-i H t) into a GATES row's gate: the frame sandwich, then the cnot
-sequence for cnot.  realize() and phase_shifted_swap() (the swap row, fields on)
-make every gate through it, and the sweep dresses its stack of pulses once per
-block.  Global phases are tracked nowhere; distances are phase insensitive.
+sequence for cnot.  realize() makes every gate through it, psw (swap, fields on)
+included, and the sweep dresses its stack of pulses once per block.  Global
+phases are tracked nowhere; distances are phase insensitive.
 """
 
 from __future__ import annotations
@@ -31,7 +31,6 @@ __all__ = [
     "dress",
     "realize",
     "gate_report",
-    "phase_shifted_swap",
 ]
 
 SWAP = np.array(
@@ -92,12 +91,13 @@ def _cnot_from_w(w: np.ndarray) -> np.ndarray:
     return _CNOT_LEFT @ w @ _CNOT_MIDDLE @ w @ _CNOT_RIGHT
 
 
-# A gate: its exchange pulse area J t, its target and the target's label, its report label.
-GateSpec = namedtuple("GateSpec", "area target target_label label")
+# A gate: pulse area J t, target, target label, report label, whether it has fields (_row).
+GateSpec = namedtuple("GateSpec", "area target target_label label fields")
 GATES = {
-    "swap": GateSpec(math.pi, SWAP, "SWAP", "swap"),
-    "sqrt_swap": GateSpec(math.pi / 2, SQRT_SWAP, "SQRT_SWAP", "sqrt_swap"),
-    "cnot": GateSpec(math.pi / 2, CNOT, "CNOT", "cnot [(I x H) . seq . (Z x ZH)]"),
+    "swap": GateSpec(math.pi, SWAP, "SWAP", "swap", False),
+    "sqrt_swap": GateSpec(math.pi / 2, SQRT_SWAP, "SQRT_SWAP", "sqrt_swap", False),
+    "cnot": GateSpec(math.pi / 2, CNOT, "CNOT", "cnot [(I x H) . seq . (Z x ZH)]", False),
+    "psw": GateSpec(math.pi, SWAP, "SWAP.(D x D)", "psw", True),
 }
 
 
@@ -108,42 +108,44 @@ def _gate_spec(gate: str) -> GateSpec:
     return GATES[gate]
 
 
-def realize(gate: str, p: ExchangeParams, frame: np.ndarray | None = None) -> np.ndarray:
-    """GATES[gate] as its exchange pulse on H(p) produces it, in frame (None: bare).
-    The pulse exponentiates H/J over the area J t, so no time area/J can overflow."""
-    return dress(expm_unitary(build_hamiltonian(p) / p.J, _gate_spec(gate).area), frame, gate)
-
-
-def gate_report(gate: str, p: ExchangeParams) -> GateReport:
-    """GATES[gate] realized in the isotropizing frame T(p), with its distance to target."""
+def _row(gate: str, p: ExchangeParams, B: float | None) -> tuple:
+    """(GATES[gate], term its pulse adds to H/J or None, target, label) at p.  A field row
+    needs B (no default), others ignore it; its term, compensating_fields(p, B/J)'s B1.S1 +
+    B2.S2, T(p) carries to B/J (S1z + S2z), commuting with the exchange: its target gains
+    D x D, D = Rz(-area B/J).  B/J must be finite, and an ulp of the field phase B pi/J at
+    most UNITARY_TOL, which every matrix is held to: |B/J| >= 2^19/pi is refused."""
     spec = _gate_spec(gate)
-    u = realize(gate, p, rotation_matrix(p))
-    return GateReport(u, spec.label, phase_distance(u, spec.target), spec.target_label)
-
-
-def phase_shifted_swap(p: ExchangeParams, B: float) -> GateReport:
-    """Swap pulse with the compensating fields left on.
-
-    Evolves H + B1.S1 + B2.S2 for pi/J inside the sandwich, with the fields
-    from compensating_fields(p, B).  In the rotated frame that is the
-    isotropic exchange plus a uniform z field, so the result is
-    SWAP . (D x D) with D = Rz(-pi B/J) = diag(e^{-i B pi/(2J)}, e^{+i B pi/(2J)})
-    up to a global phase: a swap whose outputs each carry a field phase.  The
-    distance is to that closed form, so psw is checked like every gate.  As in
-    realize, H/J is exponentiated over the pulse area, so B/J must be finite.
-    The field phase B pi/J must also keep digits at UNITARY_TOL, the tolerance
-    require_unitary holds every matrix to: an ulp of it above UNITARY_TOL, which
-    is |B/J| >= 2^19/pi, is refused.
-    """
-    swap = GATES["swap"]
+    if not spec.fields:
+        return spec, None, spec.target, spec.label
+    if B is None:
+        raise ValueError(f"gate {gate} needs a field B")
     b = B / p.J
     if not math.isfinite(b):
         raise ValueError(f"B must be finite in units of J; B/J = {b!r} for B = {B!r}")
-    if math.ulp(swap.area * b) > UNITARY_TOL:  # the field phase B pi/J, D's angle
+    if math.ulp(spec.area * b) > UNITARY_TOL:  # the field phase B pi/J, D's angle
         raise ValueError(f"B/J = {b!r} for B = {B!r} is too large: an ulp of the field "
                          f"phase B pi/J exceeds {UNITARY_TOL:g}, so |B/J| must be below 2^19/pi")
-    h = build_hamiltonian(p) / p.J + build_zeeman(compensating_fields(p, b))
-    u = dress(expm_unitary(h, swap.area), rotation_matrix(p), "swap")
-    d = rz(-swap.area * b)
-    return GateReport(u, f"psw(B={B!r})", phase_distance(u, swap.target @ kron(d, d)),
-                      f"{swap.target_label}.(D x D)")
+    d = rz(-spec.area * b)
+    return (spec, build_zeeman(compensating_fields(p, b)), spec.target @ kron(d, d),
+            f"{spec.label}(B={B!r})")
+
+
+def _realize(gate: str, p: ExchangeParams, frame: np.ndarray | None, B) -> tuple:
+    """(gate matrix, target, label) of GATES[gate] at p and field B, in frame."""
+    spec, term, target, label = _row(gate, p, B)
+    h = build_hamiltonian(p) / p.J
+    return (dress(expm_unitary(h if term is None else h + term, spec.area), frame, gate),
+            target, label)
+
+
+def realize(gate: str, p: ExchangeParams, frame: np.ndarray | None = None,
+            B: float | None = None) -> np.ndarray:
+    """GATES[gate] as its exchange pulse on H(p), plus a field row's fields for B, produces
+    it in frame (None: bare); H/J is exponentiated over the area J t, so no time overflows."""
+    return _realize(gate, p, frame, B)[0]
+
+
+def gate_report(gate: str, p: ExchangeParams, B: float | None = None) -> GateReport:
+    """GATES[gate] (at field B) realized in the frame T(p), with its distance to target."""
+    u, target, label = _realize(gate, p, rotation_matrix(p), B)
+    return GateReport(u, label, phase_distance(u, target), GATES[gate].target_label)

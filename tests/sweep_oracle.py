@@ -2,17 +2,20 @@
 
 A sweep row is evaluated at the omega and theta its ratios give.  point_gate builds
 that one point's gate from the model's formula at the point's own (omega, theta), with
-no ExchangeParams in between (whose omega is atan(b/J), not a given omega), and
-fidelity is the sweep's |tr(u^dag target)| / 4.
+no ExchangeParams in between (whose omega is atan(b/J), not a given omega), with a
+field row's compensating fields set at the sweep's reference point; point_target is
+the row's target at B, and fidelity is the sweep's |tr(u^dag target)| / 4.
 """
 
 import math
 
 import numpy as np
 
+from spinframe.frame import rz
 from spinframe.gates import GATES, dress
-from spinframe.linalg import expm_unitary, require_unitary
-from spinframe.model import _PAIR_ROWS, _angle_terms, _combine, _coupling
+from spinframe.linalg import expm_unitary, kron, require_unitary
+from spinframe.model import (_PAIR_ROWS, _angle_terms, _combine, _coupling, build_zeeman,
+                             compensating_fields)
 
 
 def fidelity(u, u0):
@@ -31,6 +34,22 @@ def point_hamiltonian(omega, theta):
                     _PAIR_ROWS)
 
 
-def point_gate(gate, omega, theta, frame=None):
-    """GATES[gate] as its pulse on point_hamiltonian(omega, theta) gives it, in frame."""
-    return dress(expm_unitary(point_hamiltonian(omega, theta), GATES[gate].area), frame, gate)
+def point_gate(gate, omega, theta, frame=None, B=0.0, estimate=None):
+    """GATES[gate] as its pulse on point_hamiltonian(omega, theta) gives it, in frame.  A
+    field row's pulse adds the compensating fields of B (in units of J = 1) set at the
+    estimate, an ExchangeParams, as realize adds its own point's: the sweep's rows set
+    them at its reference point.  Any other row reads neither B nor the estimate."""
+    h = point_hamiltonian(omega, theta)
+    if GATES[gate].fields:
+        h = h + build_zeeman(compensating_fields(estimate, B))
+    return dress(expm_unitary(h, GATES[gate].area), frame, gate)
+
+
+def point_target(gate, B=0.0):
+    """GATES[gate]'s target at field B (units of J): a field row's times D x D, with
+    D = Rz(-area B)."""
+    spec = GATES[gate]
+    if not spec.fields:
+        return spec.target
+    d = rz(-spec.area * B)
+    return spec.target @ kron(d, d)

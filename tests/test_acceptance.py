@@ -124,7 +124,7 @@ def test_6_compensating_fields_and_phase_shifted_swap(capsys):
     rng = np.random.default_rng(1234)
     for p in (REFERENCE, sf.ExchangeParams(1.0, "z", 5e-3)):
         B = p.J
-        u = sf.phase_shifted_swap(p, B).matrix
+        u = sf.gate_report("psw", p, B=B).matrix
         half = B * math.pi / (2 * p.J)
         d = np.diag([np.exp(-1j * half), np.exp(1j * half)])
         target = sf.SWAP @ np.kron(d, d)

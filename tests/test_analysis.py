@@ -15,7 +15,7 @@ from spinframe.frame import PSI_MINUS, rotation_matrix
 from spinframe.gates import GATES, SWAP, dress
 from spinframe.linalg import expm_unitary, kron, require_unitary
 from spinframe.model import ExchangeParams, _xy_hamiltonians, build_hamiltonian, build_isotropic
-from sweep_oracle import fidelity, point_gate, point_hamiltonian
+from sweep_oracle import fidelity, point_gate, point_hamiltonian, point_target
 
 THETA0 = 5 * math.pi / 6
 
@@ -224,7 +224,7 @@ def test_sweep_config_validation():
     with pytest.raises(ValueError, match="delta_omega_ratios"):
         gate_error_sweep(reference, (), (0.0,))
     with pytest.raises(ValueError, match="gate"):
-        gate_error_sweep(reference, (0.0,), (0.0,), gate="psw")
+        gate_error_sweep(reference, (0.0,), (0.0,), gate="bogus")
     with pytest.raises(ValueError, match="mode"):
         gate_error_sweep(reference, (0.0,), (0.0,), mode="bare")
 
@@ -258,9 +258,11 @@ def test_sweep_refuses_a_string_ratio_list(axis, text):
 def test_sweep_refuses_a_bad_gate_then_both_ratio_lists_then_each_range():
     """The refusal order: the gate before any ratio, both lists' finiteness before
     either range, the omega range before the theta range."""
-    bad_gate = re.escape("gate must be one of ['cnot', 'sqrt_swap', 'swap']")
+    bad_gate = re.escape("gate must be one of ['cnot', 'psw', 'sqrt_swap', 'swap']")
     with pytest.raises(ValueError, match=bad_gate):
-        gate_error_sweep(REFERENCE, "x", (), gate="psw")
+        gate_error_sweep(REFERENCE, "x", (), gate="PSW")
+    with pytest.raises(ValueError, match="^B/J = 1e[+]300 for B = 1e[+]300 is too large"):
+        gate_error_sweep(REFERENCE, "x", (), gate="psw", B=1e300)
     with pytest.raises(ValueError, match="^delta_theta_ratios must be a nonempty list"):
         gate_error_sweep(REFERENCE, (0.0, -2.0), (0.0, math.nan))
     far = ExchangeParams(1.0, "xy", 5e-3, theta=1e308)
@@ -302,21 +304,24 @@ def test_every_table_gate_has_its_public_function():
 
     assert "gate_report" in spinframe.__all__
     for gate, spec in GATES.items():
-        assert spinframe.gate_report(gate, ExchangeParams(1.0, "z", 0.1)).label == spec.label
+        label = spinframe.gate_report(gate, ExchangeParams(1.0, "z", 0.1), B=0.5).label
+        assert label == spec.label + ("(B=0.5)" if spec.fields else "")
 
 
 @pytest.mark.parametrize("gate", sorted(GATES))
 @pytest.mark.parametrize("t0", [0.0, 0.005, 0.37, 5.0])
 def test_sweep_at_zero_misestimation_is_the_public_gate(gate, t0):
+    """At B = 0.7 J, which only psw reads, and its target SWAP.(D x D)."""
     from spinframe import gates
 
     # The ratios 0 evaluate the reference point itself.
-    target = gates.GATES[gate].target
     p = ExchangeParams(1.0, "xy", t0, theta=THETA0)
-    rows = {row.corrected: row for row in gate_error_sweep(p, (0.0,), (0.0,), gate)}
-    public = gates.gate_report(gate, p)
+    spec, d = GATES[gate], gates.rz(-GATES[gate].area * 0.7)
+    target = spec.target @ np.kron(d, d) if spec.fields else spec.target
+    rows = {row.corrected: row for row in gate_error_sweep(p, (0.0,), (0.0,), gate, B=0.7)}
+    public = gates.gate_report(gate, p, B=0.7)
     assert rows[True].fidelity == fidelity(public.matrix, target)
-    assert rows[False].fidelity == fidelity(gates.realize(gate, p), target)
+    assert rows[False].fidelity == fidelity(gates.realize(gate, p, B=0.7), target)
 
 
 @pytest.mark.parametrize("gate", ["swap", "cnot"])
@@ -420,19 +425,20 @@ def test_sweep_checks_the_target_once_and_each_block_once(monkeypatch, gate, mod
 
     monkeypatch.setattr(analysis, "require_unitary", counted)
     reference = ExchangeParams(1.0, "xy", 0.1, theta=THETA0)
-    rows = gate_error_sweep(reference, (-0.1, 0.0, 0.1), (0.0, 0.2), gate, mode)
+    rows = gate_error_sweep(reference, (-0.1, 0.0, 0.1), (0.0, 0.2), gate, mode, B=0.6)
     blocks = [rows[:6], rows[6:]] if mode == "both" else [rows]
-    # The target's check, then one check per block of a stack that holds its 6 rows'
-    # gates in row order.
+    # The target's check (psw's at B = 0.6 J), then one check per block of a stack that
+    # holds its 6 rows' gates in row order.
     (name, target), *stacks = checked
     assert name == f"target {GATES[gate].target_label}"
-    assert np.array_equal(target, GATES[gate].target)
+    assert np.array_equal(target, point_target(gate, 0.6))
     assert [name for name, _ in stacks] == ["u"] * len(blocks)
     for (_, stack), block in zip(stacks, blocks):
         assert stack.shape == (6, 4, 4)
         frame = rotation_matrix(reference) if block[0].corrected else None
         want = np.stack([point_gate(gate, reference.omega * (1 + row.delta_omega_ratio),
-                                    THETA0 * (1 + row.delta_theta_ratio), frame) for row in block])
+                                    THETA0 * (1 + row.delta_theta_ratio), frame, 0.6, reference)
+                         for row in block])
         np.testing.assert_allclose(stack, want, rtol=0.0, atol=1e-14)
 
 
@@ -449,7 +455,7 @@ def test_sweep_refuses_a_block_whose_row_k_is_not_unitary(monkeypatch, gate, mod
                         lambda u, frame, gate: dress(u, frame, gate) * scale[:, None, None])
     reference = ExchangeParams(1.0, "xy", 0.1, theta=THETA0)
     with pytest.raises(ValueError, match="^u is not unitary$"):
-        gate_error_sweep(reference, (-0.1, 0.0, 0.1), (0.0, 0.2), gate, mode)
+        gate_error_sweep(reference, (-0.1, 0.0, 0.1), (0.0, 0.2), gate, mode, 0.5)
 
 
 @pytest.mark.parametrize("gate", sorted(GATES))
@@ -460,7 +466,7 @@ def test_sweep_refuses_a_target_that_is_not_unitary(monkeypatch, gate):
     monkeypatch.setitem(gates.GATES, gate, spec._replace(target=1.01 * spec.target))
     reference = ExchangeParams(1.0, "xy", 0.1, theta=THETA0)
     with pytest.raises(ValueError, match=f"^target {re.escape(spec.target_label)} is not unitary$"):
-        gate_error_sweep(reference, (0.0,), (0.0,), gate)
+        gate_error_sweep(reference, (0.0,), (0.0,), gate, B=0.5)
 
 
 def test_readme_library_example_runs():

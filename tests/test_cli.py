@@ -450,7 +450,9 @@ def test_closed_stdout_pipe_exits_quietly():
     assert r.stderr == ""
 
 
-def test_a_reader_that_leaves_after_the_header_ends_the_sweep_quietly():
+@pytest.mark.parametrize("gate", [("--gate", "swap"), ("--gate", "psw", "--B", "3")],
+                         ids=["swap", "psw"])
+def test_a_reader_that_leaves_after_the_header_ends_the_sweep_quietly(gate):
     """A 41 x 41 sweep in both modes writes about 340 KB, more than a pipe holds: the
     reader takes the header and closes the pipe while the sweep is still writing.
     stdout is buffered, as by default: unbuffered (PYTHONUNBUFFERED), the text layer
@@ -458,7 +460,7 @@ def test_a_reader_that_leaves_after_the_header_ends_the_sweep_quietly():
     BrokenPipeError is raised at all."""
     env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
     proc = subprocess.Popen(
-        [sys.executable, "-m", "spinframe.cli", "sweep", *XY_ARGS, "--mode", "both",
+        [sys.executable, "-m", "spinframe.cli", "sweep", *XY_ARGS, *gate, "--mode", "both",
          "--delta-omega-ratios=-0.1:0.1:41", "--delta-theta-ratios=-0.1:0.1:41"],
         stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True, env=env)
     header = proc.stdout.readline()
@@ -500,7 +502,8 @@ COMMAND_FLAGS = {
     "decompose": COMMON_FLAGS,
     "gate": COMMON_FLAGS | {"--gate", "--B"},
     "fields": COMMON_FLAGS | {"--B"},
-    "sweep": COMMON_FLAGS | {"--gate", "--mode", "--delta-omega-ratios", "--delta-theta-ratios"},
+    "sweep": COMMON_FLAGS | {"--gate", "--B", "--mode", "--delta-omega-ratios",
+                             "--delta-theta-ratios"},
     "thermal": COMMON_FLAGS | {"--beta"},
 }
 
@@ -606,15 +609,17 @@ def test_psw_refuses_a_field_phase_of_rounding_noise(capsys):
     assert err.startswith(f"error: B/J = {1 / 1e-300!r} for B = 1.0 ") and err.count("\n") == 1
 
 
-def test_gate_choices_are_the_gate_table_and_psw():
+def test_gate_choices_are_the_gate_table():
+    """gate and sweep offer one choice list, the gate table's rows, psw among them."""
     from spinframe import gates
     from spinframe.cli import _build_parser
 
     parser = _build_parser()
     sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
-    for command, psw in (("gate", ("psw",)), ("sweep", ())):
+    for command in ("gate", "sweep"):
         action = next(a for a in sub.choices[command]._actions if a.dest == "gate")
-        assert action.metavar == "{" + ",".join((*gates.GATES, *psw)) + "}", command
+        assert action.metavar == "{" + ",".join(gates.GATES) + "}", command
+        assert action.metavar == "{swap,sqrt_swap,cnot,psw}", command
         assert action.choices is None, command
 
 
@@ -622,7 +627,7 @@ def test_sweep_help_lists_the_gate_table_only(capsys):
     with pytest.raises(SystemExit):
         main(["sweep", "--help"])
     out = capsys.readouterr().out
-    assert "{swap,sqrt_swap,cnot}" in out and "psw" not in out
+    assert "--gate {swap,sqrt_swap,cnot,psw}" in out and "--B B" in out
 
 
 def test_the_mode_choices_are_the_sweeps_modes_in_their_order(capsys):
@@ -638,19 +643,68 @@ def test_the_mode_choices_are_the_sweeps_modes_in_their_order(capsys):
     assert _run_in_process(capsys, "sweep", *XY_ARGS, "--mode", "all") == (1, "", want)
 
 
-@pytest.mark.parametrize("fault", [("--gate", "psw"), "gate = psw\n", '{"gate": "psw"}'],
+@pytest.mark.parametrize("given", [("--gate", "psw", "--B", "3"), "gate = psw\nB = 3\n",
+                                   '{"gate": "psw", "B": 3}'],
                          ids=["flag", "config", "json config"])
-def test_a_psw_sweep_exits_1_before_any_computation(capsys, tmp_path, computed, fault):
+def test_a_psw_sweep_runs_from_a_flag_or_a_file(capsys, tmp_path, computed, given):
+    """psw is a row of the gate table, so it sweeps like every row, with its B."""
     args = ("sweep", *XY_ARGS, "--delta-omega-ratios", "0.1", "--delta-theta-ratios", "0.1")
-    if isinstance(fault, str):  # a config file holding the fault
+    if isinstance(given, str):  # a config file holding the gate and B
         cfg = tmp_path / "run.cfg"
-        cfg.write_text(fault)
-        fault = ("--config", str(cfg))
-    code, out, err = _run_in_process(capsys, *args, *fault)
-    assert (code, out, computed) == (1, "", [])
-    assert err.startswith("error:") and err.count("\n") == 1
-    assert "gate" in err and "'psw'" in err
-    assert _run_in_process(capsys, *args, "--gate", "cnot")[0] == 0 and computed
+        cfg.write_text(given)
+        given = ("--config", str(cfg))
+    code, out, err = _run_in_process(capsys, *args, *given)
+    assert (code, err) == (0, "") and computed[:1] == ["gate_error_sweep"]
+    assert (code, out, err) == _run_in_process(capsys, *args, "--gate", "psw", "--B", "3.0")
+    swap = _run_in_process(capsys, *args)
+    assert swap[0] == 0 and swap[1].splitlines()[0] == out.splitlines()[0]
+    assert swap[1] != out  # B = 3 J leaves the corrected row far closer to its target
+
+
+@pytest.mark.parametrize("fault, message", [
+    (("--B", "nan"), "error: B: must be finite, got 'nan'\n"),
+    (("--B", "1", "--J", "1e-300"), f"error: B/J = {1 / 1e-300!r} for B = 1.0 is too large: "),
+    (("--B", "10", "--J", "2.2250738585072014e-308"), "error: B must be finite in units of J; "),
+], ids=["B", "B/J", "B/J past the float range"])
+def test_a_psw_sweep_refuses_a_bad_B_before_writing_a_byte(capsys, tmp_path, computed, fault,
+                                                           message):
+    dest = tmp_path / "rows.csv"
+    code, out, err = _run_in_process(capsys, "sweep", *XY_ARGS, "--gate", "psw", *fault,
+                                     "--out", str(dest))
+    assert (code, out) == (1, "") and err.startswith(message) and err.count("\n") == 1
+    assert not dest.exists() and "build_hamiltonian" not in computed
+
+
+def test_the_sweep_config_echoes_B_for_a_field_gate_only(capsys):
+    args = ("sweep", *XY_ARGS, "--delta-omega-ratios", "0", "--delta-theta-ratios", "0",
+            "--format", "json", "--B", "0.5")
+    for gate in ("swap", "sqrt_swap", "cnot", "psw"):
+        code, out, err = _run_in_process(capsys, *args, "--gate", gate)
+        assert (code, err) == (0, "")
+        config = json.loads(out)["config"]
+        assert list(config) == ["gate", "tan_omega0", "theta0", "delta_omega_ratios",
+                                "delta_theta_ratios", "mode", *(["B"] if gate == "psw" else [])]
+        assert config.get("B", 0.5) == 0.5
+
+
+def test_a_hash_inside_a_quoted_config_value_is_kept(capsys, tmp_path, monkeypatch):
+    """A flat config cuts each line at its comment, but a '#' inside a JSON-quoted value
+    belongs to the value: out = "run#1.json" writes run#1.json."""
+    monkeypatch.chdir(tmp_path)
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text('orientation = xy\ntheta = 5pi/6  # the README\'s\ntan_omega = 0.005\n'
+                   'out = "run#1.json"  # where "it" goes\nformat = json\n')
+    assert _run_in_process(capsys, "transform", "--config", str(cfg)) == (0, "", "")
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["run#1.json", "run.cfg"]
+    want = _run_in_process(capsys, "transform", *XY_ARGS, "--format", "json")
+    assert (tmp_path / "run#1.json").read_text() == want[1]
+    # A quote left open is refused by its key before any file is written.
+    for value in ('"run#1.json', '"run#1.json" and more', '"run'):
+        cfg.write_text(f"orientation = xy\nout = {value}\n")
+        code, out, err = _run_in_process(capsys, "transform", "--config", str(cfg))
+        assert (code, out) == (1, "")
+        assert f"config {cfg} line 2: out is not a JSON string" in err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["run#1.json", "run.cfg"]
 
 
 PSW_ARGS = ("gate", "--orientation", "xy", "--theta", "0.3", "--tan-omega", "0.37", "--gate", "psw")
@@ -708,7 +762,7 @@ def test_psw_uses_a_tol_from_a_config_file(capsys, tmp_path, name, text):
 @pytest.mark.parametrize("key, args, value", [
     ("orientation", ("transform", "--tan-omega", "0.1"), "q"),
     ("gate", ("gate", *XY_ARGS), "nope"),
-    ("gate", ("sweep", *XY_ARGS), "psw"),
+    ("gate", ("sweep", *XY_ARGS), "nope"),
     ("mode", ("sweep", *XY_ARGS), "x"),
     ("format", ("transform", *XY_ARGS), "xml"),
 ], ids=["orientation", "gate", "sweep gate", "mode", "format"])
@@ -817,7 +871,7 @@ def computed(monkeypatch):
 
     calls = []
     for module, name in ((analysis, "gate_error_sweep"), (gates, "gate_report"),
-                         (gates, "phase_shifted_swap"), (model, "build_hamiltonian")):
+                         (model, "build_hamiltonian")):
         def spy(*args, _fn=getattr(module, name), _name=name, **kwargs):
             calls.append(_name)
             return _fn(*args, **kwargs)

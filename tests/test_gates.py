@@ -12,13 +12,12 @@ from spinframe.gates import (
     SWAP,
     dress,
     gate_report,
-    phase_shifted_swap,
     realize,
 )
-from spinframe.frame import rotation_matrix
+from spinframe.frame import rotation_matrix, rz
 from spinframe.gates import _cnot_from_w
 from spinframe.linalg import expm_unitary, phase_distance
-from spinframe.model import ExchangeParams, build_hamiltonian
+from spinframe.model import ExchangeParams, build_hamiltonian, build_zeeman, compensating_fields
 
 REFERENCE = ExchangeParams(1.0, "xy", 5e-3, theta=5 * math.pi / 6)
 
@@ -105,7 +104,7 @@ def test_cnot_flips_target_conditionally():
 
 
 def test_phase_shifted_swap_zero_field_is_swap():
-    u0 = phase_shifted_swap(REFERENCE, 0.0).matrix
+    u0 = gate_report("psw", REFERENCE, B=0.0).matrix
     assert phase_distance(u0, gate_report("swap", REFERENCE).matrix) < 1e-12
 
 
@@ -113,7 +112,7 @@ def test_phase_shifted_swap_zero_field_is_swap():
 def test_phase_shifted_swap_closed_form(B):
     """Swap followed by equal and opposite z phases on both outputs."""
     p = REFERENCE
-    report = phase_shifted_swap(p, B)
+    report = gate_report("psw", p, B=B)
     half = B * math.pi / (2 * p.J)
     d = np.diag([np.exp(-1j * half), np.exp(1j * half)])
     target = SWAP @ np.kron(d, d)
@@ -122,7 +121,7 @@ def test_phase_shifted_swap_closed_form(B):
 
 
 def test_phase_shifted_swap_still_swaps_populations():
-    u = phase_shifted_swap(REFERENCE, 1.0).matrix
+    u = gate_report("psw", REFERENCE, B=1.0).matrix
     e = np.eye(4, dtype=complex)
     assert abs(np.vdot(e[2], u @ e[1])) == pytest.approx(1.0, abs=1e-10)
     assert abs(np.vdot(e[1], u @ e[2])) == pytest.approx(1.0, abs=1e-10)
@@ -131,14 +130,23 @@ def test_phase_shifted_swap_still_swaps_populations():
 def test_gate_labels():
     assert gate_report("swap", REFERENCE).label == "swap"
     assert gate_report("sqrt_swap", REFERENCE).label == "sqrt_swap"
-    assert phase_shifted_swap(REFERENCE, 1.0).label == "psw(B=1.0)"
+    assert gate_report("psw", REFERENCE, B=1.0).label == "psw(B=1.0)"
+
+
+def test_a_field_row_has_no_default_field():
+    """psw needs its B from the caller: the library sets no field of its own."""
+    reference = ExchangeParams(1.0, "xy", 0.37, theta=0.3)
+    for call in (lambda: gate_report("psw", reference), lambda: realize("psw", reference),
+                 lambda: gate_error_sweep(reference, (0.0,), (0.0,), "psw")):
+        with pytest.raises(ValueError, match="^gate psw needs a field B$"):
+            call()
 
 
 def test_phase_shifted_swap_refuses_a_field_past_the_float_range_in_units_of_J():
     p = ExchangeParams(sys.float_info.min, "xy", 0.37, theta=0.3)
     with pytest.raises(ValueError, match="B must be finite in units of J"):
-        phase_shifted_swap(p, 10.0)
-    assert np.isfinite(phase_shifted_swap(ExchangeParams(1e308, "z", 0.3), 1e308).matrix).all()
+        gate_report("psw", p, B=10.0)
+    assert np.isfinite(gate_report("psw", ExchangeParams(1e308, "z", 0.3), B=1e308).matrix).all()
 
 
 PSW_BOUND = 2**19 / math.pi  # math.pi times it is 2^19, where an ulp first exceeds 1e-10
@@ -152,38 +160,64 @@ def test_phase_shifted_swap_refuses_a_field_phase_without_digits_at_1e_10(J, sig
     p = ExchangeParams(J, "xy", 0.37, theta=0.3)
     below = sign * math.nextafter(PSW_BOUND, 0.0)
     assert math.ulp(math.pi * below) < 1e-10
-    assert np.isfinite(phase_shifted_swap(p, below * J).matrix).all()
+    assert np.isfinite(gate_report("psw", p, B=below * J).matrix).all()
     for b_over_J in (sign * PSW_BOUND, sign * math.nextafter(PSW_BOUND, math.inf), sign * 1e300):
         named = re.escape(f"B/J = {b_over_J!r} for B = {b_over_J * J!r} ")
         with pytest.raises(ValueError, match=named):
-            phase_shifted_swap(p, b_over_J * J)
+            gate_report("psw", p, B=b_over_J * J)
 
 
 @pytest.mark.parametrize("call", [
-    lambda p: gate_report("psw", p),
+    lambda p: gate_report("PSW", p),
     lambda p: realize("bogus", p),
-    lambda p: gate_error_sweep(p, (0.0,), (0.0,), gate="psw"),
+    lambda p: gate_error_sweep(p, (0.0,), (0.0,), gate="psw(B=1.0)"),
 ], ids=["gate_report", "realize", "gate_error_sweep"])
 def test_every_gate_entry_point_refuses_an_unknown_gate_alike(call):
     with pytest.raises(ValueError) as info:
         call(REFERENCE)
-    assert str(info.value) == "gate must be one of ['cnot', 'sqrt_swap', 'swap']"
+    assert str(info.value) == "gate must be one of ['cnot', 'psw', 'sqrt_swap', 'swap']"
 
 
-@pytest.mark.parametrize("gate", ["CNOT", "psw", "", None])
+@pytest.mark.parametrize("gate", ["CNOT", "PSW", "", None])
 def test_dress_refuses_an_unknown_gate_as_realize_does(gate):
     u = realize("sqrt_swap", REFERENCE)
     for frame in (None, rotation_matrix(REFERENCE)):
         with pytest.raises(ValueError) as info:
             dress(u, frame, gate)
-        assert str(info.value) == "gate must be one of ['cnot', 'sqrt_swap', 'swap']"
+        assert str(info.value) == "gate must be one of ['cnot', 'psw', 'sqrt_swap', 'swap']"
 
 
 def test_dress_applies_the_cnot_sequence_for_cnot_alone():
     u = realize("sqrt_swap", REFERENCE)
     t = rotation_matrix(REFERENCE)
-    for gate in ("swap", "sqrt_swap"):
+    for gate in ("swap", "sqrt_swap", "psw"):
         assert np.array_equal(dress(u, None, gate), u)
         assert np.array_equal(dress(u, t, gate), t @ u @ t.conj().T)
     assert np.array_equal(dress(u, None, "cnot"), _cnot_from_w(u))
     assert np.array_equal(dress(u, t, "cnot"), _cnot_from_w(t @ u @ t.conj().T))
+
+
+@pytest.mark.parametrize("p", POINTS, ids=str)
+@pytest.mark.parametrize("B", [0.0, 0.7, -2.5])
+def test_psw_is_the_swap_pulse_with_the_fields_on_dressed_as_swap(p, B):
+    """The psw row: the swap row's area and dressing on H/J plus the compensating fields
+    of B/J, bit for bit; its target SWAP.(D x D), D = Rz(-pi B/J)."""
+    t = rotation_matrix(p)
+    h = build_hamiltonian(p) / p.J + build_zeeman(compensating_fields(p, B / p.J))
+    u = dress(expm_unitary(h, math.pi), t, "swap")
+    report = gate_report("psw", p, B=B)
+    assert report.matrix.tobytes() == u.tobytes() == realize("psw", p, t, B=B).tobytes()
+    d = rz(-math.pi * (B / p.J))
+    assert report.phase_distance_to_target == phase_distance(u, SWAP @ np.kron(d, d))
+    assert (report.label, report.target_label) == (f"psw(B={B!r})", "SWAP.(D x D)")
+
+
+def test_a_field_row_alone_reads_B():
+    """B enters the psw row only: every other row ignores it, even a B/J psw refuses."""
+    for gate in ("swap", "sqrt_swap", "cnot"):
+        plain = gate_report(gate, REFERENCE)
+        for B in (0.7, 1e300):
+            report = gate_report(gate, REFERENCE, B=B)
+            assert report.matrix.tobytes() == plain.matrix.tobytes()
+            assert report.label == plain.label and report.phase_distance_to_target == \
+                plain.phase_distance_to_target

@@ -37,7 +37,7 @@ from spinframe.frame import (
 )
 from spinframe.analysis import concurrence, gate_error_sweep, thermal_state
 from spinframe.cli import _json, _Table
-from spinframe.gates import GATES, SWAP, phase_shifted_swap, realize
+from spinframe.gates import GATES, SWAP, gate_report, realize
 from spinframe.linalg import (UNITARY_TOL, expm_unitary, herm_eig, phase_distance,
                               require_unitary)
 from spinframe.model import (
@@ -52,7 +52,7 @@ from spinframe.model import (
     build_zeeman,
     spin_operators,
 )
-from sweep_oracle import fidelity, point_gate, point_hamiltonian
+from sweep_oracle import fidelity, point_gate, point_hamiltonian, point_target
 
 
 THETA = st.floats(0.0, 2 * math.pi, exclude_max=True)
@@ -78,10 +78,12 @@ PROPERTY = settings(derandomize=True, deadline=None)
 
 
 def assert_table_gates_hit_their_targets(p):
-    """Each GATES row in the frame within the CLI's default tolerance of its target."""
+    """Each GATES row in the frame within the CLI's default tolerance of its target, at the
+    field B = J/2, where psw's target is SWAP.(D x D) with D = Rz(-pi/2)."""
     frame = rotation_matrix(p)
     for name, spec in GATES.items():
-        assert phase_distance(realize(name, p, frame), spec.target) <= 1e-12, name
+        target = point_target(name, 0.5)
+        assert phase_distance(realize(name, p, frame, B=0.5 * p.J), target) <= 1e-12, name
 
 
 @PROPERTY
@@ -200,7 +202,7 @@ def test_phase_distance_of_random_unitaries(u, w, phase):
 @PROPERTY
 @given(exchange_params(), st.floats(-10.0, 10.0), ANGLES)
 def test_phase_distance_of_phase_shifted_swaps(p, B, phase):
-    u = phase_shifted_swap(p, B).matrix
+    u = gate_report("psw", p, B=B).matrix
     check_phase_distance(u, SWAP)
     check_phase_distance(u, np.exp(1j * phase) * u)
     assert phase_distance(u, np.exp(1j * phase) * u) <= 1e-24
@@ -215,7 +217,7 @@ def test_phase_shifted_swap_is_its_closed_form(p, b):
     """psw is SWAP.(D x D), D = diag(e^{-i b pi/2}, e^{+i b pi/2}) at b = B/J, and the
     distance it reports is to that form."""
     assume(b * p.J / p.J == b)  # B/J as the gate computes it is the drawn b
-    report = phase_shifted_swap(p, b * p.J)
+    report = gate_report("psw", p, B=b * p.J)
     d = np.diag([np.exp(-0.5j * math.pi * b), np.exp(0.5j * math.pi * b)])
     assert phase_distance(report.matrix, SWAP @ np.kron(d, d)) <= 1e-16
     assert report.phase_distance_to_target <= 1e-16
@@ -272,7 +274,8 @@ def test_theta_is_kept_as_given_and_reduced_only_for_trigonometry(p):
 @st.composite
 def sweep_cases(draw):
     """A reference point (tan omega0 in [1e-3, 2], theta0 in [0, 2 pi)), signed ratio
-    lists with duplicates, omega ratios inside the quarter-turn bound, a gate and a mode."""
+    lists with duplicates, omega ratios inside the quarter-turn bound, a gate, a mode and
+    a field B in [-3, 3] (which only psw reads)."""
     tan0 = draw(st.floats(1e-3, 2.0))
     reference = ExchangeParams(1.0, "xy", tan0, theta=draw(THETA))
     top = min(1.0, 0.999 * (math.pi / (2 * reference.omega) - 1.0))
@@ -282,7 +285,7 @@ def sweep_cases(draw):
         ratios.append(drawn + draw(st.lists(st.sampled_from(drawn), max_size=2)))
     gate = draw(st.sampled_from(sorted(GATES)))
     mode = draw(st.sampled_from(["both", "uncorrected", "corrected"]))
-    return reference, *ratios, gate, mode
+    return reference, *ratios, gate, mode, draw(st.floats(-3.0, 3.0))
 
 
 def reference_above_one():
@@ -292,10 +295,11 @@ def reference_above_one():
     return ExchangeParams(1.0, "xy", rng.uniform(1e-3, 2.0), theta=rng.uniform(0.0, 2 * math.pi))
 
 
-ABOVE_ONE = (reference_above_one(), [0.05, 0.0], [0.0, -0.0], "swap", "both")
+ABOVE_ONE = (reference_above_one(), [0.05, 0.0], [0.0, -0.0], "swap", "both", 0.0)
 # omega0 (1 + 0.1) at tan omega0 = 0.23 is a point where atan(tan omega) is an ulp below
 # omega: its rows are evaluated at omega itself.
-ROUND_TRIP_MOVES = (ExchangeParams(1.0, "xy", 0.23, theta=0.3), [0.0, 0.1], [0.0], "swap", "both")
+ROUND_TRIP_MOVES = (ExchangeParams(1.0, "xy", 0.23, theta=0.3), [0.0, 0.1], [0.0], "swap", "both",
+                    0.0)
 
 
 def test_the_above_one_example_has_a_fidelity_above_one():
@@ -309,34 +313,93 @@ def test_the_above_one_example_has_a_fidelity_above_one():
 @example(ABOVE_ONE)
 @example(ROUND_TRIP_MOVES)
 def test_sweep_rows_are_the_per_point_oracle(case):
-    reference, dws, dths, gate, mode = case
-    rows = gate_error_sweep(reference, dws, dths, gate, mode)
+    """Every row of every gate, psw with its fields set at the reference, is its point's
+    gate and fidelity, bit for bit."""
+    reference, dws, dths, gate, mode, B = case
+    rows = gate_error_sweep(reference, dws, dths, gate, mode, B)
     expected = []
     for corrected in {"both": (False, True), "uncorrected": (False,), "corrected": (True,)}[mode]:
         frame = rotation_matrix(reference) if corrected else None
         for r_th in sorted(dths):
             for r_w in sorted(dws):
                 u = point_gate(gate, reference.omega * (1.0 + r_w),
-                               reference.theta * (1.0 + r_th), frame)
-                f = fidelity(u, GATES[gate].target)
+                               reference.theta * (1.0 + r_th), frame, B, reference)
+                f = fidelity(u, point_target(gate, B))
                 expected.append((r_w, r_th, corrected, f, max(0.0, 1.0 - f)))
     assert [row[:5] for row in rows] == expected
     for row in rows:
         assert row.log10_error == (math.log10(row.error) if row.error > 0 else -math.inf)
         if row.fidelity >= 1.0:
             assert (row.error, row.log10_error) == (0.0, -math.inf)
-    assert gate_error_sweep(replace(reference, J=2.5), dws, dths, gate, mode) == rows
+    if not GATES[gate].fields or B * 2.5 / 2.5 == B:  # rows depend on J only through B/J
+        assert gate_error_sweep(replace(reference, J=2.5), dws, dths, gate, mode, B * 2.5) == rows
     with pytest.raises(ValueError, match="sweep requires orientation xy"):
-        gate_error_sweep(ExchangeParams(1.0, "z", reference.b_over_J), dws, dths, gate, mode)
+        gate_error_sweep(ExchangeParams(1.0, "z", reference.b_over_J), dws, dths, gate, mode, B)
 
 
 @PROPERTY
 @given(sweep_cases(), st.data())
 def test_permuting_either_ratio_list_gives_the_same_rows(case, data):
-    reference, dws, dths, gate, mode = case
-    rows = gate_error_sweep(reference, dws, dths, gate, mode)
-    assert gate_error_sweep(reference, data.draw(st.permutations(dws)), dths, gate, mode) == rows
-    assert gate_error_sweep(reference, dws, data.draw(st.permutations(dths)), gate, mode) == rows
+    reference, dws, dths, gate, mode, B = case
+    rows = gate_error_sweep(reference, dws, dths, gate, mode, B)
+    assert gate_error_sweep(reference, data.draw(st.permutations(dws)), dths, gate, mode, B) == rows
+    assert gate_error_sweep(reference, dws, data.draw(st.permutations(dths)), gate, mode, B) == rows
+
+
+@PROPERTY
+@given(sweep_cases())
+def test_corrected_psw_rows_at_zero_field_are_the_swap_rows(case):
+    """At B = 0 the fields vanish, so psw is swap: its corrected rows agree to 1e-15."""
+    reference, dws, dths = case[:3]
+    psw, swap = (gate_error_sweep(reference, dws, dths, gate, "corrected", 0.0)
+                 for gate in ("psw", "swap"))
+    assert [row[:3] for row in psw] == [row[:3] for row in swap]
+    for a, b in zip(psw, swap):
+        assert abs(a.fidelity - b.fidelity) <= 1e-15 and abs(a.error - b.error) <= 1e-15
+
+
+def corrected_errors(reference, r_w, r_th, B):
+    """The corrected psw and swap errors at omega0 (1 + r_w), theta0 (1 + r_th), each the
+    per-point phase_distance (not the sweep's 1 - fidelity), with psw's fields for B set
+    at the reference (J = 1)."""
+    frame, point = rotation_matrix(reference), (reference.omega * (1.0 + r_w),
+                                                reference.theta * (1.0 + r_th))
+    return tuple(phase_distance(point_gate(gate, *point, frame, B, reference),
+                                point_target(gate, B)) for gate in ("psw", "swap"))
+
+
+def g(nu):
+    """4 sin^2(nu pi/2) / nu^2, the weight of a misestimation term at frequency nu (in
+    units of J) over the swap pulse; pi^2 at nu = 0."""
+    return math.pi ** 2 if nu == 0 else 4.0 * math.sin(nu * math.pi / 2) ** 2 / nu ** 2
+
+
+@PROPERTY
+@given(st.floats(0.05, 1.4), THETA, st.floats(0.1, 2.5), st.floats(-6.0, -4.0),
+       st.floats(0.0, 2 * math.pi))
+def test_the_psw_error_is_the_swap_error_times_f_of_B(omega0, theta0, b, exponent, direction):
+    """To second order in the misestimation, the corrected psw error is the corrected swap
+    error times f(b) = [g(1 + b) + g(1 - b)] / (2 g(1)), b = B/J, whatever the reference and
+    whichever of omega and theta is misestimated: to 1e-5 relative at |r| <= 1e-4."""
+    reference = ExchangeParams(1.0, "xy", math.tan(omega0), theta=theta0)
+    r = 10.0 ** exponent
+    psw, swap = corrected_errors(reference, r * math.cos(direction), r * math.sin(direction), b)
+    f = (g(1.0 + b) + g(1.0 - b)) / (2.0 * g(1.0))
+    assert psw / swap == pytest.approx(f, rel=1e-5)
+
+
+@pytest.mark.parametrize("tan0, theta0", [(0.37, 0.0), (0.1, 5 * math.pi / 6), (1.0, -2.1)])
+def test_at_B_equal_3J_the_psw_error_is_fourth_order(tan0, theta0):
+    """f(3) = 0: at B/J = 3 psw's error is fourth order in the misestimation, so error / r^4
+    stays bounded as r -> 0, where the swap's second-order error / r^4 grows as r^-2."""
+    reference = ExchangeParams(1.0, "xy", tan0, theta=theta0)
+    quartic, swap = [], []
+    for r in (1e-2, 1e-3, 1e-4):
+        psw_error, swap_error = corrected_errors(reference, r, r, 3.0)
+        quartic.append(psw_error / r ** 4)
+        swap.append(swap_error / r ** 4)
+    assert max(quartic) <= 1.05 * min(quartic)
+    assert swap[-1] >= 1e3 * swap[0]
 
 
 @st.composite
@@ -347,7 +410,7 @@ def realized_stacks(draw):
     members = []
     for p in draw(st.lists(exchange_params(), min_size=1, max_size=6)):
         frame = rotation_matrix(p) if draw(st.booleans()) else None
-        members.append(realize(draw(st.sampled_from(sorted(GATES))), p, frame))
+        members.append(realize(draw(st.sampled_from(sorted(GATES))), p, frame, B=p.J))
     stack = np.stack(members)
     for k in draw(st.lists(st.integers(0, len(stack) - 1), max_size=3, unique=True)):
         if draw(st.booleans()):
@@ -524,14 +587,19 @@ def test_stacked_xy_hamiltonians_are_each_points_own_bit_for_bit(omegas, thetas)
 
 @PROPERTY
 @given(exchange_params(max_b_over_J=1e16, thetas=WIDE_THETA, Js=st.just(1.0)),
-       st.sampled_from(sorted(GATES)), st.sampled_from(["none", "own", "other"]))
-def test_the_per_point_oracle_is_realize_bit_for_bit(p, gate, framed):
-    """At J = 1 and orientation xy, the sweep's per-point oracle at (p.omega, p.theta) is
-    realize(gate, p, frame), bare, in p's own frame or in another point's."""
+       st.sampled_from(sorted(GATES)), st.sampled_from(["none", "own", "other"]),
+       st.floats(-100.0, 100.0))
+def test_the_per_point_oracle_is_realize_bit_for_bit(p, gate, framed, B):
+    """At J = 1 and orientation xy, the sweep's per-point oracle at (p.omega, p.theta), with
+    a field row's fields set at p, is realize(gate, p, frame, B=B), bare, in p's own frame
+    or in another point's; its target is gate_report's."""
     assume(p.orientation == "xy")
     frame = {"none": None, "own": rotation_matrix(p),
              "other": rotation_matrix(ExchangeParams(1.0, "xy", 0.37, theta=-2.1))}[framed]
-    assert_same_bits(point_gate(gate, p.omega, p.theta, frame), realize(gate, p, frame))
+    assert_same_bits(point_gate(gate, p.omega, p.theta, frame, B, p), realize(gate, p, frame, B=B))
+    u = gate_report(gate, p, B=B).matrix
+    assert gate_report(gate, p, B=B).phase_distance_to_target == phase_distance(
+        u, point_target(gate, B))
 
 
 def json_default_oracle(o):

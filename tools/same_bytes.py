@@ -21,8 +21,9 @@ in each of its formats; every sweep gate x mode x format at three seeded referen
 points, with signed ratio lists; each gate's 21 x 21 map sweep (ratios -0.1:0.1:21 on
 both axes, both modes, CSV) at a fourth; a CSV and a JSON sweep whose axes hold
 duplicates and signed zeros at theta 40.3; a sweep whose omega0 (1 + 0.1) is a
-point that atan(tan(omega)) would move by an ulp; and refusals of the sweep's ratios and gate,
-a z sweep, a psw sweep and a ``--tol 0`` sweep.
+point that atan(tan(omega)) would move by an ulp; psw sweeps at B 0.5 and 3 (both modes,
+CSV and JSON); and refusals of the sweep's ratios and gate, a z sweep, a psw sweep's
+B/J and a ``--tol 0`` sweep.
 """
 
 from __future__ import annotations
@@ -110,6 +111,12 @@ def corpus() -> list[tuple[str, ...]]:
     # A row evaluated at the omega it is range-checked at, which atan(tan(omega)) is not.
     argvs.append(("sweep", "--orientation", "xy", "--theta", "0.3", "--tan-omega", "0.23",
                   "--delta-omega-ratios", "0,0.1", "--delta-theta-ratios", "0"))
+    # The field gate: the fields set at the reference, and B echoed in the JSON config.
+    for B in ("0.5", "3"):
+        for fmt in ("csv", "json"):
+            argvs.append(("sweep", *XY, "--gate", "psw", "--B", B, "--mode", "both",
+                          "--format", fmt, "--delta-omega-ratios=-0.1,0,0.01",
+                          "--delta-theta-ratios=-0.01,0.1"))
     far = ("--orientation", "xy", "--theta", "1e308", "--tan-omega", "0.1")
     argvs += [
         # An omega ratio out of range and a theta ratio that is not finite: theta is named.
@@ -121,7 +128,7 @@ def corpus() -> list[tuple[str, ...]]:
         ("sweep", *far, "--delta-theta-ratios", "1.5,2"),
         ("sweep", *README_REFERENCE, "--delta-omega-ratios", "0:inf:3"),
         ("gate", "--gate", "bogus", *XY),
-        ("sweep", "--gate", "psw", *XY),
+        ("sweep", "--gate", "psw", "--B", "1", "--J", "1e-300", *XY),
         ("sweep", *Z),
         ("sweep", *XY, "--tol", "0"),
     ]
