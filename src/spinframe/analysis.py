@@ -51,15 +51,16 @@ def gate_error_sweep(reference: ExchangeParams, delta_omega_ratios, delta_theta_
     theta0), an uncorrected one is the bare pulse; either way the target is gates._row's at the
     reference and field B.  A field row (psw) sets its fields from the estimate: every pulse
     adds one term, set at the reference (no other row adds one: a zero could flip a signed
-    zero).  Each axis is sorted once, and the grid's Hamiltonians are one stack built from the
-    two axes' values (model._xy_hamiltonians), their pulses exp(-i H t) one stacked expm_unitary
-    call, dressed (gates.dress) as one stack per block.  The target is checked unitary once per
-    call, and each block's dressed stack once; each block's overlaps u^dag target are one
-    stacked product (_overlaps), and a row does only its trace and scalar work, built by
-    SweepRow._make.  A row is evaluated at the omega and theta that its ratios give and that
-    were range-checked: its gate is realize's at that point, bit for bit (fields aside), and its
-    fidelity |tr(u^dag target)| / 4.  mode "both" gives the uncorrected block, then the
-    corrected one; inside a block rows are sorted by (delta_theta_ratio, delta_omega_ratio).
+    zero).  Each axis is sorted once, and the grid's Hamiltonians are one (theta, omega) array
+    built from the two axes (model._xy_hamiltonians), their pulses exp(-i H t) one stacked
+    expm_unitary call, dressed (gates.dress) as one array per block.  The target is checked
+    unitary once per call, and each block's dressed array once; each block's overlaps u^dag
+    target are one stacked product (_overlaps), and a row, read off the two axes, does only its
+    trace and scalar work, built by SweepRow._make.  A row is evaluated at the omega and theta
+    that its ratios give and that were range-checked: its gate is realize's at that point, bit
+    for bit (fields aside), and its fidelity |tr(u^dag target)| / 4.  mode "both" gives the
+    uncorrected block, then the corrected one; inside a block rows are sorted by
+    (delta_theta_ratio, delta_omega_ratio).
     error = 1 - fidelity below fidelity 1 and 0 otherwise, which is max(0, 1 - fidelity) for
     every float, and log10_error is its log10 (-inf at 0).  J drops out (only J t enters, and T
     does not depend on J), so rows take J = 1, and B enters as B/J at the reference J.
@@ -87,7 +88,6 @@ def gate_error_sweep(reference: ExchangeParams, delta_omega_ratios, delta_theta_
             raise ValueError(f"delta_theta_ratios value {r!r} puts theta0 (1 + r) past the "
                              "float range")
     (r_ws, omegas), (r_ths, thetas) = (zip(*sorted(pairs)) for pairs in axes)
-    points = [(r_w, r_th) for r_th in r_ths for r_w in r_ws]
     target = require_unitary(target, f"target {spec.target_label}")
     h = _xy_hamiltonians(omegas, thetas)
     pulses = expm_unitary(h if term is None else h + term, spec.area)
@@ -95,11 +95,12 @@ def gate_error_sweep(reference: ExchangeParams, delta_omega_ratios, delta_theta_
     for corrected in _MODES[mode]:
         sandwich = rotation_matrix(reference) if corrected else None
         dressed = require_unitary(dress(pulses, sandwich, gate), "u")
-        for (r_w, r_th), m in zip(points, _overlaps(dressed, target)):
-            f = float(abs(m.trace())) / 4.0  # np.trace's method, undispatched
-            error = 1.0 - f if f < 1.0 else 0.0  # max(0.0, 1.0 - f), nan included
-            log10_error = math.log10(error) if error > 0 else -math.inf
-            rows.append(SweepRow._make((r_w, r_th, corrected, f, error, log10_error)))
+        for r_th, overlaps in zip(r_ths, _overlaps(dressed, target)):
+            for r_w, m in zip(r_ws, overlaps):
+                f = float(abs(m.trace())) / 4.0  # np.trace's method, undispatched
+                error = 1.0 - f if f < 1.0 else 0.0  # max(0.0, 1.0 - f), nan included
+                log10_error = math.log10(error) if error > 0 else -math.inf
+                rows.append(SweepRow._make((r_w, r_th, corrected, f, error, log10_error)))
     return tuple(rows)
 
 

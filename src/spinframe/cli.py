@@ -161,7 +161,8 @@ class RunConfig:
 
     command: str
     J: float = _option(1.0, _number, "exchange strength J, a normal float > 0 (default 1.0)")
-    orientation: str | None = _option(None, _Choice(("xy", "z")), "anisotropy axis orientation")
+    orientation: str | None = _option(None, _Choice(model._ORIENTATIONS),
+                                     "anisotropy axis orientation")
     theta: float | None = _option(None, parse_angle, "axis azimuth: radians or Npi/M, e.g. 5pi/6")
     tan_omega: float | None = _option(None, _finite_nonnegative,
                                       "anisotropy strength b/J, as tan(omega)")

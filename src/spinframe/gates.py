@@ -3,9 +3,9 @@
 T exp(-i H t) T^dag equals exp(-i J S1.S2 t) exactly when T is the
 isotropizing rotation, so the swap family comes out at the isotropic pulse
 areas: J t = pi for swap, pi/2 for its square root.  dress() turns a bare
-pulse exp(-i H t) into a GATES row's gate: the frame sandwich, then the cnot
-sequence for cnot.  realize() makes every gate through it, psw (swap, fields on)
-included, and the sweep dresses its stack of pulses once per block.  Global
+pulse exp(-i H t) into a GATES row's gate: the frame sandwich, then the row's pulse
+sequence if it has one (cnot's).  realize() makes every gate through it, psw (swap,
+fields on) included, and the sweep dresses its grid of pulses once per block.  Global
 phases are tracked nowhere; distances are phase insensitive.
 """
 
@@ -50,7 +50,11 @@ CNOT = np.array(
 )
 
 _HADAMARD = np.array([[1, 1], [1, -1]], dtype=complex) / math.sqrt(2.0)
-# The constant factors of _cnot_from_w: left . w . middle . w . right.
+# cnot's pulse sequence left . w . middle . w . right, for a square-root-of-swap pulse w,
+# with qubit 1 the control.  The core Rz1(pi/2) Rz2(-pi/2) w Rz1(pi) w is diag(-1,1,1,1)
+# up to a global phase, a conditional phase flip rather than CNOT; the fixed dressing
+# (I x H) on the left and (Z x ZH) on the right, derived once from the w = 0 algebra,
+# carries it to the canonical CNOT.
 _CNOT_LEFT = (
     kron(IDENTITY_2, _HADAMARD)
     @ kron(rz(math.pi / 2), IDENTITY_2)
@@ -71,33 +75,28 @@ class GateReport:
 
 
 def dress(u: np.ndarray, frame: np.ndarray | None, gate: str) -> np.ndarray:
-    """A bare pulse u = exp(-i H t), or a stack of them, as the GATES row gate: frame u
-    frame^dag (u when frame is None), then _cnot_from_w for "cnot".  Any other gate,
-    None included, is refused."""
-    _gate_spec(gate)
+    """A bare pulse u = exp(-i H t), or a stack (..., 4, 4) of them, as the GATES row
+    gate: frame u frame^dag (u when frame is None), then, for a row with a sequence
+    (left, middle, right), left . u . middle . u . right.  Any other gate, None included,
+    is refused."""
+    sequence = _gate_spec(gate).sequence
     if frame is not None:
         u = frame @ u @ frame.conj().T
-    return _cnot_from_w(u) if gate == "cnot" else u
+    if sequence is None:
+        return u
+    left, middle, right = sequence
+    return left @ u @ middle @ u @ right
 
 
-def _cnot_from_w(w: np.ndarray) -> np.ndarray:
-    """CNOT with qubit 1 the control, from a square-root-of-swap pulse w.
-
-    Core sequence Rz1(pi/2) Rz2(-pi/2) W Rz1(pi) W: diag(-1,1,1,1) up to a
-    global phase, a conditional phase flip rather than CNOT.  The fixed dressing
-    (I x H) on the left and (Z x ZH) on the right, derived once from the w = 0
-    algebra, carries it to the canonical CNOT.
-    """
-    return _CNOT_LEFT @ w @ _CNOT_MIDDLE @ w @ _CNOT_RIGHT
-
-
-# A gate: pulse area J t, target, target label, report label, whether it has fields (_row).
-GateSpec = namedtuple("GateSpec", "area target target_label label fields")
+# A gate: pulse area J t, target, target label, report label, whether it has fields (_row),
+# and the pulse sequence (left, middle, right) that dress applies, or None.
+GateSpec = namedtuple("GateSpec", "area target target_label label fields sequence")
 GATES = {
-    "swap": GateSpec(math.pi, SWAP, "SWAP", "swap", False),
-    "sqrt_swap": GateSpec(math.pi / 2, SQRT_SWAP, "SQRT_SWAP", "sqrt_swap", False),
-    "cnot": GateSpec(math.pi / 2, CNOT, "CNOT", "cnot [(I x H) . seq . (Z x ZH)]", False),
-    "psw": GateSpec(math.pi, SWAP, "SWAP.(D x D)", "psw", True),
+    "swap": GateSpec(math.pi, SWAP, "SWAP", "swap", False, None),
+    "sqrt_swap": GateSpec(math.pi / 2, SQRT_SWAP, "SQRT_SWAP", "sqrt_swap", False, None),
+    "cnot": GateSpec(math.pi / 2, CNOT, "CNOT", "cnot [(I x H) . seq . (Z x ZH)]", False,
+                     (_CNOT_LEFT, _CNOT_MIDDLE, _CNOT_RIGHT)),
+    "psw": GateSpec(math.pi, SWAP, "SWAP.(D x D)", "psw", True, None),
 }
 
 

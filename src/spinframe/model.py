@@ -12,9 +12,9 @@ axis n is either (cos(theta), sin(theta), 0) for the "xy" orientation or
 (S1 x S2)^a = eps_abc S1^b S2^c.  One formula, _coupling, computes the nine
 entries of a coupling tensor K, of isotropic, symmetric and antisymmetric parts,
 in float arithmetic; build_hamiltonian contracts them once with the two-spin
-basis, and _xy_hamiltonians runs the formula on arrays over a whole sweep grid, from the
-trigonometry of its omega and theta axes taken once per value, and contracts its rows
-in one product:
+basis, and _xy_hamiltonians runs the formula on arrays over a sweep's (theta, omega)
+grid, with an omega axis broadcast against a theta axis, each value's trigonometry
+taken once, and contracts the grid's entries in one product:
 
     H = sum_ab K_ab S1^a S2^b,
     K = J [cos(w) 1 + 2 sin^2(w/2) n n^T + sin(w) [n]],  [n]_ab = eps_abc n_c.
@@ -48,6 +48,7 @@ SIGMA_Y = np.array([[0, -1j], [1j, 0]], dtype=complex)
 SIGMA_Z = np.array([[1, 0], [0, -1]], dtype=complex)
 IDENTITY_2 = np.eye(2, dtype=complex)
 _IDENTITY_3 = np.eye(3)
+_ORIENTATIONS = ("xy", "z")  # the axis orientations; the CLI's orientation choices
 
 # The two-spin operator basis, built once: S1[a] = S^a x I, S2[a] = I x S^a and
 # PAIR[a, b] = S1^a S2^b.  Read-only, so no caller can change them for the next.
@@ -85,8 +86,8 @@ class ExchangeParams:
 
     def __post_init__(self) -> None:
         _require_normal_J(self.J)
-        if self.orientation not in ("xy", "z"):
-            raise ValueError("orientation must be 'xy' or 'z'")
+        if self.orientation not in _ORIENTATIONS:
+            raise ValueError(f"orientation must be {' or '.join(map(repr, _ORIENTATIONS))}")
         if not (math.isfinite(self.b_over_J) and self.b_over_J >= 0):
             raise ValueError(f"b_over_J must be nonnegative and finite; got {self.b_over_J!r}")
         if self.orientation == "xy":
@@ -163,21 +164,18 @@ def build_hamiltonian(p: ExchangeParams) -> np.ndarray:
 
 
 def _xy_hamiltonians(omegas, thetas) -> np.ndarray:
-    """The stack (N, 4, 4) of H at J = 1 and orientation xy over the grid of an omega
-    axis (each in [0, pi/2)) and a theta axis (each finite), theta outer, omega inner:
-    member i * len(omegas) + j is H at omega = omegas[j], as given, and
-    theta = thetas[i], reduced as ExchangeParams.reduced_theta reduces it, with no
-    dataclass: build_hamiltonian's _coupling and _combine at that point, bit for bit.
-    The trigonometry is by math, once per axis value; the values are laid out over the
-    grid (np.tile for omega, np.repeat for theta), the nine entries are array arithmetic
-    over its points, and the stack one (N, 9) @ (9, 16) product."""
-    weights = np.array([_angle_terms(w) for w in omegas])
+    """The (theta, omega) grid, shape (len(thetas), len(omegas), 4, 4), of H at J = 1 and
+    orientation xy: member [i, j] is H at omega = omegas[j] (each in [0, pi/2)), as given,
+    and theta = thetas[i] (each finite), reduced as ExchangeParams.reduced_theta reduces
+    it, with no dataclass: build_hamiltonian's _coupling and _combine at that point, bit
+    for bit.  The trigonometry is by math, once per axis value; the omega axis's weights
+    (n_omega,) broadcast against the theta axis's cos and sin (n_theta, 1) through
+    _coupling, and the grid's nine entries are contracted in one product with _PAIR_ROWS."""
+    c, t, s = np.array([_angle_terms(w) for w in omegas]).T
     reduced = [math.fmod(theta, 4 * math.pi) for theta in thetas]
-    axes = np.array([(math.cos(th), math.sin(th)) for th in reduced])
-    c, t, s = np.tile(weights, (len(axes), 1)).T
-    x, y = np.repeat(axes, len(weights), axis=0).T
-    k = np.stack(_coupling(1.0, c, t, s, x, y, 0.0), axis=-1)
-    return (k @ _PAIR_ROWS).reshape(-1, 4, 4)
+    x, y = np.array([(math.cos(th), math.sin(th)) for th in reduced]).T[:, :, None]
+    k = np.stack(np.broadcast_arrays(*_coupling(1.0, c, t, s, x, y, 0.0)), axis=-1)
+    return (k @ _PAIR_ROWS).reshape(len(thetas), len(omegas), 4, 4)
 
 
 def build_isotropic(J: float) -> np.ndarray:

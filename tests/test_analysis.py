@@ -339,11 +339,14 @@ def test_sweep_exponentiates_each_grid_point_once(monkeypatch, gate, mode):
     reference = ExchangeParams(1.0, "xy", 0.1, theta=THETA0)
     rows = gate_error_sweep(reference, (-0.1, 0.0, 0.1), (0.0, 0.2), gate, mode)
     assert len(rows) == 6 * (2 if mode == "both" else 1)
-    # One call, whose stack holds the Hamiltonian of each of the 6 grid points in row order.
+    # One call, whose (theta, omega) array holds the Hamiltonian of each of the 6 grid
+    # points: member [i, j] is row 3 i + j's, as the rows run theta outer, omega inner.
     (stack,) = calls
+    assert stack.shape == (2, 3, 4, 4)
     grid = [(reference.omega * (1 + row.delta_omega_ratio), THETA0 * (1 + row.delta_theta_ratio))
             for row in rows[:6]]
-    assert np.array_equal(stack, np.stack([point_hamiltonian(*point) for point in grid]))
+    assert np.array_equal(stack, np.stack([point_hamiltonian(*point) for point in grid])
+                          .reshape(2, 3, 4, 4))
 
 
 def test_sweep_refuses_a_hamiltonian_that_is_not_hermitian(monkeypatch):
@@ -376,9 +379,9 @@ def test_sweep_builds_no_exchange_params_per_grid_point(monkeypatch):
 
 @pytest.fixture(scope="module")
 def seeded_pulses():
-    """Each gate's pulses at 20,402 seeded points (a 101 x 202 grid of seeded omega and
-    theta axes, as many as the rows of a 101 x 101 sweep in both modes), and the frame
-    of a seeded reference point."""
+    """Each gate's pulses at 20,402 seeded points (the (theta, omega) grid of 202 seeded
+    theta and 101 seeded omega values, as many as the rows of a 101 x 101 sweep in both
+    modes), and the frame of a seeded reference point."""
     rng = np.random.default_rng(11)
     h = _xy_hamiltonians(rng.uniform(0.0, math.pi / 2, 101).tolist(),
                          rng.uniform(-7.0, 7.0, 202).tolist())
@@ -386,19 +389,21 @@ def seeded_pulses():
     return {gate: expm_unitary(h, spec.area) for gate, spec in GATES.items()}, frame
 
 
-@pytest.mark.parametrize("size", [1, 2, 441, 20402])
+@pytest.mark.parametrize("shape", [(1, 1), (1, 2), (21, 21), (202, 101)],
+                         ids=["1", "2", "441", "20402"])
 @pytest.mark.parametrize("framed", [False, True])
 @pytest.mark.parametrize("gate", sorted(GATES))
 def test_stacked_overlaps_are_each_members_own_product_bit_for_bit(seeded_pulses, gate,
-                                                                   framed, size):
-    """The sweep's one overlap product per block gives each member u the bytes of
-    u.conj().T @ target, at every stack size a sweep makes, bare or in a frame."""
+                                                                   framed, shape):
+    """The sweep's one overlap product per block gives each member u of its (theta, omega)
+    array the bytes of u.conj().T @ target, at every grid size a sweep makes (1, 2, 441 and
+    20,402 members), bare or in a frame."""
     pulses, frame = seeded_pulses
-    dressed = dress(pulses[gate][:size], frame if framed else None, gate)
+    dressed = dress(pulses[gate][:shape[0], :shape[1]], frame if framed else None, gate)
     target = GATES[gate].target
     stacked = _overlaps(dressed, target)
-    assert stacked.shape == (size, 4, 4)
-    each = np.stack([u.conj().T @ target for u in dressed])
+    assert stacked.shape == (*shape, 4, 4)
+    each = np.stack([np.stack([u.conj().T @ target for u in row]) for row in dressed])
     assert stacked.tobytes() == each.tobytes()
 
 
@@ -427,32 +432,33 @@ def test_sweep_checks_the_target_once_and_each_block_once(monkeypatch, gate, mod
     reference = ExchangeParams(1.0, "xy", 0.1, theta=THETA0)
     rows = gate_error_sweep(reference, (-0.1, 0.0, 0.1), (0.0, 0.2), gate, mode, B=0.6)
     blocks = [rows[:6], rows[6:]] if mode == "both" else [rows]
-    # The target's check (psw's at B = 0.6 J), then one check per block of a stack that
-    # holds its 6 rows' gates in row order.
+    # The target's check (psw's at B = 0.6 J), then one check per block of a (theta, omega)
+    # array whose member [i, j] is the gate of its row 3 i + j.
     (name, target), *stacks = checked
     assert name == f"target {GATES[gate].target_label}"
     assert np.array_equal(target, point_target(gate, 0.6))
     assert [name for name, _ in stacks] == ["u"] * len(blocks)
     for (_, stack), block in zip(stacks, blocks):
-        assert stack.shape == (6, 4, 4)
+        assert stack.shape == (2, 3, 4, 4)
         frame = rotation_matrix(reference) if block[0].corrected else None
         want = np.stack([point_gate(gate, reference.omega * (1 + row.delta_omega_ratio),
                                     THETA0 * (1 + row.delta_theta_ratio), frame, 0.6, reference)
                          for row in block])
-        np.testing.assert_allclose(stack, want, rtol=0.0, atol=1e-14)
+        np.testing.assert_allclose(stack, want.reshape(2, 3, 4, 4), rtol=0.0, atol=1e-14)
 
 
 @pytest.mark.parametrize("gate", sorted(GATES))
 @pytest.mark.parametrize("mode", ["both", "uncorrected", "corrected"])
 @pytest.mark.parametrize("k", [0, 2, 5])
 def test_sweep_refuses_a_block_whose_row_k_is_not_unitary(monkeypatch, gate, mode, k):
-    """Row k of each block's stack scaled by 1.01: the first, a middle and the last row."""
+    """Row k of each block's (theta, omega) array, member [k // 3, k % 3], scaled by 1.01:
+    the first, a middle and the last row."""
     from spinframe import analysis
 
-    scale = np.ones(6)
-    scale[k] = 1.01
+    scale = np.ones((2, 3))
+    scale[divmod(k, 3)] = 1.01
     monkeypatch.setattr(analysis, "dress",
-                        lambda u, frame, gate: dress(u, frame, gate) * scale[:, None, None])
+                        lambda u, frame, gate: dress(u, frame, gate) * scale[..., None, None])
     reference = ExchangeParams(1.0, "xy", 0.1, theta=THETA0)
     with pytest.raises(ValueError, match="^u is not unitary$"):
         gate_error_sweep(reference, (-0.1, 0.0, 0.1), (0.0, 0.2), gate, mode, 0.5)

@@ -643,6 +643,22 @@ def test_the_mode_choices_are_the_sweeps_modes_in_their_order(capsys):
     assert _run_in_process(capsys, "sweep", *XY_ARGS, "--mode", "all") == (1, "", want)
 
 
+def test_the_orientation_choices_are_the_models_orientations_in_their_order(capsys):
+    """The orientation row's choices are model._ORIENTATIONS: xy, z, in the metavar and in
+    the refusal of any other orientation, which ExchangeParams refuses from the same tuple."""
+    from spinframe import model
+
+    assert model._ORIENTATIONS == ("xy", "z")
+    with pytest.raises(SystemExit):
+        main(["transform", "--help"])
+    assert "--orientation {xy,z}" in capsys.readouterr().out
+    want = "error: orientation: must be one of xy, z, got 'q'\n"
+    assert _run_in_process(capsys, "transform", "--orientation", "q",
+                           "--tan-omega", "0.1") == (1, "", want)
+    with pytest.raises(ValueError, match=r"^orientation must be 'xy' or 'z'$"):
+        model.ExchangeParams(1.0, "q", 0.1)
+
+
 @pytest.mark.parametrize("given", [("--gate", "psw", "--B", "3"), "gate = psw\nB = 3\n",
                                    '{"gate": "psw", "B": 3}'],
                          ids=["flag", "config", "json config"])

@@ -7,7 +7,11 @@ import pytest
 
 from spinframe.analysis import concurrence, gate_error_sweep
 from spinframe.gates import (
+    _CNOT_LEFT,
+    _CNOT_MIDDLE,
+    _CNOT_RIGHT,
     CNOT,
+    GATES,
     SQRT_SWAP,
     SWAP,
     dress,
@@ -15,7 +19,6 @@ from spinframe.gates import (
     realize,
 )
 from spinframe.frame import rotation_matrix, rz
-from spinframe.gates import _cnot_from_w
 from spinframe.linalg import expm_unitary, phase_distance
 from spinframe.model import ExchangeParams, build_hamiltonian, build_zeeman, compensating_fields
 
@@ -89,7 +92,8 @@ def test_cnot_core_sequence_is_conditional_phase_flip():
 def test_cnot_dressing_is_parameter_independent():
     """The same fixed single-qubit dressing works at every operating point."""
     for p in POINTS:
-        u = _cnot_from_w(gate_report("sqrt_swap", p).matrix)
+        w = gate_report("sqrt_swap", p).matrix
+        u = _CNOT_LEFT @ w @ _CNOT_MIDDLE @ w @ _CNOT_RIGHT
         assert phase_distance(u, CNOT) < 1e-10
 
 
@@ -188,13 +192,18 @@ def test_dress_refuses_an_unknown_gate_as_realize_does(gate):
 
 
 def test_dress_applies_the_cnot_sequence_for_cnot_alone():
+    """cnot's row alone has a sequence, which dress applies after the frame as
+    _CNOT_LEFT . u . _CNOT_MIDDLE . u . _CNOT_RIGHT."""
     u = realize("sqrt_swap", REFERENCE)
     t = rotation_matrix(REFERENCE)
     for gate in ("swap", "sqrt_swap", "psw"):
+        assert GATES[gate].sequence is None
         assert np.array_equal(dress(u, None, gate), u)
         assert np.array_equal(dress(u, t, gate), t @ u @ t.conj().T)
-    assert np.array_equal(dress(u, None, "cnot"), _cnot_from_w(u))
-    assert np.array_equal(dress(u, t, "cnot"), _cnot_from_w(t @ u @ t.conj().T))
+    framed = t @ u @ t.conj().T
+    assert np.array_equal(dress(u, None, "cnot"), _CNOT_LEFT @ u @ _CNOT_MIDDLE @ u @ _CNOT_RIGHT)
+    assert np.array_equal(dress(u, t, "cnot"),
+                          _CNOT_LEFT @ framed @ _CNOT_MIDDLE @ framed @ _CNOT_RIGHT)
 
 
 @pytest.mark.parametrize("p", POINTS, ids=str)

@@ -574,15 +574,17 @@ def axis(values):
 @example(*SWEEP_CORNERS)
 @example(SWEEP_CORNERS[0][-1:], SWEEP_CORNERS[1][-1:])
 @example(*map_grid(7))
+@example(SWEEP_CORNERS[0][:2], SWEEP_CORNERS[1][:3])
 def test_stacked_xy_hamiltonians_are_each_points_own_bit_for_bit(omegas, thetas):
-    """The sweep's stack of H at J = 1 over an omega axis and a theta axis holds, theta
-    outer and omega inner, each point's own H at its own (w, theta), bit for bit: a
-    one-point stack too, and a map sweep's 441 points."""
-    stack = _xy_hamiltonians(omegas, thetas)
-    assert stack.shape == (len(omegas) * len(thetas), 4, 4)
-    points = [(w, theta) for theta in thetas for w in omegas]
-    for (w, theta), h in zip(points, stack):
-        assert_same_bits(h, point_hamiltonian(w, theta))
+    """The sweep's (theta, omega) array of H at J = 1 over an omega axis and a theta axis
+    holds at [i, j] the own H of the point (omegas[j], thetas[i]), bit for bit: a one-point
+    grid too, a map sweep's 441 points, and axes of different lengths, so a transposed
+    layout fails."""
+    grid = _xy_hamiltonians(omegas, thetas)
+    assert grid.shape == (len(thetas), len(omegas), 4, 4)
+    for i, theta in enumerate(thetas):
+        for j, w in enumerate(omegas):
+            assert_same_bits(grid[i, j], point_hamiltonian(w, theta))
 
 
 @PROPERTY
@@ -600,6 +602,27 @@ def test_the_per_point_oracle_is_realize_bit_for_bit(p, gate, framed, B):
     u = gate_report(gate, p, B=B).matrix
     assert gate_report(gate, p, B=B).phase_distance_to_target == phase_distance(
         u, point_target(gate, B))
+
+
+@pytest.mark.parametrize("gate", ["swap", "sqrt_swap"])
+def test_a_swap_family_error_is_the_relative_rotations_closed_form(gate):
+    """The key identity, over 500 seeded (p, p0) pairs: omega0 in [0, 1.3], theta0 in
+    [-7, 7], and omega and theta each misestimated by up to 20%.  With V1 = U(p, -w) U(p0,
+    -w0)^dag and V2 = U(p, w) U(p0, w0)^dag (U = _local_rotation) and W = V1^dag V2, the
+    pulse of area a in the frame T(p0) misses its target by sin^2(a/2) |W - (tr W/2) I|_F^2
+    / 2, to 1e-10 relative."""
+    rng = np.random.default_rng(32)
+    area, target = GATES[gate].area, GATES[gate].target
+    for _ in range(500):
+        p0 = ExchangeParams(1.0, "xy", math.tan(rng.uniform(0.0, 1.3)), theta=rng.uniform(-7, 7))
+        r_w, r_th = rng.uniform(-0.2, 0.2, 2)
+        p = replace(p0, b_over_J=math.tan(p0.omega * (1 + r_w)), theta=p0.theta * (1 + r_th))
+        v1 = _local_rotation(p, -p.omega) @ _local_rotation(p0, -p0.omega).conj().T
+        v2 = _local_rotation(p, p.omega) @ _local_rotation(p0, p0.omega).conj().T
+        w = v1.conj().T @ v2
+        closed = math.sin(area / 2) ** 2 * np.linalg.norm(w - np.trace(w) / 2 * np.eye(2)) ** 2 / 2
+        error = phase_distance(realize(gate, p, rotation_matrix(p0)), target)
+        assert abs(error - closed) <= 1e-10 * closed, (p0, p)
 
 
 def json_default_oracle(o):

@@ -120,6 +120,12 @@ def fields():
     return (-s * st, s * ct, c), (s * st, -s * ct, c)
 
 
+def z_fields():
+    """model.compensating_fields' form at orientation z and B = 1, transcribed: both fields
+    already along z."""
+    return (R(0), R(0), R(1)), (R(0), R(0), R(1))
+
+
 def coupling(x, y, z):
     """model._coupling itself, on c, t, s = cos w, 2 sin^2(w/2), sin w and the axis."""
     return _coupling(J, cos(OMEGA), 2 * sin(OMEGA / 2) ** 2, sin(OMEGA), x, y, z)
@@ -151,6 +157,7 @@ Z_MINUS, Z_PLUS = z_rotation(-OMEGA), z_rotation(OMEGA)
 T_Z = kron(Z_MINUS, Z_PLUS)
 H_Z = pair_sum(coupling(0, 0, 1))
 B1, B2 = fields()
+B1_Z, B2_Z = z_fields()
 
 
 def test_the_xy_frame_isotropizes_the_coupling_for_every_omega_and_theta():
@@ -177,6 +184,14 @@ def test_the_xy_frame_maps_the_compensating_fields_onto_a_uniform_z_field():
     assert not rotates_to(T, field_sum((-B1[0], *B1[1:]), B2), UNIFORM_Z)
 
 
+def test_the_z_frame_maps_the_compensating_fields_onto_a_uniform_z_field():
+    """T (B1.S1 + B2.S2) T^dag = B (S1z + S2z) exactly for every omega at axis (0, 0, 1),
+    with T = Rz(-omega/2) (x) Rz(omega/2) and B1, B2 compensating_fields' z form; B = 1."""
+    assert rotates_to(T_Z, field_sum(B1_Z, B2_Z), UNIFORM_Z)
+    # The certificate can fail: B2's z component with its sign flipped.
+    assert not rotates_to(T_Z, field_sum(B1_Z, (*B2_Z[:2], -B2_Z[2])), UNIFORM_Z)
+
+
 def lambdified(entries):
     """Each ring element as a numpy function of (omega, theta, J)."""
     functions = [sp.lambdify(R.symbols, e.as_expr()) for e in entries]
@@ -198,7 +213,7 @@ def test_the_source_is_the_certified_expression_at_seeded_points():
     z_rotations = {sign: lambdified(flat(u)) for sign, u in ((-1, Z_MINUS), (1, Z_PLUS))}
     entries, hamiltonian = lambdified(COUPLING), lambdified(flat(H))
     frame_z, hamiltonian_z = lambdified(flat(T_Z)), lambdified(flat(H_Z))
-    field_components = lambdified((*B1, *B2))
+    field_components, z_field_components = lambdified((*B1, *B2)), lambdified((*B1_Z, *B2_Z))
     rng = random.Random(5)
     for _ in range(50):
         j = 10 ** rng.uniform(-1.0, 1.0)
@@ -225,3 +240,6 @@ def test_the_source_is_the_certified_expression_at_seeded_points():
                                    rtol=0, atol=1e-14)
         np.testing.assert_allclose(build_hamiltonian(pz).reshape(-1), hamiltonian_z(w, 0.0, j),
                                    rtol=0, atol=1e-14 * j)
+        fz = compensating_fields(pz, B)
+        np.testing.assert_allclose((*fz.b1, *fz.b2), B * z_field_components(w, 0.0, j),
+                                   rtol=0, atol=1e-14)
