@@ -8,6 +8,7 @@ of the anisotropy parameters degrades those gates.
 
 from .analysis import (
     SweepRow,
+    SweepTable,
     concurrence,
     gate_error_sweep,
     thermal_state,
@@ -58,6 +59,7 @@ __all__ = [
     "GateReport",
     "gate_report",
     "SweepRow",
+    "SweepTable",
     "gate_error_sweep",
     "thermal_state",
     "concurrence",

@@ -14,13 +14,14 @@ from .gates import _row, dress
 
 __all__ = [
     "SweepRow",
+    "SweepTable",
     "gate_error_sweep",
     "thermal_state",
     "concurrence",
 ]
 
 class SweepRow(NamedTuple):
-    """One row of the sweep table; the fields are its CSV columns."""
+    """One row of the sweep, as SweepTable.rows() returns it; the fields are its CSV columns."""
 
     delta_omega_ratio: float
     delta_theta_ratio: float
@@ -28,6 +29,28 @@ class SweepRow(NamedTuple):
     fidelity: float
     error: float
     log10_error: float
+
+
+class SweepTable(NamedTuple):
+    """The sweep's rows as a grid, under SweepRow's field names.  The first three fields are
+    the grid's axes: the sorted omega ratios, the sorted theta ratios and the mode's blocks
+    (corrected or not).  The last three hold one value per row, in CSV order: block, then
+    theta, then omega fastest, so row k sits at omega ratio k % n_w, theta ratio
+    (k // n_w) % n_th and block k // (n_w n_th)."""
+
+    delta_omega_ratio: tuple[float, ...]
+    delta_theta_ratio: tuple[float, ...]
+    corrected: tuple[bool, ...]
+    fidelity: tuple[float, ...]
+    error: tuple[float, ...]
+    log10_error: tuple[float, ...]
+
+    def rows(self) -> tuple[SweepRow, ...]:
+        """The table's rows as SweepRow records, in CSV order."""
+        points = [(r_w, r_th, corrected) for corrected in self.corrected
+                  for r_th in self.delta_theta_ratio for r_w in self.delta_omega_ratio]
+        return tuple(SweepRow._make((*point, *values))
+                     for point, *values in zip(points, *self[3:]))
 
 
 # The CLI's --mode choices in order, each with its blocks: is the pulse sandwiched by T?
@@ -42,7 +65,7 @@ def _overlaps(dressed: np.ndarray, target: np.ndarray) -> np.ndarray:
 
 def gate_error_sweep(reference: ExchangeParams, delta_omega_ratios, delta_theta_ratios,
                      gate: str = "swap", mode: str = "both",
-                     B: float | None = None) -> tuple[SweepRow, ...]:
+                     B: float | None = None) -> SweepTable:
     """Fidelity of the realized gate against its target on a grid of misestimations
     around the reference point (omega0, theta0), orientation xy.
 
@@ -55,12 +78,14 @@ def gate_error_sweep(reference: ExchangeParams, delta_omega_ratios, delta_theta_
     built from the two axes (model._xy_hamiltonians), their pulses exp(-i H t) one stacked
     expm_unitary call, dressed (gates.dress) as one array per block.  The target is checked
     unitary once per call, and each block's dressed array once; each block's overlaps u^dag
-    target are one stacked product (_overlaps), and a row, read off the two axes, does only its
-    trace and scalar work, built by SweepRow._make.  A row is evaluated at the omega and theta
+    target are one stacked product (_overlaps), and a row does only its trace and scalar work,
+    appending its three values to the table's columns; no per-row object is built (the table's
+    rows() builds them on demand).  A row is evaluated at the omega and theta
     that its ratios give and that were range-checked: its gate is realize's at that point, bit
     for bit (fields aside), and its fidelity |tr(u^dag target)| / 4.  mode "both" gives the
     uncorrected block, then the corrected one; inside a block rows are sorted by
-    (delta_theta_ratio, delta_omega_ratio).
+    (delta_theta_ratio, delta_omega_ratio).  The result is a SweepTable: the two sorted axes and
+    the blocks, then the fidelity, error and log10_error of each row in that order.
     error = 1 - fidelity below fidelity 1 and 0 otherwise, which is max(0, 1 - fidelity) for
     every float, and log10_error is its log10 (-inf at 0).  J drops out (only J t enters, and T
     does not depend on J), so rows take J = 1, and B enters as B/J at the reference J.
@@ -91,17 +116,18 @@ def gate_error_sweep(reference: ExchangeParams, delta_omega_ratios, delta_theta_
     target = require_unitary(target, f"target {spec.target_label}")
     h = _xy_hamiltonians(omegas, thetas)
     pulses = expm_unitary(h if term is None else h + term, spec.area)
-    rows = []
+    fidelity, error, log10_error = [], [], []
     for corrected in _MODES[mode]:
         sandwich = rotation_matrix(reference) if corrected else None
         dressed = require_unitary(dress(pulses, sandwich, gate), "u")
-        for r_th, overlaps in zip(r_ths, _overlaps(dressed, target)):
-            for r_w, m in zip(r_ws, overlaps):
-                f = float(abs(m.trace())) / 4.0  # np.trace's method, undispatched
-                error = 1.0 - f if f < 1.0 else 0.0  # max(0.0, 1.0 - f), nan included
-                log10_error = math.log10(error) if error > 0 else -math.inf
-                rows.append(SweepRow._make((r_w, r_th, corrected, f, error, log10_error)))
-    return tuple(rows)
+        for m in _overlaps(dressed, target).reshape(-1, 4, 4):  # theta, then omega fastest
+            f = float(abs(m.trace())) / 4.0  # np.trace's method, undispatched
+            e = 1.0 - f if f < 1.0 else 0.0  # max(0.0, 1.0 - f), nan included
+            fidelity.append(f)
+            error.append(e)
+            log10_error.append(math.log10(e) if e > 0 else -math.inf)
+    return SweepTable(r_ws, r_ths, _MODES[mode], tuple(fidelity), tuple(error),
+                      tuple(log10_error))
 
 
 def thermal_state(h, beta) -> np.ndarray:

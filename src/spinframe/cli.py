@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import functools
+import itertools
 import json
 import math
 import os
@@ -228,34 +229,96 @@ def _fmt_matrix(m: np.ndarray) -> str:
 
 @dataclass(frozen=True)
 class _Table:
-    """Rows under named columns, rendered as CSV lines or JSON objects when written."""
+    """Rows on a grid under named columns, rendered as CSV lines or JSON objects when written.
+    The leading columns are the grid's axes, innermost first, each given as its values; the
+    rows hold the remaining cells, the values.  Row k sits at the grid point k modulo the
+    grid's size, the first axis fastest: axes[0][k % n0], axes[1][(k // n0) % n1], and so on
+    (with no axes every row sits at the one empty point)."""
 
     columns: tuple[str, ...]
+    axes: tuple[Sequence, ...]
     rows: Sequence[tuple]
 
 
 def _json_plain(o):
-    """json.dumps' hook: a matrix as rows of [re, im] pairs, a _Table as a list of row
-    objects (a non-finite cell as null)."""
-    if isinstance(o, _Table):
-        return [{c: v if math.isfinite(v) else None  # a bool is finite
-                 for c, v in zip(o.columns, row)} for row in o.rows]
+    """json.dumps' hook: a matrix as rows of [re, im] pairs."""
     if isinstance(o, np.ndarray) and o.ndim == 2:
         return np.ascontiguousarray(o, complex).view(float).reshape(*o.shape, 2).tolist()
     raise TypeError(f"{type(o).__name__} is not JSON serializable")
 
 
+# json.dumps(o, allow_nan=False, default=_json_plain), with its encoder built once.
+_dumps = json.JSONEncoder(allow_nan=False, default=_json_plain).encode
+_NULLS = dict.fromkeys(("inf", "-inf", "nan"), "null")
+
+
+def _json_cells(values) -> list[str]:
+    """json's text of each value, a non-finite number as null: float.__repr__ (what json
+    writes for any float, np.float64 included) mapped over values that are all floats,
+    json.dumps of each value otherwise."""
+    if all(map(isinstance, values, itertools.repeat(float))):
+        text = list(map(float.__repr__, values))
+        return list(map(_NULLS.get, text, text))
+    return [json.dumps(v if math.isfinite(v) else None) for v in values]  # a bool is finite
+
+
+def _row_formats(axes: list[list[str]], sep: str, values: str) -> list[str]:
+    """The %-format of each grid point's line, in row order (the first axis fastest): the
+    point's cell of each axis (axes holds each axis's cells as format text, a '%' written
+    '%%'), then the format of the row's values, joined by sep."""
+    formats, after = [values], sep if values else ""
+    for cells in reversed(axes):  # the outermost first, so each inner axis varies faster
+        cells = [cell + after for cell in cells]
+        formats, after = [cell + f for f in formats for cell in cells], sep
+    return formats
+
+
+def _json_rows(table: _Table) -> str:
+    """The table as json.dumps writes its list of row objects, a non-finite cell as null:
+    each key escaped once, each axis cell written once (_json_cells), and each row by one
+    %-format of its value cells' text."""
+    if not table.rows:
+        return "[]"
+    keys = [_dumps(c).replace("%", "%%") + ": " for c in table.columns]
+    n, width = len(table.axes), len(table.columns) - len(table.axes)
+    axes = [[key + cell for cell in _json_cells(axis)] for key, axis in zip(keys, table.axes)]
+    formats = _row_formats(axes, ", ", ", ".join(key + "%s" for key in keys[n:]))
+    cells = iter(_json_cells(list(itertools.chain.from_iterable(table.rows))))
+    rows = zip(*[cells] * width) if width else itertools.repeat((), len(table.rows))
+    return "[{" + "}, {".join([f % c for f, c in zip(itertools.cycle(formats), rows)]) + "}]"
+
+
 def _json(doc) -> str:
-    """doc as one line of JSON, by json's C encoder; a non-finite number is a ValueError."""
-    return json.dumps(doc, allow_nan=False, default=_json_plain)
+    """doc as one line of JSON, by json's C encoder; a non-finite number is a ValueError.
+    A _Table may only be a value of a top-level dict, under a str key: its text
+    (_json_rows) is spliced between the encoder's text of the pairs around it.  A doc with
+    no table is one call of the encoder."""
+    if not (isinstance(doc, dict) and any(isinstance(v, _Table) for v in doc.values())):
+        return _dumps(doc)
+    parts = []
+    for is_table, pairs in itertools.groupby(doc.items(), lambda kv: isinstance(kv[1], _Table)):
+        if is_table:
+            parts += [_dumps(k) + ": " + _json_rows(t) for k, t in pairs]
+        else:
+            parts.append(_dumps(dict(pairs))[1:-1])
+    return "{" + ", ".join(parts) + "}"
 
 
 def _csv_lines(table: _Table) -> list[str]:
-    """The header, then each row by one %-format built from the first row's types:
-    %.17g (format(v, ".17g")'s bytes) for a number, %s for a bool, the line then
-    lowercased so a bool reads true/false (%.17g writes no capital)."""
-    line = ",".join("%s" if isinstance(v, bool) else "%.17g" for v in next(iter(table.rows), ()))
-    return [",".join(table.columns), *[(line % row).lower() for row in table.rows]]
+    """The header, then each row by one %-format: its grid point's axis cells, each axis value
+    formatted once per call (%.17g, format(v, ".17g")'s bytes, for a number, true or false
+    for a bool), then its values by %.17g for a number or %s for a bool, by the first row's
+    types, a line with a %s then lowercased so a bool reads true/false (%.17g writes no
+    capital)."""
+    values = ",".join("%s" if isinstance(v, bool) else "%.17g"
+                      for v in next(iter(table.rows), ()))
+    axes = [[str(v).lower() if isinstance(v, bool) else "%.17g" % v for v in axis]
+            for axis in table.axes]
+    lines = [f % row for f, row in zip(itertools.cycle(_row_formats(axes, ",", values)),
+                                      table.rows)]
+    if "%s" in values:
+        lines = [line.lower() for line in lines]
+    return [",".join(table.columns), *lines]
 
 
 def _text(doc: dict) -> list[str]:
@@ -351,16 +414,16 @@ def cmd_fields(cfg: RunConfig, p: model.ExchangeParams) -> int:
 
 def cmd_sweep(cfg: RunConfig, p: model.ExchangeParams) -> int:
     """gate error over parameter misestimation ratios"""
-    rows = analysis.gate_error_sweep(p, cfg.delta_omega_ratios, cfg.delta_theta_ratios,
-                                     cfg.gate, cfg.mode, cfg.B)
+    table = analysis.gate_error_sweep(p, cfg.delta_omega_ratios, cfg.delta_theta_ratios,
+                                      cfg.gate, cfg.mode, cfg.B)
     residual = frame.verify_isotropization(p)  # after the rows: a z sweep is refused first
     config = {"gate": cfg.gate, "tan_omega0": p.b_over_J, "theta0": p.theta,
               "delta_omega_ratios": list(cfg.delta_omega_ratios),
               "delta_theta_ratios": list(cfg.delta_theta_ratios), "mode": cfg.mode}
     if gates.GATES[cfg.gate].fields:  # B is echoed where it enters the rows
         config["B"] = cfg.B
-    body = {"config": config, "rows": _Table(analysis.SweepRow._fields, rows),
-            "residual": residual}
+    rows = _Table(table._fields, table[:3], list(zip(*table[3:])))  # axes, then values
+    body = {"config": config, "rows": rows, "residual": residual}
     return _report(cfg, p, body, ("isotropization residual", residual))
 
 
@@ -369,10 +432,11 @@ def cmd_thermal(cfg: RunConfig, p: model.ExchangeParams) -> int:
     states = (analysis.thermal_state(model.build_hamiltonian(p), cfg.beta),
               analysis.thermal_state(model.build_isotropic(p.J), cfg.beta))
     c, c0 = analysis.concurrence(np.stack(states)).tolist()
-    rows = [(b, x, x0, abs(x - x0)) for b, x, x0 in zip(cfg.beta, c, c0)]
+    rows = [(x, x0, abs(x - x0)) for x, x0 in zip(c, c0)]
     columns = ("beta", "concurrence", "concurrence_isotropic", "difference")
-    worst = max(d for _, _, _, d in rows)
-    return _report(cfg, p, {"rows": _Table(columns, rows)}, ("concurrence difference", worst))
+    worst = max(d for _, _, d in rows)
+    return _report(cfg, p, {"rows": _Table(columns, (cfg.beta,), rows)},
+                   ("concurrence difference", worst))
 
 
 _COMMANDS = {f.__name__.removeprefix("cmd_"): f for f in (

@@ -80,7 +80,8 @@ def test_4_error_study_decades(capsys):
 
     def errors(corrected, dth):
         mode = "corrected" if corrected else "uncorrected"
-        return [row.error for row in sf.gate_error_sweep(reference, ratios, (dth,), mode=mode)]
+        table = sf.gate_error_sweep(reference, ratios, (dth,), mode=mode)
+        return [row.error for row in table.rows()]
 
     ok = True
     uncorrected = errors(False, 0.1)

@@ -171,7 +171,7 @@ REFERENCE = ExchangeParams(1.0, "xy", 5e-3, theta=THETA0)
 
 def sweep(corrected, dths, dws=(0.0, 0.05, 0.1)):
     mode = "corrected" if corrected else "uncorrected"
-    return gate_error_sweep(REFERENCE, dws, dths, mode=mode)
+    return gate_error_sweep(REFERENCE, dws, dths, mode=mode).rows()
 
 
 def test_sweep_exact_parameters_give_exact_gate():
@@ -213,7 +213,7 @@ def test_sweep_rows_sorted_by_theta_then_omega():
 
 def test_sweep_other_gates_run():
     for gate in ("sqrt_swap", "cnot"):
-        rows = gate_error_sweep(REFERENCE, (0.0,), (0.0,), gate, "corrected")
+        rows = gate_error_sweep(REFERENCE, (0.0,), (0.0,), gate, "corrected").rows()
         assert rows[0].error < 1e-9
 
 
@@ -290,7 +290,7 @@ def test_sweep_error_gives_b_over_J_and_omega0_when_atan_rounds_to_a_quarter_tur
     assert str(info.value) == (
         "delta_omega_ratios value 0.0 puts omega0 (1 + r) = 1.5707963267948966 outside"
         " [0, pi/2), with omega0 = atan(b/J) = 1.5707963267948966 at b/J = 2e+16")
-    rows = gate_error_sweep(reference, (-0.5, -0.1), (0.0,), mode="corrected")
+    rows = gate_error_sweep(reference, (-0.5, -0.1), (0.0,), mode="corrected").rows()
     assert [row.delta_omega_ratio for row in rows] == [-0.5, -0.1]
 
 
@@ -318,7 +318,8 @@ def test_sweep_at_zero_misestimation_is_the_public_gate(gate, t0):
     p = ExchangeParams(1.0, "xy", t0, theta=THETA0)
     spec, d = GATES[gate], gates.rz(-GATES[gate].area * 0.7)
     target = spec.target @ np.kron(d, d) if spec.fields else spec.target
-    rows = {row.corrected: row for row in gate_error_sweep(p, (0.0,), (0.0,), gate, B=0.7)}
+    rows = {row.corrected: row
+            for row in gate_error_sweep(p, (0.0,), (0.0,), gate, B=0.7).rows()}
     public = gates.gate_report(gate, p, B=0.7)
     assert rows[True].fidelity == fidelity(public.matrix, target)
     assert rows[False].fidelity == fidelity(gates.realize(gate, p, B=0.7), target)
@@ -337,7 +338,7 @@ def test_sweep_exponentiates_each_grid_point_once(monkeypatch, gate, mode):
 
     monkeypatch.setattr(analysis, "expm_unitary", counted)
     reference = ExchangeParams(1.0, "xy", 0.1, theta=THETA0)
-    rows = gate_error_sweep(reference, (-0.1, 0.0, 0.1), (0.0, 0.2), gate, mode)
+    rows = gate_error_sweep(reference, (-0.1, 0.0, 0.1), (0.0, 0.2), gate, mode).rows()
     assert len(rows) == 6 * (2 if mode == "both" else 1)
     # One call, whose (theta, omega) array holds the Hamiltonian of each of the 6 grid
     # points: member [i, j] is row 3 i + j's, as the rows run theta outer, omega inner.
@@ -373,7 +374,7 @@ def test_sweep_builds_no_exchange_params_per_grid_point(monkeypatch):
 
     monkeypatch.setattr(ExchangeParams, "__post_init__", counted)
     ratios = (-0.2, -0.1, 0.0, 0.1, 0.2)
-    assert len(gate_error_sweep(reference, ratios, ratios)) == 50
+    assert len(gate_error_sweep(reference, ratios, ratios).rows()) == 50
     assert built == []
 
 
@@ -430,7 +431,8 @@ def test_sweep_checks_the_target_once_and_each_block_once(monkeypatch, gate, mod
 
     monkeypatch.setattr(analysis, "require_unitary", counted)
     reference = ExchangeParams(1.0, "xy", 0.1, theta=THETA0)
-    rows = gate_error_sweep(reference, (-0.1, 0.0, 0.1), (0.0, 0.2), gate, mode, B=0.6)
+    rows = gate_error_sweep(reference, (-0.1, 0.0, 0.1), (0.0, 0.2), gate, mode,
+                            B=0.6).rows()
     blocks = [rows[:6], rows[6:]] if mode == "both" else [rows]
     # The target's check (psw's at B = 0.6 J), then one check per block of a (theta, omega)
     # array whose member [i, j] is the gate of its row 3 i + j.

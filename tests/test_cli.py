@@ -8,11 +8,13 @@ import sys
 import warnings
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from spinframe.cli import _csv_lines, _Table, main, parse_angle
+from table_oracle import CORNER_AXES, CORNERS, NUMBERS, expanded_rows, grid_tables
 
 
 def run_cli(*args):
@@ -1017,35 +1019,37 @@ def test_a_table_builds_only_the_written_form(capsys, monkeypatch):
 
 
 def _csv_lines_per_value(table):
-    """The CSV writer's bytes, one value at a time: format(v, ".17g") for a number,
-    str(v).lower() for a bool."""
+    """The CSV writer's bytes, one value at a time, each row expanded from its grid point:
+    format(v, ".17g") for a number, str(v).lower() for a bool."""
     def line(row):
         return ",".join(str(v).lower() if isinstance(v, bool) else format(v, ".17g")
                         for v in row)
-    return [",".join(table.columns), *map(line, table.rows)]
-
-
-CSV_CORNERS = (0.0, -0.0, math.inf, -math.inf, math.nan, 5e-324, 1e308)
+    return [",".join(table.columns), *map(line, expanded_rows(table))]
 
 
 @st.composite
-def csv_tables(draw):
-    """A table of 1-4 columns: numbers (any float, its corners often), and in any
-    position or none one column of bools; zero rows or more."""
-    width = draw(st.integers(1, 4))
+def csv_value_rows(draw, n):
+    """n rows of 0-3 values: numbers (floats, np.float64 and ints, the corners often),
+    and in any position or none one column of bools."""
+    width = draw(st.integers(0, 3))
     bools = draw(st.sampled_from((None, *range(width))))
-    number = st.one_of(st.sampled_from(CSV_CORNERS), st.floats())
-    cells = [st.booleans() if i == bools else number for i in range(width)]
-    rows = draw(st.lists(st.tuples(*cells), max_size=6))
-    return _Table(tuple(f"c{i}" for i in range(width)), rows)
+    cells = [st.booleans() if i == bools else NUMBERS for i in range(width)]
+    return width, draw(st.lists(st.tuples(*cells), min_size=n, max_size=n))
+
+
+CSV_TABLES = grid_tables(csv_value_rows, lambda k: st.just(tuple(f"c{i}" for i in range(k))))
 
 
 @settings(derandomize=True, deadline=None, max_examples=300)
-@given(csv_tables())
-@example(_Table(("beta", "concurrence"), []))
-@example(_Table(("x", "flag", "y"), [(v, v > 0, -v) for v in CSV_CORNERS]))
+@given(CSV_TABLES)
+@example(_Table(("beta", "concurrence"), (), []))
+@example(_Table(("x", "flag", "y"), (), [(v, v > 0, -v) for v in CORNERS]))
+@example(_Table(("w", "th", "corrected", "f", "flag"), CORNER_AXES,
+                [(np.float64(k / 3), k % 2 == 0) for k in range(32)]))
+@example(_Table(("w", "th"), CORNER_AXES[:2], [()] * 16))
 def test_csv_lines_write_each_values_own_format(table):
-    """One %-format per line writes the bytes of one format() per value."""
+    """One %-format per line, after each axis value is formatted once, writes the bytes of
+    one format() per value of each row expanded from its grid point."""
     assert _csv_lines(table) == _csv_lines_per_value(table)
 
 

@@ -25,6 +25,7 @@ PUBLIC = [
     "GateReport",
     "gate_report",
     "SweepRow",
+    "SweepTable",
     "gate_error_sweep",
     "thermal_state",
     "concurrence",
@@ -34,7 +35,7 @@ PUBLIC = [
 ]
 
 
-def test_package_exports_exactly_its_24_names():
+def test_package_exports_exactly_its_25_names():
     assert sf.__all__ == PUBLIC
     assert all(hasattr(sf, name) for name in PUBLIC)
     assert sf.kron is linalg.kron

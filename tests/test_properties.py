@@ -53,6 +53,7 @@ from spinframe.model import (
     spin_operators,
 )
 from sweep_oracle import fidelity, point_gate, point_hamiltonian, point_target
+from table_oracle import CORNER_AXES, expanded_rows, grid_tables
 
 
 THETA = st.floats(0.0, 2 * math.pi, exclude_max=True)
@@ -303,7 +304,7 @@ ROUND_TRIP_MOVES = (ExchangeParams(1.0, "xy", 0.23, theta=0.3), [0.0, 0.1], [0.0
 
 
 def test_the_above_one_example_has_a_fidelity_above_one():
-    fidelities = [row.fidelity for row in gate_error_sweep(*ABOVE_ONE)
+    fidelities = [row.fidelity for row in gate_error_sweep(*ABOVE_ONE).rows()
                   if row.corrected and row.delta_omega_ratio == 0.0]
     assert len(fidelities) == 2 and min(fidelities) > 1.0
 
@@ -316,7 +317,7 @@ def test_sweep_rows_are_the_per_point_oracle(case):
     """Every row of every gate, psw with its fields set at the reference, is its point's
     gate and fidelity, bit for bit."""
     reference, dws, dths, gate, mode, B = case
-    rows = gate_error_sweep(reference, dws, dths, gate, mode, B)
+    rows = gate_error_sweep(reference, dws, dths, gate, mode, B).rows()
     expected = []
     for corrected in {"both": (False, True), "uncorrected": (False,), "corrected": (True,)}[mode]:
         frame = rotation_matrix(reference) if corrected else None
@@ -332,7 +333,8 @@ def test_sweep_rows_are_the_per_point_oracle(case):
         if row.fidelity >= 1.0:
             assert (row.error, row.log10_error) == (0.0, -math.inf)
     if not GATES[gate].fields or B * 2.5 / 2.5 == B:  # rows depend on J only through B/J
-        assert gate_error_sweep(replace(reference, J=2.5), dws, dths, gate, mode, B * 2.5) == rows
+        scaled = gate_error_sweep(replace(reference, J=2.5), dws, dths, gate, mode, B * 2.5)
+        assert scaled.rows() == rows
     with pytest.raises(ValueError, match="sweep requires orientation xy"):
         gate_error_sweep(ExchangeParams(1.0, "z", reference.b_over_J), dws, dths, gate, mode, B)
 
@@ -341,9 +343,10 @@ def test_sweep_rows_are_the_per_point_oracle(case):
 @given(sweep_cases(), st.data())
 def test_permuting_either_ratio_list_gives_the_same_rows(case, data):
     reference, dws, dths, gate, mode, B = case
-    rows = gate_error_sweep(reference, dws, dths, gate, mode, B)
-    assert gate_error_sweep(reference, data.draw(st.permutations(dws)), dths, gate, mode, B) == rows
-    assert gate_error_sweep(reference, dws, data.draw(st.permutations(dths)), gate, mode, B) == rows
+    rows = gate_error_sweep(reference, dws, dths, gate, mode, B).rows()
+    for permuted in ((data.draw(st.permutations(dws)), dths),
+                     (dws, data.draw(st.permutations(dths)))):
+        assert gate_error_sweep(reference, *permuted, gate, mode, B).rows() == rows
 
 
 @PROPERTY
@@ -351,7 +354,7 @@ def test_permuting_either_ratio_list_gives_the_same_rows(case, data):
 def test_corrected_psw_rows_at_zero_field_are_the_swap_rows(case):
     """At B = 0 the fields vanish, so psw is swap: its corrected rows agree to 1e-15."""
     reference, dws, dths = case[:3]
-    psw, swap = (gate_error_sweep(reference, dws, dths, gate, "corrected", 0.0)
+    psw, swap = (gate_error_sweep(reference, dws, dths, gate, "corrected", 0.0).rows()
                  for gate in ("psw", "swap"))
     assert [row[:3] for row in psw] == [row[:3] for row in swap]
     for a, b in zip(psw, swap):
@@ -626,11 +629,11 @@ def test_a_swap_family_error_is_the_relative_rotations_closed_form(gate):
 
 
 def json_default_oracle(o):
-    """An independent json.dumps hook: a matrix as [re, im] pairs, a table as a list
-    of row objects with a non-finite number as null."""
+    """An independent json.dumps hook: a matrix as [re, im] pairs, a table as a list of
+    row objects, each row expanded from its grid point, with a non-finite number as null."""
     if isinstance(o, _Table):
         return [{c: v if isinstance(v, bool) or math.isfinite(v) else None
-                 for c, v in zip(o.columns, row)} for row in o.rows]
+                 for c, v in zip(o.columns, row)} for row in expanded_rows(o)]
     if isinstance(o, np.ndarray):
         return [[[float(z.real), float(z.imag)] for z in row] for row in o]
     raise TypeError(f"{type(o).__name__} is not JSON serializable")
@@ -649,28 +652,48 @@ MATRICES = hnp.arrays(complex, hnp.array_shapes(min_dims=2, max_dims=2, min_side
 
 
 @st.composite
-def tables(draw):
-    columns = tuple(draw(st.lists(TEXT, unique=True, max_size=4)))
+def json_value_rows(draw, n):
+    """n rows of 0-3 values, each cell a float, np.float64, bool, int or non-finite float."""
+    width = draw(st.integers(0, 3))
     cell = st.one_of(st.floats(), st.floats().map(np.float64), st.booleans(),
                      st.integers(-2**53, 2**53),
                      st.sampled_from([math.inf, -math.inf, math.nan]))
-    rows = draw(st.lists(st.tuples(*[cell] * len(columns)), max_size=4))
-    return _Table(columns, rows)
+    return width, draw(st.lists(st.tuples(*[cell] * width), min_size=n, max_size=n))
 
 
+JSON_TABLES = grid_tables(json_value_rows,
+                          lambda k: st.lists(TEXT, unique=True, min_size=k, max_size=k).map(tuple))
 DOCUMENTS = st.recursive(
     st.one_of(st.none(), st.booleans(), st.integers(), FINITE, FINITE.map(np.float64), TEXT,
-              MATRICES, tables()),
+              MATRICES),
     lambda inner: st.one_of(st.lists(inner, max_size=4),
                             st.dictionaries(TEXT, inner, max_size=4)),
     max_leaves=12,
 )
+# A table is a value of the top-level document, the one place a report puts one.
+REPORTS = st.one_of(DOCUMENTS, st.dictionaries(TEXT, st.one_of(DOCUMENTS, JSON_TABLES),
+                                               max_size=4))
+CORNER_TABLE = _Table(("w", "th", "corrected", "f", "100%"), CORNER_AXES,
+                      [(np.float64(k / 3), [1.5, math.nan, True, 7][k % 4]) for k in range(32)])
 
 
 @PROPERTY
-@given(DOCUMENTS)
+@given(REPORTS)
+@example({"parameters": "x", "rows": CORNER_TABLE, "residual": 1e-17})
+@example({"before": [1.0], "rows": CORNER_TABLE, "empty": _Table(("a",), ((),), []),
+          "bare": _Table((), (), [(), ()])})
 def test_json_writer_is_compact_json_dumps(doc):
     assert _json(doc) == json_oracle(doc)
+
+
+@PROPERTY
+@given(JSON_TABLES, st.integers(0, 3))
+def test_json_writer_refuses_a_table_below_the_top_level(table, where):
+    """A table is written only as a value of a top-level dict; anywhere else it is a
+    TypeError, as any other object json cannot write."""
+    doc = [table, [table], {"rows": {"inner": table}}, {"rows": table, "list": [table]}][where]
+    with pytest.raises(TypeError, match="^_Table is not JSON serializable$"):
+        _json(doc)
 
 
 @PROPERTY

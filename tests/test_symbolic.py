@@ -13,8 +13,8 @@ exact arithmetic over the rationals, a proof for all omega, theta and J.
 
 A certificate proves a formula as the source writes it, so the source's own
 functions are called where they take ring elements (model._coupling), and
-transcribed where they use math or cmath (frame._local_rotation,
-model.compensating_fields).  A seeded numeric check then ties each source function
+transcribed where they use math or cmath (frame._local_rotation, frame.rotation_plan
+and frame.assemble, model.compensating_fields).  A seeded numeric check then ties each source function
 to the certified expression, lambdified, to 1e-14, so a drift in either fails here.
 """
 
@@ -27,7 +27,7 @@ import sympy as sp
 from sympy import QQ
 from sympy.polys.rings import ring
 
-from spinframe.frame import _local_rotation, rotation_matrix
+from spinframe.frame import _local_rotation, assemble, rotation_matrix, rotation_plan
 from spinframe.model import (PAIR, S1, S2, ExchangeParams, _angle_terms, _coupling,
                              build_hamiltonian, compensating_fields)
 
@@ -93,6 +93,25 @@ def kron(A, B):
     return [[A[i // 2][j // 2] * B[i % 2][j % 2] for j in range(4)] for i in range(4)]
 
 
+def rz(angle):
+    """frame.rz, exp(+i angle sigma_z / 2), transcribed."""
+    return [[cis(angle / 2), R(0)], [R(0), cis(-angle / 2)]]
+
+
+def ry(angle):
+    """frame.ry, exp(+i angle sigma_y / 2), transcribed."""
+    c, s = cos(angle / 2), sin(angle / 2)
+    return [[c, s], [-s, c]]
+
+
+def assembled(plan):
+    """frame.assemble transcribed: (Rz(a1) Ry(g1) Rz(b1)) (x) (Rz(a2) Ry(g2) Rz(b2)) for
+    plan = ((a1, g1, b1), (a2, g2, b2)).  Every half-angle of frame.rotation_plan's angles
+    is linear in pi/8, omega/4 and theta/2, so each factor is in the ring."""
+    u1, u2 = (matmul(matmul(rz(a), ry(g)), rz(b)) for a, g, b in plan)
+    return kron(u1, u2)
+
+
 def operator_sum(coefficients, operators):
     """sum_i coefficients[i] operators[i] as a 4x4 of ring elements, from the operators'
     exact entries."""
@@ -144,6 +163,11 @@ def rotates_to(t, h, target) -> bool:
     return all(vanishes(rotated[i][j] - target[i][j]) for i in range(4) for j in range(4))
 
 
+def equal(A, B) -> bool:
+    """A = B, entry by entry: not up to a phase."""
+    return all(vanishes(A[i][j] - B[i][j]) for i in range(4) for j in range(4))
+
+
 def isotropizes(t, h) -> bool:
     """t h t^dag = J S1.S2, entry by entry."""
     return rotates_to(t, h, ISOTROPIC)
@@ -158,6 +182,9 @@ T_Z = kron(Z_MINUS, Z_PLUS)
 H_Z = pair_sum(coupling(0, 0, 1))
 B1, B2 = fields()
 B1_Z, B2_Z = z_fields()
+# frame.rotation_plan's angles, transcribed: qubit 1's (alpha, gamma, beta), then qubit 2's.
+PLAN = ((-3 * PI / 4, OMEGA / 2, THETA + PI / 2), (PI / 4, OMEGA / 2, THETA - PI / 2))
+PLAN_Z = ((-OMEGA / 2, 0, 0), (OMEGA / 2, 0, 0))
 
 
 def test_the_xy_frame_isotropizes_the_coupling_for_every_omega_and_theta():
@@ -190,6 +217,17 @@ def test_the_z_frame_maps_the_compensating_fields_onto_a_uniform_z_field():
     assert rotates_to(T_Z, field_sum(B1_Z, B2_Z), UNIFORM_Z)
     # The certificate can fail: B2's z component with its sign flipped.
     assert not rotates_to(T_Z, field_sum(B1_Z, (*B2_Z[:2], -B2_Z[2])), UNIFORM_Z)
+
+
+def test_the_zyz_plans_assemble_to_the_frame_entry_by_entry():
+    """assemble(rotation_plan(p)) = rotation_matrix(p) exactly, not merely up to a phase,
+    for every omega and theta at orientation xy and every omega at orientation z."""
+    assert equal(assembled(PLAN), T)
+    assert equal(assembled(PLAN_Z), T_Z)
+    # The certificate can fail: qubit 1's beta at theta - pi/2, and each plan up to -1.
+    assert not equal(assembled(((-3 * PI / 4, OMEGA / 2, THETA - PI / 2), PLAN[1])), T)
+    assert not equal(assembled(PLAN), [[-e for e in row] for row in T])
+    assert not equal(assembled(PLAN_Z), [[-e for e in row] for row in T_Z])
 
 
 def lambdified(entries):
@@ -243,3 +281,17 @@ def test_the_source_is_the_certified_expression_at_seeded_points():
         fz = compensating_fields(pz, B)
         np.testing.assert_allclose((*fz.b1, *fz.b2), B * z_field_components(w, 0.0, j),
                                    rtol=0, atol=1e-14)
+
+
+def test_the_plans_source_is_the_certified_assembly_at_seeded_points():
+    """assemble(rotation_plan(p)) is the certified assembly, lambdified, to 1e-14 at both
+    orientations, theta up to 4 pi either way."""
+    plans = {"xy": lambdified(flat(assembled(PLAN))), "z": lambdified(flat(assembled(PLAN_Z)))}
+    rng = random.Random(34)
+    for _ in range(50):
+        tan_omega, theta = math.tan(rng.uniform(0.0, math.pi / 2)), rng.uniform(-13.0, 13.0)
+        for p in (ExchangeParams(1.0, "xy", tan_omega, theta=theta),
+                  ExchangeParams(1.0, "z", tan_omega)):
+            th = 0.0 if p.theta is None else p.reduced_theta
+            np.testing.assert_allclose(assemble(rotation_plan(p)).reshape(-1),
+                                       plans[p.orientation](p.omega, th, 1.0), rtol=0, atol=1e-14)

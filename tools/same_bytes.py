@@ -19,11 +19,12 @@ and 4 pi, tan omega 0 and 1e16, J 1e308 and the smallest normal float); CSV cell
 of -0, -inf, 0, a subnormal and 1e+308; each verification command at both orientations
 in each of its formats; every sweep gate x mode x format at three seeded reference
 points, with signed ratio lists; each gate's 21 x 21 map sweep (ratios -0.1:0.1:21 on
-both axes, both modes, CSV) at a fourth; a CSV and a JSON sweep whose axes hold
-duplicates and signed zeros at theta 40.3; a sweep whose omega0 (1 + 0.1) is a
-point that atan(tan(omega)) would move by an ulp; psw sweeps at B 0.5 and 3 (both modes,
-CSV and JSON); and refusals of the sweep's ratios and gate, a z sweep, a psw sweep's
-B/J and a ``--tol 0`` sweep.
+both axes, both modes, CSV, and swap's also as JSON) at a fourth; the README's default
+sweep axes as JSON; a JSON thermal table whose beta axis holds 0, a subnormal and
+1e+308; a CSV and a JSON sweep whose axes hold duplicates and signed zeros at theta
+40.3; a sweep whose omega0 (1 + 0.1) is a point that atan(tan(omega)) would move by an
+ulp; psw sweeps at B 0.5 and 3 (both modes, CSV and JSON); and refusals of the sweep's
+ratios and gate, a z sweep, a psw sweep's B/J and a ``--tol 0`` sweep.
 """
 
 from __future__ import annotations
@@ -94,13 +95,19 @@ def corpus() -> list[tuple[str, ...]]:
                     argvs.append(("sweep", *reference, "--gate", gate, "--mode", mode,
                                   "--format", fmt, "--delta-omega-ratios", omega_ratios,
                                   "--delta-theta-ratios", theta_ratios))
-    # The benchmark's map shape: a signed 21 x 21 grid in both modes, as CSV.
+    # The benchmark's map shape: a signed 21 x 21 grid in both modes, as CSV, and once
+    # as JSON.
     rng = random.Random(4)
     tan_omega, theta = 10 ** rng.uniform(-3.0, math.log10(0.3)), rng.uniform(0.0, 2 * math.pi)
-    for gate in ("swap", "sqrt_swap", "cnot"):
+    for gate, fmt in (("swap", "csv"), ("sqrt_swap", "csv"), ("cnot", "csv"), ("swap", "json")):
         argvs.append(("sweep", "--orientation", "xy", "--theta", repr(theta), "--tan-omega",
-                      repr(tan_omega), "--gate", gate, "--mode", "both", "--format", "csv",
+                      repr(tan_omega), "--gate", gate, "--mode", "both", "--format", fmt,
                       "--delta-omega-ratios=-0.1:0.1:21", "--delta-theta-ratios=-0.1:0.1:21"))
+    # The README's default axes (50 omega ratios x 2 theta ratios, both modes) as JSON,
+    # and a JSON table whose one axis holds 0, a subnormal and 1e+308.
+    argvs += [("sweep", *README_REFERENCE, "--format", "json"),
+              ("thermal", "--orientation", "z", "--tan-omega", "0", "--beta", "0,5e-324,1e308",
+               "--format", "json")]
     # The axes' corners: duplicate values and a signed zero on each axis, at a theta past
     # 4 pi, where each axis value is reduced by fmod before its cos and sin.
     for gate, fmt in (("cnot", "csv"), ("swap", "json")):
