@@ -14,6 +14,7 @@ import functools
 import itertools
 import json
 import math
+import operator
 import os
 import re
 import sys
@@ -229,15 +230,15 @@ def _fmt_matrix(m: np.ndarray) -> str:
 
 @dataclass(frozen=True)
 class _Table:
-    """Rows on a grid under named columns, rendered as CSV lines or JSON objects when written.
-    The leading columns are the grid's axes, innermost first, each given as its values; the
-    rows hold the remaining cells, the values.  Row k sits at the grid point k modulo the
-    grid's size, the first axis fastest: axes[0][k % n0], axes[1][(k // n0) % n1], and so on
-    (with no axes every row sits at the one empty point)."""
+    """Named columns on a grid, rendered as CSV lines or JSON objects when written.  The
+    leading columns are the grid's axes, innermost first, each given as its values: nonempty,
+    finite, floats or bools.  The rest are value columns, each a sequence of floats (-inf the
+    only non-finite value a report gives) with one value per grid point, the first axis
+    fastest: row k sits at axes[0][k % n0], axes[1][(k // n0) % n1], and so on."""
 
     columns: tuple[str, ...]
     axes: tuple[Sequence, ...]
-    rows: Sequence[tuple]
+    values: tuple[Sequence[float], ...]
 
 
 def _json_plain(o):
@@ -252,73 +253,47 @@ _dumps = json.JSONEncoder(allow_nan=False, default=_json_plain).encode
 _NULLS = dict.fromkeys(("inf", "-inf", "nan"), "null")
 
 
-def _json_cells(values) -> list[str]:
-    """json's text of each value, a non-finite number as null: float.__repr__ (what json
-    writes for any float, np.float64 included) mapped over values that are all floats,
-    json.dumps of each value otherwise."""
-    if all(map(isinstance, values, itertools.repeat(float))):
-        text = list(map(float.__repr__, values))
-        return list(map(_NULLS.get, text, text))
-    return [json.dumps(v if math.isfinite(v) else None) for v in values]  # a bool is finite
-
-
 def _row_formats(axes: list[list[str]], sep: str, values: str) -> list[str]:
     """The %-format of each grid point's line, in row order (the first axis fastest): the
     point's cell of each axis (axes holds each axis's cells as format text, a '%' written
     '%%'), then the format of the row's values, joined by sep."""
-    formats, after = [values], sep if values else ""
+    formats = [values]
     for cells in reversed(axes):  # the outermost first, so each inner axis varies faster
-        cells = [cell + after for cell in cells]
-        formats, after = [cell + f for f in formats for cell in cells], sep
+        cells = [cell + sep for cell in cells]
+        formats = [cell + f for f in formats for cell in cells]
     return formats
-
-
-def _json_rows(table: _Table) -> str:
-    """The table as json.dumps writes its list of row objects, a non-finite cell as null:
-    each key escaped once, each axis cell written once (_json_cells), and each row by one
-    %-format of its value cells' text."""
-    if not table.rows:
-        return "[]"
-    keys = [_dumps(c).replace("%", "%%") + ": " for c in table.columns]
-    n, width = len(table.axes), len(table.columns) - len(table.axes)
-    axes = [[key + cell for cell in _json_cells(axis)] for key, axis in zip(keys, table.axes)]
-    formats = _row_formats(axes, ", ", ", ".join(key + "%s" for key in keys[n:]))
-    cells = iter(_json_cells(list(itertools.chain.from_iterable(table.rows))))
-    rows = zip(*[cells] * width) if width else itertools.repeat((), len(table.rows))
-    return "[{" + "}, {".join([f % c for f, c in zip(itertools.cycle(formats), rows)]) + "}]"
 
 
 def _json(doc) -> str:
     """doc as one line of JSON, by json's C encoder; a non-finite number is a ValueError.
-    A _Table may only be a value of a top-level dict, under a str key: its text
-    (_json_rows) is spliced between the encoder's text of the pairs around it.  A doc with
-    no table is one call of the encoder."""
-    if not (isinstance(doc, dict) and any(isinstance(v, _Table) for v in doc.values())):
+    A _Table may only be the value of a top-level dict's key "rows", where _report puts it.
+    Its rows are written as text, each key escaped once, each axis's cells by one encoder
+    call, each value by float.__repr__ (a non-finite one as null) and each row by one
+    %-format; that text goes between the encoder's text of the pairs before and after it."""
+    table = doc.get("rows") if isinstance(doc, dict) else None
+    if not isinstance(table, _Table):
         return _dumps(doc)
-    parts = []
-    for is_table, pairs in itertools.groupby(doc.items(), lambda kv: isinstance(kv[1], _Table)):
-        if is_table:
-            parts += [_dumps(k) + ": " + _json_rows(t) for k, t in pairs]
-        else:
-            parts.append(_dumps(dict(pairs))[1:-1])
-    return "{" + ", ".join(parts) + "}"
+    keys = [_dumps(c).replace("%", "%%") + ": " for c in table.columns]
+    axes = [[key + cell for cell in _dumps(list(axis))[1:-1].split(", ")]
+            for key, axis in zip(keys, table.axes)]
+    formats = _row_formats(axes, ", ", ", ".join(key + "%s" for key in keys[len(table.axes):]))
+    text = [list(map(float.__repr__, column)) for column in table.values]
+    rows = map(operator.mod, itertools.cycle(formats), zip(*[map(_NULLS.get, t, t) for t in text]))
+    pairs, k = list(doc.items()), list(doc).index("rows")
+    parts = (_dumps(dict(pairs[:k]))[1:-1], '"rows": [{' + "}, {".join(rows) + "}]",
+             _dumps(dict(pairs[k + 1:]))[1:-1])
+    return "{" + ", ".join(filter(None, parts)) + "}"
 
 
 def _csv_lines(table: _Table) -> list[str]:
     """The header, then each row by one %-format: its grid point's axis cells, each axis value
     formatted once per call (%.17g, format(v, ".17g")'s bytes, for a number, true or false
-    for a bool), then its values by %.17g for a number or %s for a bool, by the first row's
-    types, a line with a %s then lowercased so a bool reads true/false (%.17g writes no
-    capital)."""
-    values = ",".join("%s" if isinstance(v, bool) else "%.17g"
-                      for v in next(iter(table.rows), ()))
-    axes = [[str(v).lower() if isinstance(v, bool) else "%.17g" % v for v in axis]
+    for a bool), then its values, each by %.17g."""
+    axes = [[_dumps(v) if isinstance(v, bool) else "%.17g" % v for v in axis]
             for axis in table.axes]
-    lines = [f % row for f, row in zip(itertools.cycle(_row_formats(axes, ",", values)),
-                                      table.rows)]
-    if "%s" in values:
-        lines = [line.lower() for line in lines]
-    return [",".join(table.columns), *lines]
+    formats = _row_formats(axes, ",", ",".join(["%.17g"] * len(table.values)))
+    return [",".join(table.columns),
+            *map(operator.mod, itertools.cycle(formats), zip(*table.values))]
 
 
 def _text(doc: dict) -> list[str]:
@@ -422,8 +397,8 @@ def cmd_sweep(cfg: RunConfig, p: model.ExchangeParams) -> int:
               "delta_theta_ratios": list(cfg.delta_theta_ratios), "mode": cfg.mode}
     if gates.GATES[cfg.gate].fields:  # B is echoed where it enters the rows
         config["B"] = cfg.B
-    rows = _Table(table._fields, table[:3], list(zip(*table[3:])))  # axes, then values
-    body = {"config": config, "rows": rows, "residual": residual}
+    body = {"config": config, "rows": _Table(table._fields, table[:3], table[3:]),
+            "residual": residual}
     return _report(cfg, p, body, ("isotropization residual", residual))
 
 
@@ -432,11 +407,10 @@ def cmd_thermal(cfg: RunConfig, p: model.ExchangeParams) -> int:
     states = (analysis.thermal_state(model.build_hamiltonian(p), cfg.beta),
               analysis.thermal_state(model.build_isotropic(p.J), cfg.beta))
     c, c0 = analysis.concurrence(np.stack(states)).tolist()
-    rows = [(x, x0, abs(x - x0)) for x, x0 in zip(c, c0)]
+    difference = [abs(x - x0) for x, x0 in zip(c, c0)]
     columns = ("beta", "concurrence", "concurrence_isotropic", "difference")
-    worst = max(d for _, _, d in rows)
-    return _report(cfg, p, {"rows": _Table(columns, (cfg.beta,), rows)},
-                   ("concurrence difference", worst))
+    return _report(cfg, p, {"rows": _Table(columns, (cfg.beta,), (c, c0, difference))},
+                   ("concurrence difference", max(difference)))
 
 
 _COMMANDS = {f.__name__.removeprefix("cmd_"): f for f in (

@@ -1,9 +1,9 @@
 """Grid tables for the writers' properties, and the oracle's reading of their rows.
 
-cli._Table holds a grid: its axes, innermost first, and one row of values per grid
-point.  expanded_rows reads that form one row at a time, by index arithmetic with
-the first axis fastest, so a writer's table can be checked against each value
-formatted on its own.
+cli._Table holds a grid: its axes, innermost first, and one column per value, one
+value per grid point.  expanded_rows reads that form one row at a time, by index
+arithmetic with the first axis fastest, so a writer's table can be checked against
+each value formatted on its own.
 """
 
 import math
@@ -13,16 +13,18 @@ from hypothesis import strategies as st
 
 from spinframe.cli import _Table
 
-CORNERS = (0.0, -0.0, math.inf, -math.inf, math.nan, 5e-324, 1e308)
-NUMBERS = st.one_of(st.sampled_from(CORNERS), st.floats(), st.floats().map(np.float64),
-                    st.integers(-2**53, 2**53))
+# An axis is finite, as both reports' axes are (ratios, betas); a value may be any float.
+FINITE_CORNERS = (0.0, -0.0, 5e-324, -5e-324, 1e308, -1e308)
+CORNERS = (*FINITE_CORNERS, math.inf, -math.inf, math.nan)
+FINITE = st.floats(allow_nan=False, allow_infinity=False)
+VALUES = st.one_of(st.sampled_from(CORNERS), st.floats(), st.floats().map(np.float64))
 # An axis of 1-3 values: numbers with duplicates and corners often, or bools.
-AXES = st.one_of(st.lists(st.sampled_from(CORNERS), min_size=1, max_size=3),
-                 st.lists(NUMBERS, min_size=1, max_size=3),
+AXES = st.one_of(st.lists(st.sampled_from(FINITE_CORNERS), min_size=1, max_size=3),
+                 st.lists(st.one_of(FINITE, FINITE.map(np.float64)), min_size=1, max_size=3),
                  st.lists(st.booleans(), min_size=1, max_size=3))
-# Every corner on three axes whose cells differ by position: a writer that merges
+# Every finite corner on three axes whose cells differ by position: a writer that merges
 # -0.0 with 0.0, or runs an axis other than the first fastest, writes other bytes.
-CORNER_AXES = ((-0.0, 0.0, 0.0, 5e-324), (math.inf, -math.inf, math.nan, 1e308), (False, True))
+CORNER_AXES = ((-0.0, 0.0, 0.0, 5e-324), (1e308, -5e-324, -1e308, 1e308), (False, True))
 
 
 def expanded_rows(table: _Table) -> list[tuple]:
@@ -30,7 +32,7 @@ def expanded_rows(table: _Table) -> list[tuple]:
     sits at the grid point k modulo the grid's size, the first axis fastest."""
     size = math.prod(len(axis) for axis in table.axes)
     rows = []
-    for k, values in enumerate(table.rows):
+    for k, values in enumerate(zip(*table.values)):
         point, rest = [], k % size
         for axis in table.axes:
             point.append(axis[rest % len(axis)])
@@ -40,10 +42,11 @@ def expanded_rows(table: _Table) -> list[tuple]:
 
 
 @st.composite
-def grid_tables(draw, value_rows, names):
-    """A _Table of 0-3 axes (AXES).  value_rows(n) draws (width, rows): n rows of
-    values, n the grid's size, or 0-6 with no axes.  names(k) draws k column names."""
-    axes = tuple(draw(st.lists(AXES, max_size=3)))
-    n = math.prod(map(len, axes)) if axes else draw(st.integers(0, 6))
-    width, rows = draw(value_rows(n))
-    return _Table(draw(names(len(axes) + width)), axes, rows)
+def grid_tables(draw, names):
+    """A _Table of 1-3 axes (AXES) and 1-3 value columns (VALUES), each with one value
+    per grid point.  names(k) draws k column names."""
+    axes = tuple(draw(st.lists(AXES, min_size=1, max_size=3)))
+    n = math.prod(map(len, axes))
+    values = tuple(draw(st.lists(st.lists(VALUES, min_size=n, max_size=n),
+                                 min_size=1, max_size=3)))
+    return _Table(draw(names(len(axes) + len(values))), axes, values)

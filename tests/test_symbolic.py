@@ -14,8 +14,9 @@ exact arithmetic over the rationals, a proof for all omega, theta and J.
 A certificate proves a formula as the source writes it, so the source's own
 functions are called where they take ring elements (model._coupling), and
 transcribed where they use math or cmath (frame._local_rotation, frame.rotation_plan
-and frame.assemble, model.compensating_fields).  A seeded numeric check then ties each source function
-to the certified expression, lambdified, to 1e-14, so a drift in either fails here.
+and frame.assemble, frame.eigenstates and its Bell states, model.compensating_fields).
+A seeded numeric check then ties each source function to the certified expression,
+lambdified, to 1e-14, so a drift in either fails here.
 """
 
 import cmath
@@ -27,7 +28,8 @@ import sympy as sp
 from sympy import QQ
 from sympy.polys.rings import ring
 
-from spinframe.frame import _local_rotation, assemble, rotation_matrix, rotation_plan
+from spinframe.frame import (_local_rotation, assemble, eigenstates, rotation_matrix,
+                             rotation_plan)
 from spinframe.model import (PAIR, S1, S2, ExchangeParams, _angle_terms, _coupling,
                              build_hamiltonian, compensating_fields)
 
@@ -168,6 +170,40 @@ def equal(A, B) -> bool:
     return all(vanishes(A[i][j] - B[i][j]) for i in range(4) for j in range(4))
 
 
+# frame's Bell states, transcribed: 1/sqrt(2) = cos(pi/4).
+R2 = cos(PI / 4)
+PSI_P, PSI_M = [R(0), R2, R2, R(0)], [R(0), R2, -R2, R(0)]
+PHI_P, PHI_M = [R2, R(0), R(0), R2], [R2, R(0), R(0), -R2]
+
+
+def xy_eigenstates():
+    """frame.eigenstates' closed form at orientation xy, transcribed."""
+    c, s, st, ct = cos(OMEGA / 2), sin(OMEGA / 2), sin(THETA), cos(THETA)
+    return (PSI_P,
+            combine((R2 * (st + ct * c), PHI_M), (R2 * I * (ct - st * c), PHI_P),
+                    (-R2 * I * s, PSI_M)),
+            combine((R2 * (ct + st * c), PHI_P), (-R2 * I * (st - ct * c), PHI_M), (R2 * s, PSI_M)),
+            combine((-I * ct * s, PHI_M), (-st * s, PHI_P), (c, PSI_M)))
+
+
+def z_eigenstates():
+    """frame.eigenstates' closed form at orientation z, transcribed with norm = cos(omega/2)
+    and norm tan(omega/2) = sin(omega/2), which hold for omega = atan(b/J) in [0, pi/2)."""
+    c, s = cos(OMEGA / 2), sin(OMEGA / 2)
+    return (PHI_M, PHI_P, combine((c, PSI_P), (I * s, PSI_M)), combine((c, PSI_M), (I * s, PSI_P)))
+
+
+def combine(*terms):
+    """sum_k c_k v_k over (c_k, v_k) pairs, v_k a 4-vector of ring elements."""
+    return [sum((c * v[e] for c, v in terms), R(0)) for e in range(4)]
+
+
+def maps_onto(t, states, targets) -> bool:
+    """t states[k] = targets[k] for each k, entry by entry: not up to a phase."""
+    return all(vanishes(sum((t[i][j] * v[j] for j in range(4)), R(0)) - b[i])
+               for v, b in zip(states, targets) for i in range(4))
+
+
 def isotropizes(t, h) -> bool:
     """t h t^dag = J S1.S2, entry by entry."""
     return rotates_to(t, h, ISOTROPIC)
@@ -185,6 +221,7 @@ B1_Z, B2_Z = z_fields()
 # frame.rotation_plan's angles, transcribed: qubit 1's (alpha, gamma, beta), then qubit 2's.
 PLAN = ((-3 * PI / 4, OMEGA / 2, THETA + PI / 2), (PI / 4, OMEGA / 2, THETA - PI / 2))
 PLAN_Z = ((-OMEGA / 2, 0, 0), (OMEGA / 2, 0, 0))
+XY_STATES, Z_STATES = xy_eigenstates(), z_eigenstates()
 
 
 def test_the_xy_frame_isotropizes_the_coupling_for_every_omega_and_theta():
@@ -228,6 +265,18 @@ def test_the_zyz_plans_assemble_to_the_frame_entry_by_entry():
     assert not equal(assembled(((-3 * PI / 4, OMEGA / 2, THETA - PI / 2), PLAN[1])), T)
     assert not equal(assembled(PLAN), [[-e for e in row] for row in T])
     assert not equal(assembled(PLAN_Z), [[-e for e in row] for row in T_Z])
+
+
+def test_the_frames_map_the_eigenstates_onto_bell_states():
+    """T phi_k is the k-th Bell state exactly, with no phase, as frame.eigenstates' docstring
+    says: (psi+, phi-, phi+, psi-) at orientation xy for every omega and theta, and (phi-,
+    phi+, psi+, psi-) at orientation z for every omega."""
+    assert maps_onto(T, XY_STATES, (PSI_P, PHI_M, PHI_P, PSI_M))
+    assert maps_onto(T_Z, Z_STATES, (PHI_M, PHI_P, PSI_P, PSI_M))
+    # The certificate can fail: phi3's s psi- term with its sign flipped, and psi- up to i.
+    flipped = combine((R(1), XY_STATES[2]), (-2 * R2 * sin(OMEGA / 2), PSI_M))
+    assert not maps_onto(T, (flipped,), (PHI_P,))
+    assert not maps_onto(T_Z, Z_STATES[3:], ([I * e for e in PSI_M],))
 
 
 def lambdified(entries):
@@ -295,3 +344,17 @@ def test_the_plans_source_is_the_certified_assembly_at_seeded_points():
             th = 0.0 if p.theta is None else p.reduced_theta
             np.testing.assert_allclose(assemble(rotation_plan(p)).reshape(-1),
                                        plans[p.orientation](p.omega, th, 1.0), rtol=0, atol=1e-14)
+
+
+def test_the_eigenstates_source_is_the_certified_expression_at_seeded_points():
+    """frame.eigenstates(p) is the certified closed form, lambdified, to 1e-14 at both
+    orientations, theta up to 4 pi either way."""
+    states = {"xy": [lambdified(v) for v in XY_STATES], "z": [lambdified(v) for v in Z_STATES]}
+    rng = random.Random(35)
+    for _ in range(50):
+        tan_omega, theta = math.tan(rng.uniform(0.0, math.pi / 2)), rng.uniform(-13.0, 13.0)
+        for p in (ExchangeParams(1.0, "xy", tan_omega, theta=theta),
+                  ExchangeParams(1.0, "z", tan_omega)):
+            th = 0.0 if p.theta is None else p.reduced_theta
+            for got, want in zip(eigenstates(p), states[p.orientation]):
+                np.testing.assert_allclose(got, want(p.omega, th, 1.0), rtol=0, atol=1e-14)
