@@ -7,7 +7,6 @@ of the anisotropy parameters degrades those gates.
 """
 
 from .analysis import (
-    SweepRow,
     SweepTable,
     concurrence,
     gate_error_sweep,
@@ -58,7 +57,6 @@ __all__ = [
     "CNOT",
     "GateReport",
     "gate_report",
-    "SweepRow",
     "SweepTable",
     "gate_error_sweep",
     "thermal_state",

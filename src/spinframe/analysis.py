@@ -13,29 +13,17 @@ from .frame import rotation_matrix
 from .gates import _row, dress
 
 __all__ = [
-    "SweepRow",
     "SweepTable",
     "gate_error_sweep",
     "thermal_state",
     "concurrence",
 ]
 
-class SweepRow(NamedTuple):
-    """One row of the sweep, as SweepTable.rows() returns it; the fields are its CSV columns."""
-
-    delta_omega_ratio: float
-    delta_theta_ratio: float
-    corrected: bool
-    fidelity: float
-    error: float
-    log10_error: float
-
-
 class SweepTable(NamedTuple):
-    """The sweep's rows as a grid, under SweepRow's field names.  The first three fields are
-    the grid's axes: the sorted omega ratios, the sorted theta ratios and the mode's blocks
-    (corrected or not).  The last three hold one value per row, in CSV order: block, then
-    theta, then omega fastest, so row k sits at omega ratio k % n_w, theta ratio
+    """The sweep's rows as a grid; the field names are its CSV columns.  The first three
+    fields are the grid's axes: the sorted omega ratios, the sorted theta ratios and the
+    mode's blocks (corrected or not).  The last three hold one value per row, in CSV order:
+    block, then theta, then omega fastest, so row k sits at omega ratio k % n_w, theta ratio
     (k // n_w) % n_th and block k // (n_w n_th)."""
 
     delta_omega_ratio: tuple[float, ...]
@@ -44,13 +32,6 @@ class SweepTable(NamedTuple):
     fidelity: tuple[float, ...]
     error: tuple[float, ...]
     log10_error: tuple[float, ...]
-
-    def rows(self) -> tuple[SweepRow, ...]:
-        """The table's rows as SweepRow records, in CSV order."""
-        points = [(r_w, r_th, corrected) for corrected in self.corrected
-                  for r_th in self.delta_theta_ratio for r_w in self.delta_omega_ratio]
-        return tuple(SweepRow._make((*point, *values))
-                     for point, *values in zip(points, *self[3:]))
 
 
 # The CLI's --mode choices in order, each with its blocks: is the pulse sandwiched by T?
@@ -79,13 +60,11 @@ def gate_error_sweep(reference: ExchangeParams, delta_omega_ratios, delta_theta_
     expm_unitary call, dressed (gates.dress) as one array per block.  The target is checked
     unitary once per call, and each block's dressed array once; each block's overlaps u^dag
     target are one stacked product (_overlaps), and a row does only its trace and scalar work,
-    appending its three values to the table's columns; no per-row object is built (the table's
-    rows() builds them on demand).  A row is evaluated at the omega and theta
-    that its ratios give and that were range-checked: its gate is realize's at that point, bit
-    for bit (fields aside), and its fidelity |tr(u^dag target)| / 4.  mode "both" gives the
-    uncorrected block, then the corrected one; inside a block rows are sorted by
-    (delta_theta_ratio, delta_omega_ratio).  The result is a SweepTable: the two sorted axes and
-    the blocks, then the fidelity, error and log10_error of each row in that order.
+    appending its three values to the table's columns; no per-row object is built.  A row is
+    evaluated at the omega and theta that its ratios give and that were range-checked: its gate
+    is realize's at that point, bit for bit (fields aside), and its fidelity
+    |tr(u^dag target)| / 4.  mode "both" gives the uncorrected block, then the corrected one.
+    The result is a SweepTable, whose docstring gives the rows' order.
     error = 1 - fidelity below fidelity 1 and 0 otherwise, which is max(0, 1 - fidelity) for
     every float, and log10_error is its log10 (-inf at 0).  J drops out (only J t enters, and T
     does not depend on J), so rows take J = 1, and B enters as B/J at the reference J.

@@ -108,6 +108,14 @@ def _finite(value) -> float:
     return x
 
 
+def _file_name(value) -> str:
+    """A nonempty string, as out must be: a JSON null, number, bool, list or object names
+    no file, and "" would send the report to stdout."""
+    if not isinstance(value, str) or not value:
+        raise ValueError(f"must be a nonempty file name, got {value!r}")
+    return value
+
+
 def _strict_bool(value) -> bool:
     """A JSON true/false; a string such as "false" or "off" is an error."""
     if not isinstance(value, bool):
@@ -181,7 +189,7 @@ class RunConfig:
         ("sweep",))
     mode: str = _option("both", _Choice(analysis._MODES),
                         "which pulse variants to evaluate (default both)", ("sweep",))
-    out: str | None = _option(None, str, "write the report to this file")
+    out: str | None = _option(None, _file_name, "write the report to this file")
     format: str | None = _option(None, _Choice(("csv", "json")), "output document format")
     tol: float = _option(1e-12, _finite_nonnegative,
                          "verification tolerance, finite and >= 0 (default 1e-12)")

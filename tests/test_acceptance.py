@@ -80,8 +80,7 @@ def test_4_error_study_decades(capsys):
 
     def errors(corrected, dth):
         mode = "corrected" if corrected else "uncorrected"
-        table = sf.gate_error_sweep(reference, ratios, (dth,), mode=mode)
-        return [row.error for row in table.rows()]
+        return sf.gate_error_sweep(reference, ratios, (dth,), mode=mode).error
 
     ok = True
     uncorrected = errors(False, 0.1)

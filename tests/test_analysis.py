@@ -167,28 +167,34 @@ def test_concurrence_refuses_a_nan_off_diagonal_pair():
 
 
 REFERENCE = ExchangeParams(1.0, "xy", 5e-3, theta=THETA0)
+# Each mode's blocks, the table's third axis: is the pulse sandwiched by T?
+BLOCKS = {"both": (False, True), "uncorrected": (False,), "corrected": (True,)}
 
 
 def sweep(corrected, dths, dws=(0.0, 0.05, 0.1)):
     mode = "corrected" if corrected else "uncorrected"
-    return gate_error_sweep(REFERENCE, dws, dths, mode=mode).rows()
+    return gate_error_sweep(REFERENCE, dws, dths, mode=mode)
 
 
 def test_sweep_exact_parameters_give_exact_gate():
-    rows = sweep(True, (0.0,), (0.0,))
-    assert rows[0].error < 1e-12
-    assert rows[0].fidelity == pytest.approx(1.0, abs=1e-12)
+    table = sweep(True, (0.0,), (0.0,))
+    assert table.error[0] < 1e-12
+    assert table.fidelity[0] == pytest.approx(1.0, abs=1e-12)
 
 
 def test_sweep_frozen_endpoints():
     """Regression anchors for the error curves at the reference point."""
-    got = {row.delta_omega_ratio: row.error for row in sweep(False, (0.1,))}
+    def errors(corrected, dth):  # one theta ratio, one block: the errors run along omega
+        table = sweep(corrected, (dth,))
+        return dict(zip(table.delta_omega_ratio, table.error))
+
+    got = errors(False, 0.1)
     assert got[0.0] == pytest.approx(6.249882815057006e-06, rel=1e-6)
     assert got[0.1] == pytest.approx(7.562354898071888e-06, rel=1e-6)
-    got = {row.delta_omega_ratio: row.error for row in sweep(True, (0.1,))}
+    got = errors(True, 0.1)
     assert got[0.0] == pytest.approx(4.2591914028999867e-07, rel=1e-6)
     assert got[0.1] == pytest.approx(5.310098897259863e-07, rel=1e-6)
-    got = {row.delta_omega_ratio: row.error for row in sweep(True, (0.01,))}
+    got = errors(True, 0.01)
     assert got[0.0] == pytest.approx(4.283357557532952e-09, rel=1e-6)
     assert got[0.1] == pytest.approx(6.721064937931231e-08, rel=1e-6)
 
@@ -197,24 +203,24 @@ def test_sweep_correction_never_hurts():
     dws = tuple(float(x) for x in np.linspace(0.0, 0.1, 11))
     plain = sweep(False, (0.1, 0.01), dws)
     fixed = sweep(True, (0.1, 0.01), dws)
-    for a, b in zip(fixed, plain):
-        assert (a.delta_omega_ratio, a.delta_theta_ratio) == (
-            b.delta_omega_ratio,
-            b.delta_theta_ratio,
-        )
-        assert a.error <= b.error
+    assert fixed[:2] == plain[:2]
+    for a, b in zip(fixed.error, plain.error):
+        assert a <= b
 
 
 def test_sweep_rows_sorted_by_theta_then_omega():
-    rows = sweep(True, (0.1, 0.01), (0.1, 0.0))
-    keys = [(r.delta_theta_ratio, r.delta_omega_ratio) for r in rows]
-    assert keys == sorted(keys)
+    """The axes come sorted, and row k is the point at omega ratio k % 2, theta ratio k // 2."""
+    table = sweep(True, (0.1, 0.01), (0.1, 0.0))
+    assert table[:3] == ((0.0, 0.1), (0.01, 0.1), (True,))
+    expected = [sweep(True, (r_th,), (r_w,)).error[0]
+                for r_th in (0.01, 0.1) for r_w in (0.0, 0.1)]
+    assert list(table.error) == expected
 
 
 def test_sweep_other_gates_run():
     for gate in ("sqrt_swap", "cnot"):
-        rows = gate_error_sweep(REFERENCE, (0.0,), (0.0,), gate, "corrected").rows()
-        assert rows[0].error < 1e-9
+        table = gate_error_sweep(REFERENCE, (0.0,), (0.0,), gate, "corrected")
+        assert table.error[0] < 1e-9
 
 
 def test_sweep_config_validation():
@@ -290,13 +296,14 @@ def test_sweep_error_gives_b_over_J_and_omega0_when_atan_rounds_to_a_quarter_tur
     assert str(info.value) == (
         "delta_omega_ratios value 0.0 puts omega0 (1 + r) = 1.5707963267948966 outside"
         " [0, pi/2), with omega0 = atan(b/J) = 1.5707963267948966 at b/J = 2e+16")
-    rows = gate_error_sweep(reference, (-0.5, -0.1), (0.0,), mode="corrected").rows()
-    assert [row.delta_omega_ratio for row in rows] == [-0.5, -0.1]
+    table = gate_error_sweep(reference, (-0.5, -0.1), (0.0,), mode="corrected")
+    assert table[:3] == ((-0.5, -0.1), (0.0,), (True,))
+    assert len(table.error) == 2
 
 
 def test_sweep_config_accepts_omega_zero():
-    (row,) = sweep(False, (0.0,), (-1.0,))
-    assert row.error < 1e-12
+    (error,) = sweep(False, (0.0,), (-1.0,)).error
+    assert error < 1e-12
 
 
 def test_every_table_gate_has_its_public_function():
@@ -318,11 +325,11 @@ def test_sweep_at_zero_misestimation_is_the_public_gate(gate, t0):
     p = ExchangeParams(1.0, "xy", t0, theta=THETA0)
     spec, d = GATES[gate], gates.rz(-GATES[gate].area * 0.7)
     target = spec.target @ np.kron(d, d) if spec.fields else spec.target
-    rows = {row.corrected: row
-            for row in gate_error_sweep(p, (0.0,), (0.0,), gate, B=0.7).rows()}
+    table = gate_error_sweep(p, (0.0,), (0.0,), gate, B=0.7)
+    fidelities = dict(zip(table.corrected, table.fidelity))
     public = gates.gate_report(gate, p, B=0.7)
-    assert rows[True].fidelity == fidelity(public.matrix, target)
-    assert rows[False].fidelity == fidelity(gates.realize(gate, p, B=0.7), target)
+    assert fidelities[True] == fidelity(public.matrix, target)
+    assert fidelities[False] == fidelity(gates.realize(gate, p, B=0.7), target)
 
 
 @pytest.mark.parametrize("gate", ["swap", "cnot"])
@@ -338,14 +345,15 @@ def test_sweep_exponentiates_each_grid_point_once(monkeypatch, gate, mode):
 
     monkeypatch.setattr(analysis, "expm_unitary", counted)
     reference = ExchangeParams(1.0, "xy", 0.1, theta=THETA0)
-    rows = gate_error_sweep(reference, (-0.1, 0.0, 0.1), (0.0, 0.2), gate, mode).rows()
-    assert len(rows) == 6 * (2 if mode == "both" else 1)
+    table = gate_error_sweep(reference, (-0.1, 0.0, 0.1), (0.0, 0.2), gate, mode)
+    assert table[:3] == ((-0.1, 0.0, 0.1), (0.0, 0.2), BLOCKS[mode])
+    assert len(table.error) == 6 * len(BLOCKS[mode])
     # One call, whose (theta, omega) array holds the Hamiltonian of each of the 6 grid
     # points: member [i, j] is row 3 i + j's, as the rows run theta outer, omega inner.
     (stack,) = calls
     assert stack.shape == (2, 3, 4, 4)
-    grid = [(reference.omega * (1 + row.delta_omega_ratio), THETA0 * (1 + row.delta_theta_ratio))
-            for row in rows[:6]]
+    grid = [(reference.omega * (1 + r_w), THETA0 * (1 + r_th))
+            for r_th in (0.0, 0.2) for r_w in (-0.1, 0.0, 0.1)]
     assert np.array_equal(stack, np.stack([point_hamiltonian(*point) for point in grid])
                           .reshape(2, 3, 4, 4))
 
@@ -374,7 +382,7 @@ def test_sweep_builds_no_exchange_params_per_grid_point(monkeypatch):
 
     monkeypatch.setattr(ExchangeParams, "__post_init__", counted)
     ratios = (-0.2, -0.1, 0.0, 0.1, 0.2)
-    assert len(gate_error_sweep(reference, ratios, ratios).rows()) == 50
+    assert len(gate_error_sweep(reference, ratios, ratios).error) == 50
     assert built == []
 
 
@@ -431,21 +439,20 @@ def test_sweep_checks_the_target_once_and_each_block_once(monkeypatch, gate, mod
 
     monkeypatch.setattr(analysis, "require_unitary", counted)
     reference = ExchangeParams(1.0, "xy", 0.1, theta=THETA0)
-    rows = gate_error_sweep(reference, (-0.1, 0.0, 0.1), (0.0, 0.2), gate, mode,
-                            B=0.6).rows()
-    blocks = [rows[:6], rows[6:]] if mode == "both" else [rows]
+    table = gate_error_sweep(reference, (-0.1, 0.0, 0.1), (0.0, 0.2), gate, mode, B=0.6)
+    assert table[:3] == ((-0.1, 0.0, 0.1), (0.0, 0.2), BLOCKS[mode])
     # The target's check (psw's at B = 0.6 J), then one check per block of a (theta, omega)
     # array whose member [i, j] is the gate of its row 3 i + j.
     (name, target), *stacks = checked
     assert name == f"target {GATES[gate].target_label}"
     assert np.array_equal(target, point_target(gate, 0.6))
-    assert [name for name, _ in stacks] == ["u"] * len(blocks)
-    for (_, stack), block in zip(stacks, blocks):
+    assert [name for name, _ in stacks] == ["u"] * len(BLOCKS[mode])
+    for (_, stack), corrected in zip(stacks, BLOCKS[mode]):
         assert stack.shape == (2, 3, 4, 4)
-        frame = rotation_matrix(reference) if block[0].corrected else None
-        want = np.stack([point_gate(gate, reference.omega * (1 + row.delta_omega_ratio),
-                                    THETA0 * (1 + row.delta_theta_ratio), frame, 0.6, reference)
-                         for row in block])
+        frame = rotation_matrix(reference) if corrected else None
+        want = np.stack([point_gate(gate, reference.omega * (1 + r_w), THETA0 * (1 + r_th),
+                                    frame, 0.6, reference)
+                         for r_th in (0.0, 0.2) for r_w in (-0.1, 0.0, 0.1)])
         np.testing.assert_allclose(stack, want.reshape(2, 3, 4, 4), rtol=0.0, atol=1e-14)
 
 
@@ -483,4 +490,4 @@ def test_readme_library_example_runs():
     (code,) = re.findall(r"```python\n(.*?)```", section, re.S)
     namespace = {}
     exec(compile(code, "README.md", "exec"), namespace)
-    assert len(namespace["rows"]) == 100
+    assert len(namespace["table"].error) == 100

@@ -725,6 +725,58 @@ def test_a_hash_inside_a_quoted_config_value_is_kept(capsys, tmp_path, monkeypat
     assert sorted(p.name for p in tmp_path.iterdir()) == ["run#1.json", "run.cfg"]
 
 
+@pytest.mark.parametrize("name, text, shown", [
+    ("run.cfg", "out = null", "None"),
+    ("run.cfg", "out = 1e3", "1000.0"),
+    ("run.cfg", "out = false", "False"),
+    ("run.cfg", "out = [1]", "[1]"),
+    ("run.cfg", 'out = ""', "''"),
+    ("run.json", '"out": {"a": 1}', "{'a': 1}"),
+    ("run.json", '"out": null', "None"),
+    ("run.json", '"out": 2', "2"),
+], ids=["flat-null", "flat-number", "flat-false", "flat-list", "flat-empty", "json-object",
+        "json-null", "json-number"])
+def test_a_config_out_that_is_not_a_nonempty_string_exits_1_naming_out(capsys, tmp_path,
+                                                                       monkeypatch, name, text,
+                                                                       shown):
+    """A config value of another JSON type is not turned into a file name: it is refused
+    by out's option row before any command computes, and no file is written."""
+    monkeypatch.chdir(tmp_path)
+    cfg = tmp_path / name
+    cfg.write_text(f"orientation = z\ntan_omega = 0.1\n{text}\n" if name.endswith(".cfg") else
+                   f'{{"orientation": "z", "tan_omega": 0.1, {text}}}')
+    code, out, err = _run_in_process(capsys, "transform", "--config", str(cfg))
+    assert (code, out, err) == (1, "", f"error: out: must be a nonempty file name, got {shown}\n")
+    assert [p.name for p in tmp_path.iterdir()] == [name]
+
+
+@pytest.mark.parametrize("command", ["transform", "sweep"])
+def test_an_empty_out_flag_exits_1_naming_out(capsys, tmp_path, monkeypatch, command):
+    """--out "" is refused, where it sent the report to stdout."""
+    monkeypatch.chdir(tmp_path)
+    code, out, err = _run_in_process(capsys, command, *XY_ARGS, "--out", "")
+    assert (code, out, err) == (1, "", "error: out: must be a nonempty file name, got ''\n")
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("name, text", [
+    ("run.cfg", "out = report.json"),
+    ("run.json", '"out": "report.json"'),
+], ids=["flat", "json"])
+def test_a_config_out_string_names_the_file_written(capsys, tmp_path, monkeypatch, name, text):
+    """A bare flat value and a JSON string are file names (a quoted flat value is
+    test_a_hash_inside_a_quoted_config_value_is_kept's)."""
+    monkeypatch.chdir(tmp_path)
+    cfg = tmp_path / name
+    cfg.write_text(f"orientation = z\ntan_omega = 0.1\n{text}\n" if name.endswith(".cfg") else
+                   f'{{"orientation": "z", "tan_omega": 0.1, {text}}}')
+    assert _run_in_process(capsys, "transform", "--config", str(cfg)) == (0, "", "")
+    assert sorted(p.name for p in tmp_path.iterdir()) == sorted([name, "report.json"])
+    want = _run_in_process(capsys, "transform", "--orientation", "z", "--tan-omega", "0.1",
+                           "--format", "json")
+    assert (tmp_path / "report.json").read_text() == want[1]
+
+
 PSW_ARGS = ("gate", "--orientation", "xy", "--theta", "0.3", "--tan-omega", "0.37", "--gate", "psw")
 
 

@@ -24,7 +24,6 @@ PUBLIC = [
     "CNOT",
     "GateReport",
     "gate_report",
-    "SweepRow",
     "SweepTable",
     "gate_error_sweep",
     "thermal_state",
@@ -35,7 +34,7 @@ PUBLIC = [
 ]
 
 
-def test_package_exports_exactly_its_25_names():
+def test_package_exports_exactly_its_24_names():
     assert sf.__all__ == PUBLIC
     assert all(hasattr(sf, name) for name in PUBLIC)
     assert sf.kron is linalg.kron

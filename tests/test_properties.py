@@ -304,8 +304,9 @@ ROUND_TRIP_MOVES = (ExchangeParams(1.0, "xy", 0.23, theta=0.3), [0.0, 0.1], [0.0
 
 
 def test_the_above_one_example_has_a_fidelity_above_one():
-    fidelities = [row.fidelity for row in gate_error_sweep(*ABOVE_ONE).rows()
-                  if row.corrected and row.delta_omega_ratio == 0.0]
+    table = gate_error_sweep(*ABOVE_ONE)
+    assert table[:3] == ((0.0, 0.05), (0.0, -0.0), (False, True))
+    fidelities = table.fidelity[4::2]  # the corrected block's rows at omega ratio 0
     assert len(fidelities) == 2 and min(fidelities) > 1.0
 
 
@@ -317,24 +318,26 @@ def test_sweep_rows_are_the_per_point_oracle(case):
     """Every row of every gate, psw with its fields set at the reference, is its point's
     gate and fidelity, bit for bit."""
     reference, dws, dths, gate, mode, B = case
-    rows = gate_error_sweep(reference, dws, dths, gate, mode, B).rows()
+    table = gate_error_sweep(reference, dws, dths, gate, mode, B)
+    blocks = {"both": (False, True), "uncorrected": (False,), "corrected": (True,)}[mode]
+    assert table[:3] == (tuple(sorted(dws)), tuple(sorted(dths)), blocks)
     expected = []
-    for corrected in {"both": (False, True), "uncorrected": (False,), "corrected": (True,)}[mode]:
+    for corrected in blocks:
         frame = rotation_matrix(reference) if corrected else None
         for r_th in sorted(dths):
             for r_w in sorted(dws):
                 u = point_gate(gate, reference.omega * (1.0 + r_w),
                                reference.theta * (1.0 + r_th), frame, B, reference)
                 f = fidelity(u, point_target(gate, B))
-                expected.append((r_w, r_th, corrected, f, max(0.0, 1.0 - f)))
-    assert [row[:5] for row in rows] == expected
-    for row in rows:
-        assert row.log10_error == (math.log10(row.error) if row.error > 0 else -math.inf)
-        if row.fidelity >= 1.0:
-            assert (row.error, row.log10_error) == (0.0, -math.inf)
+                expected.append((f, max(0.0, 1.0 - f)))
+    assert list(zip(table.fidelity, table.error)) == expected
+    for f, e, log10_e in zip(*table[3:]):
+        assert log10_e == (math.log10(e) if e > 0 else -math.inf)
+        if f >= 1.0:
+            assert (e, log10_e) == (0.0, -math.inf)
     if not GATES[gate].fields or B * 2.5 / 2.5 == B:  # rows depend on J only through B/J
         scaled = gate_error_sweep(replace(reference, J=2.5), dws, dths, gate, mode, B * 2.5)
-        assert scaled.rows() == rows
+        assert scaled == table
     with pytest.raises(ValueError, match="sweep requires orientation xy"):
         gate_error_sweep(ExchangeParams(1.0, "z", reference.b_over_J), dws, dths, gate, mode, B)
 
@@ -343,10 +346,10 @@ def test_sweep_rows_are_the_per_point_oracle(case):
 @given(sweep_cases(), st.data())
 def test_permuting_either_ratio_list_gives_the_same_rows(case, data):
     reference, dws, dths, gate, mode, B = case
-    rows = gate_error_sweep(reference, dws, dths, gate, mode, B).rows()
+    table = gate_error_sweep(reference, dws, dths, gate, mode, B)
     for permuted in ((data.draw(st.permutations(dws)), dths),
                      (dws, data.draw(st.permutations(dths)))):
-        assert gate_error_sweep(reference, *permuted, gate, mode, B).rows() == rows
+        assert gate_error_sweep(reference, *permuted, gate, mode, B) == table
 
 
 @PROPERTY
@@ -354,11 +357,11 @@ def test_permuting_either_ratio_list_gives_the_same_rows(case, data):
 def test_corrected_psw_rows_at_zero_field_are_the_swap_rows(case):
     """At B = 0 the fields vanish, so psw is swap: its corrected rows agree to 1e-15."""
     reference, dws, dths = case[:3]
-    psw, swap = (gate_error_sweep(reference, dws, dths, gate, "corrected", 0.0).rows()
+    psw, swap = (gate_error_sweep(reference, dws, dths, gate, "corrected", 0.0)
                  for gate in ("psw", "swap"))
-    assert [row[:3] for row in psw] == [row[:3] for row in swap]
-    for a, b in zip(psw, swap):
-        assert abs(a.fidelity - b.fidelity) <= 1e-15 and abs(a.error - b.error) <= 1e-15
+    assert psw[:3] == swap[:3]
+    for a, b in zip(psw.fidelity + psw.error, swap.fidelity + swap.error):
+        assert abs(a - b) <= 1e-15
 
 
 def corrected_errors(reference, r_w, r_th, B):

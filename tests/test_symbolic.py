@@ -3,18 +3,20 @@
 Each angle enters through a unit-modulus exponential, so every matrix entry is a
 Laurent polynomial with rational coefficients in
 
-    a = e^{i pi/8},  z = e^{i omega/4},  q = e^{i theta/2},  and J,
+    a = e^{i pi/8},  z = e^{i omega/4},  q = e^{i theta/2},  f = e^{i pi b/2},  and J,
 
 with i = a^4 and cos, sin written through e^{+-i phase}.  Each generator has its
 inverse beside it in the ring, so the complex conjugate of an entry swaps every
 generator with its inverse.  An identity holds when every coefficient of the
 difference vanishes once a^8 = -1 (the minimal polynomial of a) is applied: that is
-exact arithmetic over the rationals, a proof for all omega, theta and J.
+exact arithmetic over the rationals, a proof for all omega, theta, J and the field
+b = B/J, which enters only through the field phase f.
 
 A certificate proves a formula as the source writes it, so the source's own
 functions are called where they take ring elements (model._coupling), and
 transcribed where they use math or cmath (frame._local_rotation, frame.rotation_plan
-and frame.assemble, frame.eigenstates and its Bell states, model.compensating_fields).
+and frame.assemble, frame.eigenstates and its Bell states, model.compensating_fields,
+psw's target in gates._row).
 A seeded numeric check then ties each source function to the certified expression,
 lambdified, to 1e-14, so a drift in either fails here.
 """
@@ -30,21 +32,22 @@ from sympy.polys.rings import ring
 
 from spinframe.frame import (_local_rotation, assemble, eigenstates, rotation_matrix,
                              rotation_plan)
+from spinframe.gates import SWAP, _row, gate_report
 from spinframe.model import (PAIR, S1, S2, ExchangeParams, _angle_terms, _coupling,
                              build_hamiltonian, compensating_fields)
 
-R, a, ai, z, zi, q, qi, J = ring("a ai z zi q qi J", QQ)
+R, a, ai, z, zi, q, qi, f, fi, J = ring("a ai z zi q qi f fi J", QQ)
 I = a**4
-# Phases are linear in pi/8, omega/4 and theta/2, which cis turns into exponents.
-P, W, Q = sp.symbols("P W Q")
-PI, OMEGA, THETA = 8 * P, 4 * W, 2 * Q
+# Phases are linear in pi/8, omega/4, theta/2 and pi b/2, which cis turns into exponents.
+P, W, Q, F = sp.symbols("P W Q F")
+PI, OMEGA, THETA, FIELD_PHASE = 8 * P, 4 * W, 2 * Q, 2 * F  # FIELD_PHASE = pi b
 
 
 def cis(phase):
     """e^{i phase} as a ring monomial."""
     phase = sp.expand(phase)
     monomial = R(1)
-    for unit, g, g_inv in ((P, a, ai), (W, z, zi), (Q, q, qi)):
+    for unit, g, g_inv in ((P, a, ai), (W, z, zi), (Q, q, qi), (F, f, fi)):
         n = int(phase.coeff(unit))
         monomial *= g**n if n >= 0 else g_inv**-n
     return monomial
@@ -59,8 +62,8 @@ def sin(phase):
 
 
 def conj(p):
-    """The complex conjugate for real omega, theta and J: each generator to its inverse."""
-    return R({(m[1], m[0], m[3], m[2], m[5], m[4], m[6]): c for m, c in p.terms()})
+    """The complex conjugate for real omega, theta, b and J: each generator to its inverse."""
+    return R({(m[1], m[0], m[3], m[2], m[5], m[4], m[7], m[6], m[8]): c for m, c in p.terms()})
 
 
 def vanishes(p) -> bool:
@@ -68,7 +71,7 @@ def vanishes(p) -> bool:
     reduced = {}
     for m, c in p.terms():
         n = m[0] - m[1]
-        key = (n % 8, m[2] - m[3], m[4] - m[5], m[6])
+        key = (n % 8, m[2] - m[3], m[4] - m[5], m[6] - m[7], m[8])
         reduced[key] = reduced.get(key, 0) + (-c if n // 8 % 2 else c)
     return not any(reduced.values())
 
@@ -158,10 +161,17 @@ ISOTROPIC = pair_sum([J, 0, 0, 0, J, 0, 0, 0, J])
 UNIFORM_Z = field_sum((0, 0, 1), (0, 0, 1))  # S1z + S2z
 
 
+def dagger(t):
+    return [[conj(t[j][i]) for j in range(4)] for i in range(4)]
+
+
+def diagonal(entries):
+    return [[entries[i] if i == j else R(0) for j in range(4)] for i in range(4)]
+
+
 def rotates_to(t, h, target) -> bool:
     """t h t^dag = target, entry by entry."""
-    t_dag = [[conj(t[j][i]) for j in range(4)] for i in range(4)]
-    rotated = matmul(matmul(t, h), t_dag)
+    rotated = matmul(matmul(t, h), dagger(t))
     return all(vanishes(rotated[i][j] - target[i][j]) for i in range(4) for j in range(4))
 
 
@@ -279,13 +289,42 @@ def test_the_frames_map_the_eigenstates_onto_bell_states():
     assert not maps_onto(T_Z, Z_STATES[3:], ([I * e for e in PSI_M],))
 
 
+# The singlet/triplet basis (up-up, T0, S, down-down) as the columns of V, where S1.S2 has
+# the eigenvalues EXCHANGE and S1z + S2z the eigenvalues MAGNETIZATION.
+V = [[R(1), R(0), R(0), R(0)], [R(0), R2, R2, R(0)], [R(0), R2, -R2, R(0)],
+     [R(0), R(0), R(0), R(1)]]
+EXCHANGE = (sp.Rational(1, 4), sp.Rational(1, 4), sp.Rational(-3, 4), sp.Rational(1, 4))
+MAGNETIZATION = (1, 0, 0, -1)
+# exp(-i pi (S1.S2 + b (S1z + S2z))): both terms are diagonal in V's basis, so there the
+# exponential is the diagonal of each eigenvalue's phase, exactly.
+PSW_PULSE = matmul(matmul(V, diagonal([cis(-PI * e - FIELD_PHASE * m)
+                                       for e, m in zip(EXCHANGE, MAGNETIZATION)])), dagger(V))
+SWAP_R = [[R(int(x.real)) for x in row] for row in SWAP]
+PSW_TARGET = matmul(SWAP_R, kron(rz(-FIELD_PHASE), rz(-FIELD_PHASE)))  # SWAP.(D x D)
+
+
+def test_the_psw_pulse_in_the_frame_is_its_target_times_a_global_phase_for_every_b():
+    """exp(-i pi (S1.S2 + b (S1z + S2z))) = e^{-i pi/4} SWAP.(D x D) exactly, D = Rz(-pi b),
+    for every b: the pulse that T carries psw's to (its H/J and its fields) is psw's target
+    up to a global phase.  V diagonalizes both terms, from model.PAIR, S1 and S2."""
+    assert rotates_to(dagger(V), pair_sum([1, 0, 0, 0, 1, 0, 0, 0, 1]),
+                      diagonal([R(QQ(e.p, e.q)) for e in EXCHANGE]))
+    assert rotates_to(dagger(V), UNIFORM_Z, diagonal([R(m) for m in MAGNETIZATION]))
+    assert equal(PSW_PULSE, [[cis(-PI / 4) * e for e in row] for row in PSW_TARGET])
+    # The certificate can fail: D = Rz(+pi b), and the target without its global phase.
+    flipped = matmul(SWAP_R, kron(rz(FIELD_PHASE), rz(FIELD_PHASE)))
+    assert not equal(PSW_PULSE, [[cis(-PI / 4) * e for e in row] for row in flipped])
+    assert not equal(PSW_PULSE, PSW_TARGET)
+
+
 def lambdified(entries):
-    """Each ring element as a numpy function of (omega, theta, J)."""
+    """Each ring element as a numpy function of (omega, theta, J, b)."""
     functions = [sp.lambdify(R.symbols, e.as_expr()) for e in entries]
 
-    def evaluate(omega, theta, j):
+    def evaluate(omega, theta, j, b=0.0):
         a_, z_, q_ = cmath.exp(1j * math.pi / 8), cmath.exp(0.25j * omega), cmath.exp(0.5j * theta)
-        values = (a_, 1 / a_, z_, 1 / z_, q_, 1 / q_, j)
+        f_ = cmath.exp(0.5j * math.pi * b)
+        values = (a_, 1 / a_, z_, 1 / z_, q_, 1 / q_, f_, 1 / f_, j)
         return np.array([complex(f(*values)) for f in functions])
 
     return evaluate
@@ -358,3 +397,21 @@ def test_the_eigenstates_source_is_the_certified_expression_at_seeded_points():
             th = 0.0 if p.theta is None else p.reduced_theta
             for got, want in zip(eigenstates(p), states[p.orientation]):
                 np.testing.assert_allclose(got, want(p.omega, th, 1.0), rtol=0, atol=1e-14)
+
+
+def test_the_psw_target_source_is_the_certified_form_at_seeded_points():
+    """gates._row("psw", p, B)'s target is the certified SWAP.(D x D), lambdified, to 1e-14
+    for B/J up to 30 either way, and gate_report's psw matrix, its pulse in the frame T(p),
+    is the certified exponential."""
+    target, pulse = lambdified(flat(PSW_TARGET)), lambdified(flat(PSW_PULSE))
+    rng = random.Random(36)
+    for _ in range(50):
+        j = 10 ** rng.uniform(-1.0, 1.0)
+        p = ExchangeParams(j, "xy", math.tan(rng.uniform(0.0, math.pi / 2)),
+                           theta=rng.uniform(-2 * math.pi, 2 * math.pi))
+        B = rng.uniform(-3.0, 3.0)
+        b = B / j
+        np.testing.assert_allclose(_row("psw", p, B)[2].reshape(-1), target(0.0, 0.0, j, b),
+                                   rtol=0, atol=1e-14)
+        np.testing.assert_allclose(gate_report("psw", p, B).matrix.reshape(-1),
+                                   pulse(0.0, 0.0, j, b), rtol=0, atol=1e-12)
