@@ -98,7 +98,7 @@ def gate_error_sweep(reference: ExchangeParams, delta_omega_ratios, delta_theta_
     fidelity, error, log10_error = [], [], []
     for corrected in _MODES[mode]:
         sandwich = rotation_matrix(reference) if corrected else None
-        dressed = require_unitary(dress(pulses, sandwich, gate), "u")
+        dressed = require_unitary(dress(pulses, sandwich, spec), "u")
         for m in _overlaps(dressed, target).reshape(-1, 4, 4):  # theta, then omega fastest
             f = float(abs(m.trace())) / 4.0  # np.trace's method, undispatched
             e = 1.0 - f if f < 1.0 else 0.0  # max(0.0, 1.0 - f), nan included

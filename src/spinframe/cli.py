@@ -42,20 +42,23 @@ def _number(value) -> float:
 
 
 def parse_angle(value) -> float:
-    """Angle in radians; strings may use the form Npi/M, e.g. 5pi/6 or -pi/2."""
+    """Angle in radians; strings may use the form Npi/M, e.g. 5pi/6 or -pi/2.  The angle
+    must be finite: nan, inf and a value past the float range (1e400) are refused."""
     if isinstance(value, (int, float)):
-        return _number(value)
-    text = str(value).strip().replace(" ", "")
-    m = _ANGLE_RE.match(text)
-    if m:
+        angle = _number(value)
+    elif m := _ANGLE_RE.match(text := str(value).strip().replace(" ", "")):
         sign, n, d = m.groups()
         if d is not None and int(d) == 0:
             raise ValueError(f"zero denominator in angle {value!r}")
-        return (-1.0 if sign == "-" else 1.0) * float(n or 1) * math.pi / float(d or 1)
-    try:
-        return float(text)
-    except ValueError:
-        raise ValueError(f"cannot parse angle {value!r}") from None
+        angle = (-1.0 if sign == "-" else 1.0) * float(n or 1) * math.pi / float(d or 1)
+    else:
+        try:
+            angle = float(text)
+        except ValueError:
+            raise ValueError(f"cannot parse angle {value!r}") from None
+    if not math.isfinite(angle):
+        raise ValueError(f"must be finite, got {value!r}")
+    return angle
 
 
 def load_config(path: str) -> dict:

@@ -74,20 +74,6 @@ class GateReport:
     target_label: str
 
 
-def dress(u: np.ndarray, frame: np.ndarray | None, gate: str) -> np.ndarray:
-    """A bare pulse u = exp(-i H t), or a stack (..., 4, 4) of them, as the GATES row
-    gate: frame u frame^dag (u when frame is None), then, for a row with a sequence
-    (left, middle, right), left . u . middle . u . right.  Any other gate, None included,
-    is refused."""
-    sequence = _gate_spec(gate).sequence
-    if frame is not None:
-        u = frame @ u @ frame.conj().T
-    if sequence is None:
-        return u
-    left, middle, right = sequence
-    return left @ u @ middle @ u @ right
-
-
 # A gate: pulse area J t, target, target label, report label, whether it has fields (_row),
 # and the pulse sequence (left, middle, right) that dress applies, or None.
 GateSpec = namedtuple("GateSpec", "area target target_label label fields sequence")
@@ -100,11 +86,16 @@ GATES = {
 }
 
 
-def _gate_spec(gate: str) -> GateSpec:
-    """GATES[gate]; a gate not in the table is a ValueError that names the table's gates."""
-    if gate not in GATES:
-        raise ValueError(f"gate must be one of {sorted(GATES)}")
-    return GATES[gate]
+def dress(u: np.ndarray, frame: np.ndarray | None, spec: GateSpec) -> np.ndarray:
+    """A bare pulse u = exp(-i H t), or a stack (..., 4, 4) of them, as the gate of the
+    GATES row spec: frame u frame^dag (u when frame is None), then, for a row with a
+    sequence (left, middle, right), left . u . middle . u . right."""
+    if frame is not None:
+        u = frame @ u @ frame.conj().T
+    if spec.sequence is None:
+        return u
+    left, middle, right = spec.sequence
+    return left @ u @ middle @ u @ right
 
 
 def _row(gate: str, p: ExchangeParams, B: float | None) -> tuple:
@@ -113,7 +104,9 @@ def _row(gate: str, p: ExchangeParams, B: float | None) -> tuple:
     B2.S2, T(p) carries to B/J (S1z + S2z), commuting with the exchange: its target gains
     D x D, D = Rz(-area B/J).  B/J must be finite, and an ulp of the field phase B pi/J at
     most UNITARY_TOL, which every matrix is held to: |B/J| >= 2^19/pi is refused."""
-    spec = _gate_spec(gate)
+    if gate not in GATES:
+        raise ValueError(f"gate must be one of {sorted(GATES)}")
+    spec = GATES[gate]
     if not spec.fields:
         return spec, None, spec.target, spec.label
     if B is None:
@@ -130,11 +123,11 @@ def _row(gate: str, p: ExchangeParams, B: float | None) -> tuple:
 
 
 def _realize(gate: str, p: ExchangeParams, frame: np.ndarray | None, B) -> tuple:
-    """(gate matrix, target, label) of GATES[gate] at p and field B, in frame."""
+    """(gate matrix, GATES row, target, label) of GATES[gate] at p and field B, in frame."""
     spec, term, target, label = _row(gate, p, B)
     h = build_hamiltonian(p) / p.J
-    return (dress(expm_unitary(h if term is None else h + term, spec.area), frame, gate),
-            target, label)
+    return (dress(expm_unitary(h if term is None else h + term, spec.area), frame, spec),
+            spec, target, label)
 
 
 def realize(gate: str, p: ExchangeParams, frame: np.ndarray | None = None,
@@ -146,5 +139,5 @@ def realize(gate: str, p: ExchangeParams, frame: np.ndarray | None = None,
 
 def gate_report(gate: str, p: ExchangeParams, B: float | None = None) -> GateReport:
     """GATES[gate] (at field B) realized in the frame T(p), with its distance to target."""
-    u, target, label = _realize(gate, p, rotation_matrix(p), B)
-    return GateReport(u, label, phase_distance(u, target), GATES[gate].target_label)
+    u, spec, target, label = _realize(gate, p, rotation_matrix(p), B)
+    return GateReport(u, label, phase_distance(u, target), spec.target_label)

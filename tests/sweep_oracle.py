@@ -39,10 +39,11 @@ def point_gate(gate, omega, theta, frame=None, B=0.0, estimate=None):
     field row's pulse adds the compensating fields of B (in units of J = 1) set at the
     estimate, an ExchangeParams, as realize adds its own point's: the sweep's rows set
     them at its reference point.  Any other row reads neither B nor the estimate."""
+    spec = GATES[gate]
     h = point_hamiltonian(omega, theta)
-    if GATES[gate].fields:
+    if spec.fields:
         h = h + build_zeeman(compensating_fields(estimate, B))
-    return dress(expm_unitary(h, GATES[gate].area), frame, gate)
+    return dress(expm_unitary(h, spec.area), frame, spec)
 
 
 def point_target(gate, B=0.0):

@@ -408,7 +408,8 @@ def test_stacked_overlaps_are_each_members_own_product_bit_for_bit(seeded_pulses
     array the bytes of u.conj().T @ target, at every grid size a sweep makes (1, 2, 441 and
     20,402 members), bare or in a frame."""
     pulses, frame = seeded_pulses
-    dressed = dress(pulses[gate][:shape[0], :shape[1]], frame if framed else None, gate)
+    dressed = dress(pulses[gate][:shape[0], :shape[1]], frame if framed else None,
+                    GATES[gate])
     target = GATES[gate].target
     stacked = _overlaps(dressed, target)
     assert stacked.shape == (*shape, 4, 4)
@@ -467,7 +468,7 @@ def test_sweep_refuses_a_block_whose_row_k_is_not_unitary(monkeypatch, gate, mod
     scale = np.ones((2, 3))
     scale[divmod(k, 3)] = 1.01
     monkeypatch.setattr(analysis, "dress",
-                        lambda u, frame, gate: dress(u, frame, gate) * scale[..., None, None])
+                        lambda u, frame, spec: dress(u, frame, spec) * scale[..., None, None])
     reference = ExchangeParams(1.0, "xy", 0.1, theta=THETA0)
     with pytest.raises(ValueError, match="^u is not unitary$"):
         gate_error_sweep(reference, (-0.1, 0.0, 0.1), (0.0, 0.2), gate, mode, 0.5)

@@ -1414,6 +1414,38 @@ def test_a_non_finite_B_in_a_config_file_exits_1_naming_B(capsys, tmp_path, comm
     assert (code, out, err) == (1, "", f"error: B: must be finite, got {shown}\n")
 
 
+@pytest.mark.parametrize("value", ["inf", "-inf", "nan", "1e400", "-1e400", "9" * 400 + "pi/2",
+                                   "9" * 400 + "pi/" + "9" * 400],
+                         ids=["inf", "-inf", "nan", "1e400", "-1e400", "Npi/2", "Npi/N"])
+def test_a_non_finite_theta_flag_exits_1_naming_theta(capsys, value):
+    """theta is refused by its option row, with the value as given, not by the orientation:
+    an Npi/M form past the float range is inf (or inf/inf, nan) and refused too."""
+    code, out, err = _run_in_process(capsys, "transform", "--orientation", "xy", "--tan-omega",
+                                     "0.1", "--theta", value)
+    assert (code, out, err) == (1, "", f"error: theta: must be finite, got {value!r}\n")
+
+
+@pytest.mark.parametrize("name, text, shown", [
+    ("run.cfg", "theta = inf", "'inf'"),
+    ("run.cfg", "theta = nan", "'nan'"),
+    ("run.cfg", "theta = 1e400", "inf"),
+    ("run.cfg", "theta = Infinity", "inf"),
+    ("run.json", '"theta": NaN', "nan"),
+    ("run.json", '"theta": -Infinity', "-inf"),
+    ("run.json", '"theta": 1e400', "inf"),
+    ("run.json", '"theta": "1e400"', "'1e400'"),
+], ids=["flat-inf", "flat-nan", "flat-1e400", "flat-Infinity", "json-NaN",
+        "json-minus-Infinity", "json-1e400", "json-string-1e400"])
+@pytest.mark.parametrize("command", ["transform", "gate", "sweep"])
+def test_a_non_finite_theta_in_a_config_file_exits_1_naming_theta(capsys, tmp_path, command,
+                                                                  name, text, shown):
+    cfg = tmp_path / name
+    cfg.write_text(f"orientation = xy\ntan_omega = 0.1\n{text}\n" if name.endswith(".cfg") else
+                   f'{{"orientation": "xy", "tan_omega": 0.1, {text}}}')
+    code, out, err = _run_in_process(capsys, command, "--config", str(cfg))
+    assert (code, out, err) == (1, "", f"error: theta: must be finite, got {shown}\n")
+
+
 def test_the_coupling_is_required(capsys):
     code, out, err = _run_in_process(capsys, "transform", "--orientation", "z")
     assert (code, out, err) == (1, "", "error: tan_omega is required\n")

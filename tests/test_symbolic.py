@@ -32,7 +32,7 @@ from sympy.polys.rings import ring
 
 from spinframe.frame import (_local_rotation, assemble, eigenstates, rotation_matrix,
                              rotation_plan)
-from spinframe.gates import SWAP, _row, gate_report
+from spinframe.gates import GATES, SWAP, _row, gate_report
 from spinframe.model import (PAIR, S1, S2, ExchangeParams, _angle_terms, _coupling,
                              build_hamiltonian, compensating_fields)
 
@@ -162,7 +162,7 @@ UNIFORM_Z = field_sum((0, 0, 1), (0, 0, 1))  # S1z + S2z
 
 
 def dagger(t):
-    return [[conj(t[j][i]) for j in range(4)] for i in range(4)]
+    return [[conj(t[j][i]) for j in range(len(t))] for i in range(len(t))]
 
 
 def diagonal(entries):
@@ -315,6 +315,55 @@ def test_the_psw_pulse_in_the_frame_is_its_target_times_a_global_phase_for_every
     flipped = matmul(SWAP_R, kron(rz(FIELD_PHASE), rz(FIELD_PHASE)))
     assert not equal(PSW_PULSE, [[cis(-PI / 4) * e for e in row] for row in flipped])
     assert not equal(PSW_PULSE, PSW_TARGET)
+
+
+def exchange_pulse(area):
+    """exp(-i area S1.S2), exact in V's basis as PSW_PULSE is."""
+    return matmul(matmul(V, diagonal([cis(-area * e) for e in EXCHANGE])), dagger(V))
+
+
+def trace(m):
+    return sum((m[i][i] for i in range(len(m))), R(0))
+
+
+# Rz(omega) Ry(theta) Rz(pi b) ranges over SU(2) as the three free angles do; B_TIED is a
+# second rotation whose angles are tied to A_ANY's, so that W = A^dag B is neither 1 nor A.
+A_ANY = matmul(matmul(rz(OMEGA), ry(THETA)), rz(FIELD_PHASE))
+B_TIED = matmul(matmul(rz(THETA - PI / 4), ry(FIELD_PHASE)), rz(OMEGA + PI / 2))
+I2 = [[R(1), R(0)], [R(0), R(1)]]
+
+
+def has_the_swap_family_error(v1, v2, area, w=None):
+    """Whether the pulse of the given area, realized as (V1 x V2)^dag G (V1 x V2) with
+    G = exp(-i area S1.S2), has tr(u^dag G) = 4 - 4 sin^2(a/2) ||W - (tr W/2) I||_F^2 / 2
+    exactly, W = V1^dag V2 (or the w given), and ||W - (tr W/2) I||_F^2 = 2 - |tr W|^2 / 2."""
+    w = matmul(dagger(v1), v2) if w is None else w
+    g, v = exchange_pulse(area), kron(v1, v2)
+    u = matmul(matmul(dagger(v), g), v)
+    half = trace(w) * QQ(1, 2)
+    d = [[w[i][j] - (half if i == j else R(0)) for j in range(2)] for i in range(2)]
+    deviation = sum((e * conj(e) for row in d for e in row), R(0))
+    return (vanishes(deviation - 2 + 2 * half * conj(half))
+            and vanishes(trace(matmul(dagger(u), g)) - 4 + 2 * sin(area / 2) ** 2 * deviation))
+
+
+def test_the_swap_family_error_is_a_function_of_w_alone_for_every_w():
+    """The key identity, for swap's area pi and sqrt_swap's pi/2: G = exp(-i a S1.S2)
+    commutes with A (x) A for every A in SU(2), and V1 (x) V2 = (V1 (x) V1)(I (x) W) with
+    W = V1^dag V2, so the pulse realized through V1 (x) V2 is (I (x) W)^dag G (I (x) W); for
+    every W in SU(2) its tr(u^dag G) is 4 - 4 sin^2(a/2) ||W - (tr W/2) I||_F^2 / 2, real and
+    at least 4 cos^2(a/2) >= 0, so the error 1 - |tr(u^dag G)|/4 is sin^2(a/2) ||W - (tr W/2)
+    I||_F^2 / 2.  A phase of W drops out of both sides, each of degree one in W and in W^dag,
+    so this holds for every 2x2 unitary W."""
+    assert (GATES["swap"].area, GATES["sqrt_swap"].area) == (math.pi, math.pi / 2)
+    for area in (PI, PI / 2):
+        g, aa = exchange_pulse(area), kron(A_ANY, A_ANY)
+        assert equal(matmul(g, aa), matmul(aa, g))
+        for v1, v2 in ((I2, A_ANY), (A_ANY, I2), (A_ANY, A_ANY), (A_ANY, B_TIED)):
+            assert has_the_swap_family_error(v1, v2, area)
+        # The certificate can fail: W built as V1 V2.
+        assert not has_the_swap_family_error(A_ANY, A_ANY, area, matmul(A_ANY, A_ANY))
+        assert not has_the_swap_family_error(A_ANY, B_TIED, area, matmul(A_ANY, B_TIED))
 
 
 def lambdified(entries):
